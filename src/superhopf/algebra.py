@@ -1,10 +1,16 @@
-"""Finitely presented graded algebras with straightening to PBW normal form.
+"""Finitely presented graded algebras with products in PBW normal form.
 
-A presentation fixes an ordered generator alphabet.  Words are rewritten by
-replacing descending adjacent pairs and capped powers until the word is
-sorted with all exponents below their caps; when the rule system is locally
-confluent (see :func:`check_overlaps`) this sorted word is the unique
-normal form and the normal monomials are a linear basis.
+A presentation fixes an ordered generator alphabet, swap rules for
+descending adjacent pairs and power rules for capped exponents.  Products
+run through two memo tables holding the normal forms of ``g_i * m`` (left)
+and ``m * g_i`` (right) for a generator ``g_i`` and a normal monomial ``m``,
+filled from the rules on an explicit stack.  A product whose joined word is
+already sorted and under its caps is returned directly and never stored;
+any other folds the letters of its shorter factor into the longer one.
+Every table lookup costs one step of a budget, so a rule system that does
+not terminate raises :class:`NonTerminationError`.  When the rules are
+locally confluent (see :func:`check_overlaps`) normal forms do not depend on
+the order of reductions and the normal monomials are a linear basis.
 
 Elements and tensor elements are exact sparse rational combinations of
 normal-form monomials.  Everything is immutable after construction and all
@@ -27,6 +33,8 @@ SUPER = "super"
 ORDINARY = "ordinary"
 
 DEFAULT_STEP_BUDGET = 10**7
+
+LEFT, RIGHT = 0, 1  # the side a generator multiplies a monomial from
 
 
 @dataclass(frozen=True)
@@ -81,7 +89,9 @@ class AlgebraPresentation:
         # rule right-hand sides pre-expanded to letter words for splicing
         self._swap_rhs = {k: self._expand_rhs(v) for k, v in self.swap_rules.items()}
         self._power_rhs = {k: self._expand_rhs(v) for k, v in self.power_rules.items()}
-        self._mul_cache = {}
+        self._mul_cache = {}    # (m1, m2) -> m1*m2, unsorted products only
+        self._left_cache = {}   # (i, m) -> g_i*m
+        self._right_cache = {}  # (i, m) -> m*g_i
 
     # -- construction checks -------------------------------------------------
 
@@ -139,7 +149,13 @@ class AlgebraPresentation:
                 raise PresentationError(f"rule {what} is not parity-homogeneous")
 
     def _expand_rhs(self, rhs):
-        return tuple((c, self.monomial_letters(m)) for m, c in sorted(rhs.items()))
+        """(coefficient, letters) pairs; integral coefficients become ``int``."""
+        out = []
+        for m, c in sorted(rhs.items()):
+            c = Fraction(c)
+            out.append((c.numerator if c.denominator == 1 else c,
+                        self.monomial_letters(m)))
+        return tuple(out)
 
     # -- basic queries --------------------------------------------------------
 
@@ -242,7 +258,7 @@ class AlgebraPresentation:
         out.sort(key=monomial_key)
         return out
 
-    # -- rewriting --------------------------------------------------------------
+    # -- the product engine ------------------------------------------------------
 
     def normalize(self, word: Iterable, coeff=ONE,
                   max_steps: int = DEFAULT_STEP_BUDGET) -> "Element":
@@ -257,62 +273,125 @@ class AlgebraPresentation:
         for idx in letters:
             if not 0 <= idx < self.n:
                 raise PresentationError(f"generator index {idx} out of range")
-        out = {}
-        budget = [max_steps]
-        self._normalize_word(Fraction(coeff), letters, out, budget)
-        return Element(self, out)
-
-    def _first_redex(self, w):
-        caps = self._caps
-        for p in range(len(w) - 1):
-            a, b = w[p], w[p + 1]
-            if a > b:
-                return p, 2, self._swap_rhs[(a, b)]
-            if a == b:
-                cap = caps.get(a)
-                if cap is not None and p + cap <= len(w) \
-                        and all(w[p + k] == a for k in range(cap)):
-                    return p, cap, self._power_rhs[a]
-        return None
-
-    def _normalize_word(self, coeff, word, out, budget):
+        coeff = Fraction(coeff)
         if not coeff:
-            return
-        stack = [(coeff, tuple(word))]
-        while stack:
-            c, w = stack.pop()
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise NonTerminationError(
-                    f"rewrite step budget exhausted in {self.name}")
-            redex = self._first_redex(w)
-            if redex is None:
-                m = [0] * self.n
-                for idx in w:
-                    m[idx] += 1
-                m = tuple(m)
-                new = out.get(m, ZERO) + c
-                if new:
-                    out[m] = new
-                else:
-                    out.pop(m, None)
-                continue
-            p, span, rhs = redex
-            prefix, suffix = w[:p], w[p + span:]
-            for rc, letters in rhs:
-                stack.append((c * rc, prefix + letters + suffix))
+            return Element(self, {})
+        terms = self._word_normal_form(letters, [max_steps])
+        return Element(self, {m: coeff * c for m, c in terms.items()})
 
     def mul_monomials(self, m1, m2, max_steps: int = DEFAULT_STEP_BUDGET):
-        """Normal form of the product of two normal monomials, as a raw dict."""
+        """Normal form of the product of two normal monomials, as a raw dict.
+
+        The dict may be shared with the memo table: do not modify it.
+        """
+        return self._mul(m1, m2, [max_steps])
+
+    def _mul(self, m1, m2, budget):
+        if not any(m1):
+            return {m2: 1}
+        if not any(m2):
+            return {m1: 1}
         key = (m1, m2)
         cached = self._mul_cache.get(key)
         if cached is None:
-            out = {}
-            word = self.monomial_letters(m1) + self.monomial_letters(m2)
-            self._normalize_word(ONE, word, out, [max_steps])
-            cached = out
-            self._mul_cache[key] = cached
+            j = 0
+            while not m2[j]:
+                j += 1
+            cap = self._caps.get(j)
+            if not any(m1[j + 1:]) and (cap is None or m1[j] + m2[j] < cap):
+                return {m1[:j] + (m1[j] + m2[j],) + m2[j + 1:]: 1}  # already sorted
+            # fold the letters of the shorter factor into the longer one; a
+            # single letter makes the product a table entry, shared as it is
+            side, short, long = (LEFT, m1, m2) if sum(m1) <= sum(m2) else (RIGHT, m2, m1)
+            letters = self.monomial_letters(short)
+            job = (_ask((letters[0], long)) if len(letters) == 1
+                   else self._fold(side, letters, {long: 1}))
+            cached = self._mul_cache[key] = self._run(side, job, budget)
+        self._charge(budget)  # the lookup of the pair itself
         return cached
+
+    def _word_normal_form(self, letters, budget):
+        """Normal form of a word of pbw indices, as a raw dict."""
+        return self._run(LEFT, self._fold(LEFT, letters, {self.unit_monomial(): 1}),
+                         budget)
+
+    def _charge(self, budget):
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise NonTerminationError(f"rewrite step budget exhausted in {self.name}")
+
+    def _fold(self, side, letters, terms):
+        """Multiply the combination ``terms`` by ``letters`` on one side.
+
+        A generator: it yields the table key ``(i, m)`` of each unsorted
+        product ``g_i*m`` (left, last letter first) or ``m*g_i`` (right),
+        is sent that product back, and returns the collected combination.
+        """
+        caps = self._caps
+        for i in (reversed(letters) if side == LEFT else letters):
+            cap = caps.get(i)
+            out = {}
+            for m, c in terms.items():
+                e = m[i] + 1
+                if (cap is None or e < cap) \
+                        and not any(m[:i] if side == LEFT else m[i + 1:]):
+                    accumulate(out, {m[:i] + (e,) + m[i + 1:]: 1}, c)
+                else:
+                    accumulate(out, (yield i, m), c)
+            terms = out
+        return terms
+
+    def _entry(self, side, i, m):
+        """Fill one table entry, yielding like :meth:`_fold`.
+
+        ``g_i`` is swapped with the letter of ``m`` it meets; if that is its
+        own power, the power rule applies.  The rest of ``m`` is folded into
+        each right-hand side term.
+        """
+        passed = range(i) if side == LEFT else range(self.n - 1, i, -1)
+        j = next((j for j in passed if m[j]), None)
+        if j is None:
+            rhs, base = self._power_rhs[i], m[:i] + (0,) + m[i + 1:]
+        else:
+            rhs = self._swap_rhs[(i, j) if side == LEFT else (j, i)]
+            base = m[:j] + (m[j] - 1,) + m[j + 1:]
+        out = {}
+        for rc, letters in rhs:
+            accumulate(out, (yield from self._fold(side, letters, {base: 1})), rc)
+        return out
+
+    def _run(self, side, job, budget):
+        """Drive ``job`` (a :meth:`_fold` or :func:`_ask`) to its result.
+
+        Missing entries of the ``side`` table are filled on a stack of
+        :meth:`_entry` tasks.  Every lookup costs one step of ``budget``;
+        looking up an entry still being filled means the rules rewrite a
+        word back into itself.
+        """
+        cache = self._left_cache if side == LEFT else self._right_cache
+        stack, keys, pending = [job], [], set()
+        value = None
+        while True:
+            try:
+                key = stack[-1].send(value)
+            except StopIteration as done:
+                value = done.value
+                stack.pop()
+                if not stack:
+                    return value
+                key = keys.pop()
+                pending.discard(key)
+                cache[key] = value
+                continue
+            self._charge(budget)
+            value = cache.get(key)
+            if value is None:
+                if key in pending:
+                    raise NonTerminationError(
+                        f"rewriting cycle at {self.gen_name(key[0])} in {self.name}")
+                keys.append(key)
+                pending.add(key)
+                stack.append(self._entry(side, *key))
 
     def _require_same(self, other):
         if self is not other:
@@ -418,13 +497,7 @@ class Element:
             out = {}
             for m1, c1 in self.coeffs.items():
                 for m2, c2 in other.coeffs.items():
-                    c12 = c1 * c2
-                    for m, c in self.alg.mul_monomials(m1, m2).items():
-                        new = out.get(m, ZERO) + c12 * c
-                        if new:
-                            out[m] = new
-                        else:
-                            out.pop(m, None)
+                    accumulate(out, self.alg.mul_monomials(m1, m2), c1 * c2)
             return Element(self.alg, out)
         if isinstance(other, (int, Fraction)):
             return self._scaled(Fraction(other))
@@ -613,14 +686,18 @@ class TensorElement:
 
     def fold_mul(self) -> Element:
         """Multiply all legs together (the multiplication map of the algebra)."""
+        alg = self.alg
         out = {}
         budget = [DEFAULT_STEP_BUDGET]
         for k, c in self.coeffs.items():
-            word = ()
-            for m in k:
-                word += self.alg.monomial_letters(m)
-            self.alg._normalize_word(c, word, out, budget)
-        return Element(self.alg, out)
+            terms = {alg.unit_monomial(): ONE}
+            for m in reversed(k):
+                new_terms = {}
+                for t, ct in terms.items():
+                    accumulate(new_terms, alg._mul(m, t, budget), ct)
+                terms = new_terms
+            accumulate(out, terms, c)
+        return Element(alg, out)
 
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
@@ -648,6 +725,28 @@ class TensorElement:
 
     def __repr__(self):
         return f"<{self.alg.name} tensor: {self}>"
+
+
+def _ask(key):
+    """A job for :meth:`AlgebraPresentation._run` that looks up one entry."""
+    return (yield key)
+
+
+def accumulate(out, coeffs, scale):
+    """Add ``scale * coeffs`` into the sparse map ``out`` in place.
+
+    ``scale`` and the coefficients are nonzero, so a new key needs no sum.
+    """
+    for k, c in coeffs.items():
+        old = out.get(k)
+        if old is None:
+            out[k] = scale * c
+        else:
+            new = old + scale * c
+            if new:
+                out[k] = new
+            else:
+                del out[k]
 
 
 def _accumulate_outer(out, factors, coeff):
@@ -715,7 +814,8 @@ def check_overlaps(pres: AlgebraPresentation, degree_bound: int = 12,
         budget = [max_steps]
         prefix, suffix = word[:pos], word[pos + span:]
         for rc, letters in rhs:
-            pres._normalize_word(rc, prefix + letters + suffix, out, budget)
+            accumulate(out, pres._word_normal_form(prefix + letters + suffix, budget),
+                       Fraction(rc))
         return Element(pres, out)
 
     report = ConfluenceReport(pres.name, 0)

@@ -124,6 +124,8 @@ class _Parser:
                 k, v, p = self.next()
                 if k != "num":
                     raise ParseError("denominator must be an integer", p)
+                if not int(v):
+                    raise ParseError("division by zero", p)
                 return self.alg.scalar(Fraction(num, int(v)))
             return self.alg.scalar(num)
         if kind == "name":
@@ -190,6 +192,8 @@ def parse_linear_combination(text: str, names):
                 kind, val, pos = next_tok()
                 if kind != "num":
                     raise ParseError("denominator must be an integer", pos)
+                if not int(val):
+                    raise ParseError("division by zero", pos)
                 coeff /= int(val)
                 kind, val, pos = peek()
             if kind == "op" and val == "*":

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict
 
 from .algebra import (ONE, ORDINARY, SUPER, ZERO, AlgebraPresentation, Element,
-                      Generator, TensorElement)
+                      Generator, TensorElement, accumulate)
 from .errors import AlgebraError, PresentationError
 from .liesuper import LieSuperAlgebra
 
@@ -80,14 +80,29 @@ class HopfStructureMaps:
                 return idx, tuple(rest)
         raise ValueError("unit monomial has no letters")
 
-    def delta_monomial(self, m) -> TensorElement:
-        cached = self._delta_cache.get(m)
-        if cached is None:
+    def _extend(self, cache, m, step):
+        """Image of ``m`` under a map extended letter by letter.
+
+        Peels first letters off ``m`` until a cached suffix is left, then
+        works back up with ``step(letter, suffix, image of suffix)``,
+        caching every image on the way; a loop, so long monomials need no
+        recursion.
+        """
+        chain = []
+        image = cache.get(m)
+        while image is None:
             idx, rest = self._split(m)
-            cached = self.delta_gen[idx].tensor_mul(self.delta_monomial(rest),
-                                                    self.mode)
-            self._delta_cache[m] = cached
-        return cached
+            chain.append((m, idx, rest))
+            m = rest
+            image = cache.get(m)
+        for m, idx, rest in reversed(chain):
+            image = cache[m] = step(idx, rest, image)
+        return image
+
+    def delta_monomial(self, m) -> TensorElement:
+        return self._extend(
+            self._delta_cache, m,
+            lambda idx, rest, d: self.delta_gen[idx].tensor_mul(d, self.mode))
 
     def counit_monomial(self, m) -> Fraction:
         acc = ONE
@@ -101,28 +116,24 @@ class HopfStructureMaps:
         return acc
 
     def antipode_monomial(self, m) -> Element:
-        cached = self._antipode_cache.get(m)
-        if cached is None:
-            idx, rest = self._split(m)
+        def step(idx, rest, s_rest):
             # S(g * rest) = sign * S(rest) * S(g)
-            img = self.antipode_monomial(rest) * self.antipode_gen[idx]
-            if self.mode == SUPER:
-                sign = (self.carrier.generators[idx].parity
-                        * self.carrier.monomial_parity(rest))
-                if sign % 2:
-                    img = -img
-            cached = img
-            self._antipode_cache[m] = cached
-        return cached
+            img = s_rest * self.antipode_gen[idx]
+            if self.mode == SUPER and (self.carrier.generators[idx].parity
+                                       * self.carrier.monomial_parity(rest)) % 2:
+                img = -img
+            return img
+
+        return self._extend(self._antipode_cache, m, step)
 
     # -- linear extensions -----------------------------------------------------
 
     def coproduct(self, a: Element) -> TensorElement:
         self.carrier._require_same(a.alg)
-        out = self.carrier.tensor_one(2) * Fraction(0)
+        out = {}
         for m, c in a.items():
-            out = out + c * self.delta_monomial(m)
-        return out
+            accumulate(out, self.delta_monomial(m).coeffs, c)
+        return TensorElement(self.carrier, 2, out)
 
     def counit(self, a: Element) -> Fraction:
         self.carrier._require_same(a.alg)
@@ -131,10 +142,10 @@ class HopfStructureMaps:
 
     def antipode(self, a: Element) -> Element:
         self.carrier._require_same(a.alg)
-        out = self.carrier.zero()
+        out = {}
         for m, c in a.items():
-            out = out + c * self.antipode_monomial(m)
-        return out
+            accumulate(out, self.antipode_monomial(m).coeffs, c)
+        return Element(self.carrier, out)
 
 
 def enveloping(g: LieSuperAlgebra) -> HopfStructureMaps:
@@ -266,12 +277,12 @@ class BosonizedAlgebra:
         """
         self.carrier._require_same(a.alg)
         t = self.t()
-        out = self.carrier.tensor_one(2) * Fraction(0)
+        out = {}
         for m, c in a.items():
             d_exp = m[self.t_index]
             mu = Element(self.u_maps.carrier, {m[:self.t_index]: ONE})
             du = self.u_maps.coproduct(mu)
-            acc = TensorElement(self.carrier, 2, {})
+            acc = {}
             for (m1, m2), cu in du.items():
                 leg1 = self.include_from_u(
                     Element(self.u_maps.carrier, {m1: ONE}))
@@ -279,11 +290,12 @@ class BosonizedAlgebra:
                     leg1 = leg1 * t
                 leg2 = self.include_from_u(
                     Element(self.u_maps.carrier, {m2: ONE}))
-                acc = acc + cu * leg1.outer(leg2)
+                accumulate(acc, leg1.outer(leg2).coeffs, cu)
+            acc = TensorElement(self.carrier, 2, acc)
             if d_exp:
                 acc = acc.tensor_mul(t.outer(t), ORDINARY)
-            out = out + c * acc
-        return out
+            accumulate(out, acc.coeffs, c)
+        return TensorElement(self.carrier, 2, out)
 
 
 def bosonize(U: HopfStructureMaps) -> BosonizedAlgebra:

@@ -519,7 +519,11 @@ def load_algebra_file(path) -> LieSuperAlgebra:
                 name, parity = parts[0], parts[1]
                 if parity not in ("0", "1"):
                     raise ParseError(f"parity must be 0 or 1, got {parity!r}", lineno)
-                z = int(parts[2]) if len(parts) == 3 else None
+                try:
+                    z = int(parts[2]) if len(parts) == 3 else None
+                except ValueError:
+                    raise ParseError(f"z-degree must be an integer, got {parts[2]!r}",
+                                     lineno) from None
                 basis.append(Generator(name, int(parity), len(basis), z_degree=z))
             elif section == "brackets":
                 if "=" not in line:

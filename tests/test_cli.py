@@ -32,6 +32,25 @@ def test_normalize_reports_errors(capsys):
     assert "unknown generator" in err
 
 
+def test_division_by_zero_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "normalize", "1/0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: division by zero") and "position 2" in err
+
+
+def test_bad_integers_in_a_definition_file_are_parse_errors(tmp_path, capsys):
+    path = tmp_path / "bad.alg"
+    path.write_text("[generators]\nh 0 zz\n", encoding="utf-8")
+    code, _, err = run(capsys, "normalize", "h", "--algebra", str(path))
+    assert code == 2
+    assert err.startswith("error: z-degree must be an integer") and "position 2" in err
+    path.write_text("[generators]\nh 0\ne 1\n[brackets]\nh e = 1/0*e\n",
+                    encoding="utf-8")
+    code, _, err = run(capsys, "normalize", "h", "--algebra", str(path))
+    assert code == 2
+    assert err.startswith("error: division by zero")
+
+
 def test_check_all_passes_on_the_bosonized_algebra(tmp_path, capsys):
     out = tmp_path / "report.txt"
     code, _, _ = run(capsys, "check", "all", "--hopf-random", "25",

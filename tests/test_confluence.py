@@ -37,6 +37,8 @@ def test_corrupted_relation_breaks_confluence(ubar):
     assert not report.confluent
     words = {d.word for d in report.discrepancies}
     assert ("v", "u", "u") in words
+    d = next(d for d in report.discrepancies if d.word == ("v", "u", "u"))
+    assert (d.left_first, d.right_first) == (corrupted.gen("u"), corrupted.zero())
 
 
 def test_overlap_count_includes_cap_overlaps(ubar):

@@ -1,11 +1,13 @@
 """Structure maps of the enveloping algebra and its bosonization."""
 
+import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from superhopf import bosonize, enveloping, parse
-from superhopf.algebra import Generator
+from superhopf.algebra import Generator, TensorElement
 from superhopf.errors import AlgebraError
 from superhopf.liesuper import LieSuperAlgebra
 
@@ -201,3 +203,19 @@ def test_k_part_presentation(bos):
     K = bos.k_part
     assert [g.name for g in K.generators] == ["t"]
     assert K.normalize(["t", "t"]) == K.one()
+
+
+def test_structure_maps_of_long_monomials_need_no_recursion(sess_ubar):
+    H = sess_ubar.hopf
+    pres = H.carrier
+    y_power = pres.monomial_element(pres.monomial(y=1100))
+    assert H.antipode(y_power) == y_power  # S(y) = -y, and 1100 is even
+    # a recursive extension would need a frame per letter
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        d = H.coproduct(pres.monomial_element(pres.monomial(x=250)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert d == TensorElement(pres, 2, {(pres.monomial(x=k), pres.monomial(x=250 - k)):
+                                        Fraction(comb(250, k)) for k in range(251)})

@@ -1,0 +1,159 @@
+"""The product tables against the word rewriter they replaced, and their limits."""
+
+import random
+from fractions import Fraction
+from math import comb
+
+import pytest
+
+from superhopf import (LieSuperAlgebra, check_overlaps, enveloping, session_b_bosonized,
+                       session_pl11, session_pl11_bosonized)
+from superhopf.algebra import AlgebraPresentation, Generator
+from superhopf.errors import NonTerminationError
+
+from word_rewriter import rewrite
+
+
+def _mat_mul(a, b):
+    out = {}
+    for (i, k), x in a.items():
+        for (k2, j), y in b.items():
+            if k == k2:
+                out[(i, j)] = out.get((i, j), 0) + x * y
+    return out
+
+
+def matrix_superalgebra(name, basis):
+    """Lie superalgebra of ``(label, parity, pivot, matrix)`` in PBW order.
+
+    The pivot entry is nonzero in its own matrix only, so a bracket's
+    coordinates are read off the pivots and then checked entry by entry.
+    """
+    gens = [Generator(label, parity, k) for k, (label, parity, _, _) in enumerate(basis)]
+    brackets = {}
+    for i, (_, pi, _, a) in enumerate(basis):
+        for j, (_, pj, _, b) in enumerate(basis):
+            sign = 1 if pi * pj else -1
+            comm = _mat_mul(a, b)
+            for key, v in _mat_mul(b, a).items():
+                comm[key] = comm.get(key, 0) + sign * v
+            coords = {k: Fraction(comm.get(piv, 0), mat[piv])
+                      for k, (_, _, piv, mat) in enumerate(basis) if comm.get(piv, 0)}
+            rebuilt = {}
+            for k, c in coords.items():
+                for key, v in basis[k][3].items():
+                    rebuilt[key] = rebuilt.get(key, 0) + c * v
+            assert {k: v for k, v in rebuilt.items() if v} \
+                == {k: v for k, v in comm.items() if v}, "basis is not bracket-closed"
+            brackets[(i, j)] = coords
+    g = LieSuperAlgebra(gens, brackets, name=name)
+    assert g.validate().ok
+    return g
+
+
+def osp12():
+    """osp(1|2) in gl(1|2), coordinate 0 even: [a, a] = 2e and [b, b] = -2f."""
+    return matrix_superalgebra("osp(1|2)", [
+        ("h", 0, (1, 1), {(1, 1): 1, (2, 2): -1}),
+        ("e", 0, (1, 2), {(1, 2): 1}),
+        ("f", 0, (2, 1), {(2, 1): 1}),
+        ("a", 1, (1, 0), {(1, 0): 1, (0, 2): 1}),
+        ("b", 1, (2, 0), {(2, 0): 1, (0, 1): -1}),
+    ])
+
+
+def gl21():
+    """gl(2|1) on its matrix units, even units first."""
+    parity = [0, 0, 1]
+    units = sorted(((i, j) for i in range(3) for j in range(3)),
+                   key=lambda ij: (parity[ij[0]] ^ parity[ij[1]], ij))
+    return matrix_superalgebra("gl(2|1)", [
+        (f"e{i + 1}{j + 1}", parity[i] ^ parity[j], (i, j), {(i, j): 1})
+        for i, j in units])
+
+
+PRESENTATIONS = {
+    "pl11": lambda: session_pl11().pres,
+    "pl11-bosonized": lambda: session_pl11_bosonized().pres,
+    "b-bosonized": lambda: session_b_bosonized().pres,
+    "osp(1|2)": lambda: enveloping(osp12()).carrier,
+    "gl(2|1)": lambda: enveloping(gl21()).carrier,
+}
+
+
+def cold_pl11_bosonized():
+    """pl11-bosonized with empty tables (building a session fills them)."""
+    pres = session_pl11_bosonized().pres
+    return AlgebraPresentation(pres.generators, pres.swap_rules, pres.power_rules,
+                               mode=pres.mode, name=pres.name)
+
+
+def test_osp12_has_nonzero_odd_squares():
+    pres = PRESENTATIONS["osp(1|2)"]()
+    assert pres.normalize(["a", "a"]) == pres.gen("e")
+    assert pres.normalize(["b", "b"]) == -pres.gen("f")
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_products_match_the_word_rewriter(name):
+    pres = PRESENTATIONS[name]()
+    assert check_overlaps(pres).confluent
+    monomials = pres.enumerate_monomials(4)
+    rng = random.Random(2024)
+    for _ in range(150):
+        m1, m2 = rng.choice(monomials), rng.choice(monomials)
+        want = rewrite(pres, pres.monomial_letters(m1) + pres.monomial_letters(m2))
+        assert pres.mul_monomials(m1, m2) == want, (m1, m2)
+    for _ in range(60):
+        word = [rng.randrange(pres.n) for _ in range(rng.randint(0, 6))]
+        assert pres.normalize(word).coeffs == rewrite(pres, word), word
+
+
+def test_u_times_a_high_power_of_y_is_binomial():
+    pres = session_pl11_bosonized().pres
+    n = 200
+    got = pres.gen("u") * pres.monomial_element(pres.monomial(y=n))
+    want = pres.element({pres.monomial(y=k, u=1): comb(n, k) * (-1) ** (n - k)
+                         for k in range(n + 1)})
+    assert got == want
+
+
+def test_tiny_budget_raises_on_cold_and_warm_tables():
+    pres = cold_pl11_bosonized()
+    word = ["v", "u"] * 6
+    with pytest.raises(NonTerminationError):
+        pres.normalize(word, max_steps=3)  # cold
+    expected = pres.normalize(word)
+    assert pres._left_cache
+    with pytest.raises(NonTerminationError):
+        pres.normalize(word, max_steps=3)  # warm
+    assert pres.normalize(word) == expected
+    u, v = pres.monomial(u=1), pres.monomial(v=1)
+    pres.mul_monomials(v, u)
+    with pytest.raises(NonTerminationError):
+        pres.mul_monomials(v, u, max_steps=0)
+
+
+def test_sorted_products_store_no_table_entries():
+    pres = cold_pl11_bosonized()
+    power = pres.normalize(["y"] * 20000)
+    assert power == pres.monomial_element(pres.monomial(y=20000))
+    assert pres.mul_monomials(pres.monomial(x=3), pres.monomial(y=2, t=1)) \
+        == {pres.monomial(x=3, y=2, t=1): 1}
+    assert not (pres._left_cache or pres._right_cache or pres._mul_cache)
+
+
+def test_rewriting_cycle_raises():
+    # b*a -> 2*a^2 - b^2 rewrites b*a*a back into a multiple of b*a*a
+    gens = [Generator("a", 0, 0), Generator("b", 0, 1)]
+    pres = AlgebraPresentation(gens, {(1, 0): {(2, 0): Fraction(2), (0, 2): Fraction(-1)}},
+                               {}, name="looping")
+    with pytest.raises(NonTerminationError):
+        pres.normalize(["b", "a", "a"])
+
+
+def test_a_cap_of_one_rewrites_a_single_letter():
+    gens = [Generator("s", 0, 0, exp_cap=1), Generator("a", 0, 1)]
+    pres = AlgebraPresentation(gens, {(1, 0): {(0, 1): Fraction(-1)}},
+                               {0: {(0, 0): Fraction(-1)}}, name="scalar-s")
+    assert pres.normalize(["a", "s", "a"]) == pres.element({(0, 2): Fraction(-1)})
