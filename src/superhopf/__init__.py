@@ -15,21 +15,19 @@ from .catalog import (Session, load_session, polynomial_presentation,
 from .errors import (AlgebraError, DegreeBudgetError, NonTerminationError,
                      ParseError, PresentationError, UnsupportedFieldError)
 from .exprs import parse, parse_list
-from .growth import (FiltrationClosure, GrowthReport,
-                     ModuleFinitenessCertificate, centralizer_degree_bounded,
-                     enveloping_growth_bound, filtration_dim,
-                     growth_obstruction, growth_series, module_finite_check)
+from .growth import (FiltrationClosure, GrowthReport, centralizer_degree_bounded,
+                     enveloping_growth_bound, filtration_dim, growth_series)
 from .hopf import BosonizedAlgebra, HopfStructureMaps, bosonize, enveloping
 from .liesuper import (LieSuperAlgebra, SubSuperSpace, ad_eigen, as_standalone,
                        is_ideal, load_algebra_file, pl11, subalgebra_generated,
                        upper_triangular_subalgebra)
-from .verify import (CertificateReport, SpannedSubalgebra, adjoint_left,
-                     adjoint_right, biproduct_decomposition,
-                     check_ad_equals_bracket, check_antipode, check_bialgebra,
-                     check_coassociativity, check_counit, check_grouplike,
-                     check_nilpotent_ideal, check_shift_identity,
-                     check_sign_commuting_squares, find_skew_primitives,
-                     hopf_axiom_suite, is_normal, random_element,
+from .verify import (CertificateReport, adjoint_left, adjoint_right,
+                     biproduct_decomposition, check_ad_equals_bracket,
+                     check_antipode, check_bialgebra, check_coassociativity,
+                     check_counit, check_grouplike, check_nilpotent_ideal,
+                     check_shift_identity, check_sign_commuting_squares,
+                     find_skew_primitives, growth_obstruction, hopf_axiom_suite,
+                     is_normal, module_finite_check, random_element,
                      render_reports, render_summary, zero_divisor_scan)
 
 __version__ = "0.1.0"

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import NonTerminationError, PresentationError
+from .linalg import accumulate
 
 Scalar = Fraction
 ZERO = Fraction(0)
@@ -56,10 +57,6 @@ class Generator:
 def monomial_key(m):
     """Canonical sort key: total degree, then exponent vector."""
     return (sum(m), m)
-
-
-def tensor_key(key):
-    return tuple(monomial_key(m) for m in key)
 
 
 class AlgebraPresentation:
@@ -477,12 +474,7 @@ class Element:
             return NotImplemented
         self.alg._require_same(other.alg)
         out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            new = out.get(m, ZERO) + c
-            if new:
-                out[m] = new
-            else:
-                out.pop(m, None)
+        accumulate(out, other.coeffs)
         return Element(self.alg, out)
 
     def __sub__(self, other):
@@ -571,12 +563,7 @@ class TensorElement:
         if self.legs != other.legs:
             raise PresentationError("tensor leg count mismatch")
         out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            new = out.get(k, ZERO) + c
-            if new:
-                out[k] = new
-            else:
-                out.pop(k, None)
+        accumulate(out, other.coeffs)
         return TensorElement(self.alg, self.legs, out)
 
     def __sub__(self, other):
@@ -636,14 +623,8 @@ class TensorElement:
         """Apply a linear, parity-even map (monomial -> Element) to one leg."""
         out = {}
         for k, c in self.coeffs.items():
-            image = fn(k[leg])
-            for m, cm in image.coeffs.items():
-                key = k[:leg] + (m,) + k[leg + 1:]
-                new = out.get(key, ZERO) + c * cm
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
+            accumulate(out, {k[:leg] + (m,) + k[leg + 1:]: cm
+                             for m, cm in fn(k[leg]).coeffs.items()}, c)
         return TensorElement(self.alg, self.legs, out)
 
     def apply_tensor_map(self, fn, leg: int) -> "TensorElement":
@@ -653,13 +634,8 @@ class TensorElement:
         for k, c in self.coeffs.items():
             image = fn(k[leg])
             extra = image.legs
-            for ms, cm in image.coeffs.items():
-                key = k[:leg] + ms + k[leg + 1:]
-                new = out.get(key, ZERO) + c * cm
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
+            accumulate(out, {k[:leg] + ms + k[leg + 1:]: cm
+                             for ms, cm in image.coeffs.items()}, c)
         if extra is None:
             extra = 2  # zero tensor: leg count of the image is conventional
         return TensorElement(self.alg, self.legs - 1 + extra, out)
@@ -669,14 +645,8 @@ class TensorElement:
         out = {}
         for k, c in self.coeffs.items():
             s = fn(k[leg])
-            if not s:
-                continue
-            key = k[:leg] + k[leg + 1:]
-            new = out.get(key, ZERO) + c * s
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
+            if s:
+                accumulate(out, {k[:leg] + k[leg + 1:]: c}, s)
         return TensorElement(self.alg, self.legs - 1, out)
 
     def as_element(self) -> Element:
@@ -732,27 +702,10 @@ def _ask(key):
     return (yield key)
 
 
-def accumulate(out, coeffs, scale):
-    """Add ``scale * coeffs`` into the sparse map ``out`` in place.
-
-    ``scale`` and the coefficients are nonzero, so a new key needs no sum.
-    """
-    for k, c in coeffs.items():
-        old = out.get(k)
-        if old is None:
-            out[k] = scale * c
-        else:
-            new = old + scale * c
-            if new:
-                out[k] = new
-            else:
-                del out[k]
-
-
 def _accumulate_outer(out, factors, coeff):
     """Add coeff * (outer product of per-leg raw dicts) into ``out``."""
     keys = [()]
-    vals = [coeff]
+    vals = [1]
     for factor in factors:
         new_keys, new_vals = [], []
         for k, v in zip(keys, vals):
@@ -762,12 +715,7 @@ def _accumulate_outer(out, factors, coeff):
         keys, vals = new_keys, new_vals
         if not keys:
             return
-    for k, v in zip(keys, vals):
-        new = out.get(k, ZERO) + v
-        if new:
-            out[k] = new
-        else:
-            out.pop(k, None)
+    accumulate(out, dict(zip(keys, vals)), coeff)
 
 
 # -- local confluence ------------------------------------------------------------

@@ -22,8 +22,7 @@ from .catalog import Session, load_session
 from .errors import AlgebraError, ParseError
 from .exprs import parse, parse_list
 from .liesuper import SubSuperSpace, ad_eigen
-from .verify import (CertificateReport, SpannedSubalgebra, expect,
-                     render_reports, render_summary)
+from .verify import CertificateReport, expect, render_reports, render_summary
 
 SUITES = ("hopf-axioms", "adjoint", "normality", "biproduct",
           "shift-identity", "nilpotency", "zero-divisors", "all")
@@ -104,11 +103,11 @@ def suite_normality(sess: Session, config: SessionConfig, sub_spec: Optional[str
     bound = config.max_degree
     if sub_spec is not None:
         gens = parse_list(sub_spec, B.carrier)
-        sub = SpannedSubalgebra(B.carrier, gens, bound + 2)
+        sub = growth_mod.FiltrationClosure(B.carrier, gens).extend_to(bound + 2)
         return [verify.is_normal(B, sub, bound)]
     reports = []
     for label, gens, expected in _default_normality_cases(sess):
-        sub = SpannedSubalgebra(B.carrier, gens, bound + 2)
+        sub = growth_mod.FiltrationClosure(B.carrier, gens).extend_to(bound + 2)
         inner = verify.is_normal(B, sub, bound)
         reports.append(expect(inner, expected, name=f"normality.{label}"))
     return reports
@@ -129,7 +128,7 @@ def suite_biproduct(sess: Session, config: SessionConfig):
     reports = []
     for label, gen_names in cases:
         gens = [pres.gen(n) for n in gen_names]
-        sub = SpannedSubalgebra(pres, gens, bound)
+        sub = growth_mod.FiltrationClosure(pres, gens).extend_to(bound)
         rep = verify.biproduct_decomposition(B, sub, bound)
         rep.check_name = f"biproduct.{label}"
         reports.append(rep)
@@ -235,19 +234,8 @@ def cmd_module_finite(sess: Session, config: SessionConfig, args) -> int:
     sub_gens = parse_list(args.sub, pres)
     module_gens = parse_list(args.module_gens, pres)
     sides = ("left", "right") if args.side == "both" else (args.side,)
-    reports = []
-    for side in sides:
-        cert = growth_mod.module_finite_check(pres, sub_gens, module_gens,
-                                              side, args.n_max)
-        rep = CertificateReport(
-            f"module-finite.{side}", cert.status,
-            inputs=f"sub=<{', '.join(cert.subalgebra_gens)}> "
-                   f"gens=<{', '.join(cert.module_gens)}>",
-            parameters={"nMax": args.n_max, "algebra": pres.name})
-        for w in cert.witnesses:
-            rep.witnesses.append((w, "in subalgebra * module generators",
-                                  "outside"))
-        reports.append(rep)
+    reports = [verify.module_finite_check(pres, sub_gens, module_gens, side, args.n_max)
+               for side in sides]
     return _emit_reports(reports, config)
 
 
@@ -297,13 +285,29 @@ def _lie_vector(g, spec: str):
 # -- argument plumbing --------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= ``low``, so no bound makes a check vacuous."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return convert
+
+
+NON_NEGATIVE, POSITIVE = _int_at_least(0), _int_at_least(1)
+
+
 def _add_common(sub):
     sub.add_argument("--algebra", default="pl11-bosonized",
                      help="built-in name (pl11, pl11-bosonized, b-bosonized) "
                           "or a definition-file path")
     sub.add_argument("--bosonize", action="store_true",
                      help="bosonize a file-defined algebra")
-    sub.add_argument("--max-degree", type=int, default=6)
+    sub.add_argument("--max-degree", type=NON_NEGATIVE, default=6)
     sub.add_argument("--seed", type=int, default=1)
     sub.add_argument("--out", type=Path, default=None)
 
@@ -325,23 +329,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="normality: comma-separated subalgebra generators")
     p.add_argument("--ideal-gens", default=None,
                    help="nilpotency: comma-separated ideal generators")
-    p.add_argument("--power", type=int, default=2)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--hopf-random", type=int, default=100)
-    p.add_argument("--shift-n", type=int, default=6)
+    p.add_argument("--power", type=POSITIVE, default=2)
+    p.add_argument("--samples", type=POSITIVE, default=200)
+    p.add_argument("--hopf-random", type=NON_NEGATIVE, default=100)
+    p.add_argument("--shift-n", type=NON_NEGATIVE, default=6)
     _add_common(p)
 
     p = commands.add_parser("growth", help="filtration growth report")
     p.add_argument("--gens", default=None,
                    help="comma-separated generator expressions (default: all)")
-    p.add_argument("--n-max", type=int, default=12)
+    p.add_argument("--n-max", type=NON_NEGATIVE, default=12)
     _add_common(p)
 
     p = commands.add_parser("module-finite", help="module-finiteness certificate")
     p.add_argument("--sub", required=True)
     p.add_argument("--module-gens", required=True)
     p.add_argument("--side", choices=("left", "right", "both"), default="both")
-    p.add_argument("--n-max", type=int, default=8)
+    p.add_argument("--n-max", type=NON_NEGATIVE, default=8)
     _add_common(p)
 
     p = commands.add_parser("centralizer", help="degree-bounded centralizer basis")

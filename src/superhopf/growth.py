@@ -9,13 +9,13 @@ the window, never a claimed limit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import ONE, ZERO, AlgebraPresentation, Element, monomial_key
+from .algebra import AlgebraPresentation, Element, monomial_key
 from .errors import AlgebraError
 from .hopf import enveloping
-from .linalg import RowSpace, kernel_basis
+from .linalg import RowSpace, kernel_image_basis
 from .liesuper import LieSuperAlgebra, SubSuperSpace, as_standalone
 
 
@@ -96,6 +96,10 @@ class FiltrationClosure:
             out.extend(level)
         return out
 
+    def contains(self, a: Element) -> bool:
+        """Membership in the span of the levels built so far."""
+        return self.space.contains(a.coeffs)
+
 
 def filtration_dim(P: AlgebraPresentation, gens: Sequence[Element], n: int) -> int:
     """Exact dimension of the span of all products of <= n generators."""
@@ -173,84 +177,6 @@ def growth_series(P: AlgebraPresentation, gens: Sequence[Element],
                         degree, onset)
 
 
-@dataclass
-class ModuleFinitenessCertificate:
-    subalgebra_gens: list
-    module_gens: list
-    side: str
-    degree_checked: int
-    status: str
-    witnesses: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-
-def module_finite_check(P: AlgebraPresentation, sub_gens: Sequence[Element],
-                        module_gens: Sequence[Element], side: str,
-                        n_max: int) -> ModuleFinitenessCertificate:
-    """Every monomial of degree <= n_max lies in span(sub * module gens).
-
-    ``side`` selects left (subalgebra elements on the left) or right.  The
-    subalgebra is spanned to degree n_max before multiplying by the module
-    generators, which covers the PBW factorizations used here.
-    """
-    if side not in ("left", "right"):
-        raise AlgebraError("side must be 'left' or 'right'")
-    closure = FiltrationClosure(P, sub_gens).extend_to(n_max)
-    span = RowSpace(monomial_key)
-    for s in closure.basis_up_to(n_max):
-        for m in module_gens:
-            prod = s * m if side == "left" else m * s
-            span.insert(prod.coeffs)
-    witnesses = []
-    for n in range(n_max + 1):
-        for mono in P.enumerate_monomials(n):
-            if sum(mono) != n:
-                continue
-            if not span.contains({mono: ONE}):
-                witnesses.append(str(P.monomial_element(mono)))
-    status = "pass" if not witnesses else "fail"
-    return ModuleFinitenessCertificate(
-        [str(g) for g in sub_gens], [str(g) for g in module_gens], side,
-        n_max, status, witnesses[:10])
-
-
-def growth_obstruction(P: AlgebraPresentation, sub_gens: Sequence[Element],
-                       n_max: int):
-    """Compare detected growth degrees of a subalgebra and the full algebra.
-
-    Strictly smaller subalgebra growth obstructs module-finiteness of the
-    algebra over the subalgebra (equal growth is necessary).  Returns a
-    CertificateReport-shaped object via the verify module's conventions:
-    status 'pass' when the obstruction is certified, 'fail' when there is
-    no obstruction, 'inconclusive' when a window did not stabilize.
-    """
-    from .verify import CertificateReport, FAIL, INCONCLUSIVE, PASS
-
-    full_gens = [P.gen(g.name) for g in P.generators]
-    full = growth_series(P, full_gens, n_max)
-    sub = growth_series(P, sub_gens, n_max)
-    params = {"nMax": n_max, "algebra": P.name,
-              "subDegree": sub.detected_degree, "fullDegree": full.detected_degree}
-    rep = CertificateReport("growth-obstruction", PASS,
-                            inputs=f"sub=<{', '.join(str(g) for g in sub_gens)}>",
-                            parameters=params)
-    if not full.stabilized or not sub.stabilized:
-        rep.status = INCONCLUSIVE
-        rep.parameters["note"] = "growth window did not stabilize"
-        return rep
-    if sub.detected_degree < full.detected_degree:
-        rep.parameters["obstruction"] = (f"{sub.detected_degree} < "
-                                         f"{full.detected_degree}")
-    else:
-        rep.status = FAIL
-        rep.parameters["obstruction"] = (f"none ({sub.detected_degree} >= "
-                                         f"{full.detected_degree})")
-    return rep
-
-
 def centralizer_degree_bounded(P: AlgebraPresentation,
                                constraint_gens: Sequence[Element],
                                filtration_bound: int,
@@ -263,9 +189,8 @@ def centralizer_degree_bounded(P: AlgebraPresentation,
     """
     if z_degree is not None and not P.has_z_degrees():
         raise AlgebraError(f"{P.name} does not declare z-degrees")
-    monomials = P.enumerate_monomials(filtration_bound, z_degree=z_degree)
-    columns = []
-    for m in monomials:
+    columns, images = [], []
+    for m in P.enumerate_monomials(filtration_bound, z_degree=z_degree):
         e = P.monomial_element(m)
         stacked = {}
         for pos, g in enumerate(constraint_gens):
@@ -273,20 +198,10 @@ def centralizer_degree_bounded(P: AlgebraPresentation,
             for mm, c in comm.items():
                 stacked[(pos, mm)] = c
         columns.append(stacked)
-    combos = kernel_basis(columns,
-                          sort_key=lambda key: (key[0], monomial_key(key[1])))
-    space = RowSpace(monomial_key)
-    for combo in combos:
-        vec = {}
-        for idx, c in combo.items():
-            m = monomials[idx]
-            new = vec.get(m, ZERO) + c
-            if new:
-                vec[m] = new
-            else:
-                vec.pop(m, None)
-        space.insert(vec)
-    return [Element(P, row) for row in space.reduced_basis()]
+        images.append(e.coeffs)
+    basis = kernel_image_basis(columns, images,
+                               lambda key: (key[0], monomial_key(key[1])), monomial_key)
+    return [Element(P, row) for row in basis]
 
 
 def enveloping_growth_bound(g: LieSuperAlgebra, sub: SubSuperSpace,

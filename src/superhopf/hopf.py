@@ -14,9 +14,10 @@ from fractions import Fraction
 from typing import Dict
 
 from .algebra import (ONE, ORDINARY, SUPER, ZERO, AlgebraPresentation, Element,
-                      Generator, TensorElement, accumulate)
+                      Generator, TensorElement)
 from .errors import AlgebraError, PresentationError
 from .liesuper import LieSuperAlgebra
+from .linalg import accumulate
 
 T_NAME = "t"
 
@@ -182,9 +183,8 @@ def enveloping(g: LieSuperAlgebra) -> HopfStructureMaps:
             m = [0] * n
             m[lo] = 1
             m[hi] = 1
-            key = tuple(m)
-            rhs[key] = rhs.get(key, ZERO) + sign
-            swap_rules[(hi, lo)] = {k: v for k, v in rhs.items() if v}
+            accumulate(rhs, {tuple(m): sign})
+            swap_rules[(hi, lo)] = rhs
     power_rules = {}
     for idx in range(n):
         if gens[idx].parity:
@@ -241,24 +241,16 @@ class BosonizedAlgebra:
     def project_to_group(self, a: Element) -> Element:
         """The Hopf projection onto the group algebra part: a#h -> eps(a) h."""
         self.carrier._require_same(a.alg)
-        out = self.carrier.zero()
-        for m, c in a.items():
-            if any(m[:self.t_index]):
-                continue  # counit of a non-trivial Lie monomial is zero
-            out = out + c * self.carrier.monomial_element(m)
-        return out
+        # the counit of a non-trivial Lie monomial is zero
+        return Element(self.carrier, {m: c for m, c in a.items()
+                                      if not any(m[:self.t_index])})
 
     def project_to_coinvariants(self, a: Element) -> Element:
         """The coalgebra projection onto the coinvariant part: a#h -> a eps(h)."""
         self.carrier._require_same(a.alg)
         out = {}
         for m, c in a.items():
-            key = m[:self.t_index] + (0,)
-            new = out.get(key, ZERO) + c
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
+            accumulate(out, {m[:self.t_index] + (0,): c})
         return Element(self.carrier, out)
 
     def is_coinvariant(self, a: Element) -> bool:

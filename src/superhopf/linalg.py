@@ -1,8 +1,11 @@
-"""Exact sparse row reduction over the rationals.
+"""Exact sparse vectors and row reduction over the rationals.
 
-Vectors are dicts mapping hashable keys to nonzero ``Fraction`` values.
-Pivots are chosen by minimal sort key, so every reduction is deterministic
-and results are reproducible bit-for-bit.
+Vectors are dicts mapping hashable keys to nonzero ``Fraction`` (or, inside
+the product tables, ``int``) values.  :func:`accumulate` is the one sparse
+sum that keeps that invariant; every linear combination in the package goes
+through it.  Pivots are chosen by minimal sort key, so every reduction is
+deterministic and results are reproducible bit-for-bit;
+:func:`kernel_image_basis` turns a kernel into the reduced basis of its image.
 """
 
 from __future__ import annotations
@@ -38,37 +41,8 @@ class RowSpace:
             row = self.rows.get(pivot)
             if row is None:
                 return vec
-            c = vec.pop(pivot)
-            for k, v in row.items():
-                if k == pivot:
-                    continue
-                new = vec.get(k, _ZERO) - c * v
-                if new:
-                    vec[k] = new
-                else:
-                    vec.pop(k, None)
+            _eliminate(vec, row, pivot, vec.pop(pivot))
         return vec
-
-    def full_reduce(self, vec):
-        """Like ``reduce`` but eliminates every reducible key, not just the head."""
-        vec = {k: v for k, v in vec.items() if v}
-        done = []
-        while vec:
-            pivot = min(vec, key=self._key)
-            c = vec.pop(pivot)
-            row = self.rows.get(pivot)
-            if row is None:
-                done.append((pivot, c))
-                continue
-            for k, v in row.items():
-                if k == pivot:
-                    continue
-                new = vec.get(k, _ZERO) - c * v
-                if new:
-                    vec[k] = new
-                else:
-                    vec.pop(k, None)
-        return dict(done)
 
     def insert(self, vec):
         """Add ``vec`` to the span.  Returns the stored row, or None if dependent."""
@@ -93,18 +67,47 @@ class RowSpace:
             hits = [q for q in row if q != p and q in self.rows]
             for q in sorted(hits, key=self._key):
                 c = row.pop(q, _ZERO)
-                if not c:
-                    continue
-                for k, v in reduced[q].items():
-                    if k == q:
-                        continue
-                    new = row.get(k, _ZERO) - c * v
-                    if new:
-                        row[k] = new
-                    else:
-                        row.pop(k, None)
+                if c:
+                    _eliminate(row, reduced[q], q, c)
             reduced[p] = row
         return [reduced[p] for p in pivots]
+
+
+def _eliminate(vec, row, pivot, c):
+    """Subtract ``c * row`` from ``vec`` in place, skipping the pivot entry.
+
+    Kept apart from :func:`accumulate`: the pivot entry is already gone from
+    ``vec``, and recomputing it only to delete it costs a sum per step.
+    """
+    for k, v in row.items():
+        if k == pivot:
+            continue
+        new = vec.get(k, _ZERO) - c * v
+        if new:
+            vec[k] = new
+        else:
+            vec.pop(k, None)
+
+
+def accumulate(out, coeffs, scale=None):
+    """Add ``coeffs``, times ``scale`` if one is given, into ``out`` in place.
+
+    ``scale`` and the coefficients are nonzero, so a new key needs no sum;
+    an entry that cancels is deleted, so ``out`` never stores a zero.  A
+    plain sum passes no scale, so it forms no products.
+    """
+    for k, c in coeffs.items():
+        if scale is not None:
+            c = scale * c
+        old = out.get(k)
+        if old is None:
+            out[k] = c
+        else:
+            new = old + c
+            if new:
+                out[k] = new
+            else:
+                del out[k]
 
 
 def kernel_basis(vectors, sort_key=None):
@@ -131,3 +134,19 @@ def kernel_basis(vectors, sort_key=None):
             # kernel vector (pivot normalized to 1 already).
             kernels.append({k[1]: v for k, v in stored.items()})
     return kernels
+
+
+def kernel_image_basis(columns, images, column_key, image_key):
+    """Reduced basis of ``{sum_i c_i * images[i] : c in kernel(columns)}``.
+
+    ``columns`` and ``images`` are parallel sequences of sparse dicts;
+    ``column_key`` orders the coordinates of ``columns`` for the kernel and
+    ``image_key`` those of the images for the returned basis.
+    """
+    space = RowSpace(image_key)
+    for combo in kernel_basis(columns, sort_key=column_key):
+        vec = {}
+        for idx, c in combo.items():
+            accumulate(vec, images[idx], c)
+        space.insert(vec)
+    return space.reduced_basis()

@@ -1,5 +1,6 @@
 """Certificate-producing checks for Hopf axioms, adjoint actions, normality,
-biproduct decompositions, and growth-adjacent identities.
+biproduct decompositions, module finiteness, growth obstructions, and
+growth-adjacent identities.
 
 Every check returns a :class:`CertificateReport`; a report is deterministic
 given its inputs, parameters, and seed, and failures carry explicit
@@ -13,11 +14,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .algebra import ONE, ZERO, AlgebraPresentation, Element, monomial_key
+from .algebra import ONE, AlgebraPresentation, Element, monomial_key
 from .errors import AlgebraError, DegreeBudgetError
 from .hopf import BosonizedAlgebra, HopfStructureMaps
-from .growth import FiltrationClosure
-from .linalg import RowSpace, kernel_basis
+from .growth import FiltrationClosure, growth_series
+from .linalg import RowSpace, accumulate, kernel_image_basis
 
 PASS = "pass"
 FAIL = "fail"
@@ -83,12 +84,7 @@ def random_element(pres: AlgebraPresentation, rng: random.Random,
     out = {}
     for _ in range(n_terms):
         m = monomials[rng.randrange(len(monomials))]
-        c = rng.choice((-3, -2, -1, 1, 2, 3))
-        new = out.get(m, ZERO) + c
-        if new:
-            out[m] = new
-        else:
-            out.pop(m, None)
+        accumulate(out, {m: ONE}, rng.choice((-3, -2, -1, 1, 2, 3)))
     if not out:
         m = monomials[rng.randrange(len(monomials))]
         out[m] = ONE
@@ -229,20 +225,20 @@ def hopf_axiom_suite(H: HopfStructureMaps, monomial_degree: int = 3,
 
 def adjoint_left(H: HopfStructureMaps, a: Element, b: Element) -> Element:
     """(ad_l a)(b) = sum a1 * b * S(a2)."""
-    out = H.carrier.zero()
+    out = {}
     for (m1, m2), c in H.coproduct(a).items():
-        out = out + c * (H.carrier.monomial_element(m1) * b
-                         * H.antipode_monomial(m2))
-    return out
+        accumulate(out, (H.carrier.monomial_element(m1) * b
+                         * H.antipode_monomial(m2)).coeffs, c)
+    return Element(H.carrier, out)
 
 
 def adjoint_right(H: HopfStructureMaps, a: Element, b: Element) -> Element:
     """(ad_r a)(b) = sum S(a1) * b * a2."""
-    out = H.carrier.zero()
+    out = {}
     for (m1, m2), c in H.coproduct(a).items():
-        out = out + c * (H.antipode_monomial(m1) * b
-                         * H.carrier.monomial_element(m2))
-    return out
+        accumulate(out, (H.antipode_monomial(m1) * b
+                         * H.carrier.monomial_element(m2)).coeffs, c)
+    return Element(H.carrier, out)
 
 
 def check_ad_equals_bracket(g, B: BosonizedAlgebra) -> CertificateReport:
@@ -255,10 +251,11 @@ def check_ad_equals_bracket(g, B: BosonizedAlgebra) -> CertificateReport:
             a = pres.gen(g.basis[i].name)
             b = pres.gen(g.basis[j].name)
             ad = adjoint_left(B.hopf, a, b)
-            bracket = pres.zero()
+            terms = {}
             for k, c in enumerate(g.table[i][j]):
                 if c:
-                    bracket = bracket + c * pres.gen(g.basis[k].name)
+                    accumulate(terms, pres.gen(g.basis[k].name).coeffs, c)
+            bracket = Element(pres, terms)
             if ad != bracket:
                 rep.add_witness(f"({g.basis[i].name},{g.basis[j].name})", bracket, ad)
     rep.parameters["pairs"] = g.n * g.n
@@ -268,48 +265,17 @@ def check_ad_equals_bracket(g, B: BosonizedAlgebra) -> CertificateReport:
 # -- spanned subalgebras and normality --------------------------------------------------
 
 
-class SpannedSubalgebra:
-    """A subalgebra given by generating elements, with degree-bounded bases.
-
-    The cache at level n spans all products of generators whose weights sum
-    to at most n (each generator has weight 1 unless overridden; weight 0
-    generators are closed within a level).  Bases are row-reduced with
-    deterministic pivoting, so membership tests are exact and reproducible.
-    """
-
-    def __init__(self, parent: AlgebraPresentation, gens: Sequence[Element],
-                 cached_degree: int, weights=None):
-        self.parent = parent
-        self.gens = list(gens)
-        self.cached_degree = cached_degree
-        self._closure = FiltrationClosure(parent, self.gens, weights=weights)
-        self._closure.extend_to(cached_degree)
-
-    @property
-    def space(self) -> RowSpace:
-        return self._closure.space
-
-    def dim_at(self, level: int) -> int:
-        return self._closure.dims[level]
-
-    def basis_up_to(self, level: int):
-        return self._closure.basis_up_to(level)
-
-    def contains(self, a: Element) -> bool:
-        return self.space.contains(a.coeffs)
-
-
-def is_normal(B: BosonizedAlgebra, A: SpannedSubalgebra,
+def is_normal(B: BosonizedAlgebra, A: FiltrationClosure,
               degree_bound: int) -> CertificateReport:
     """Stability of A under both adjoint actions of every generator.
 
-    Needs A cached to degree_bound + 2 (generator degree 1 plus the degree
+    Needs A extended to degree_bound + 2 (generator degree 1 plus the degree
     the antipode can add before normalization).
     """
     margin = 2
-    if A.cached_degree < degree_bound + margin:
+    if len(A.levels) - 1 < degree_bound + margin:
         raise DegreeBudgetError(
-            f"subalgebra cache reaches degree {A.cached_degree}, "
+            f"subalgebra cache reaches degree {len(A.levels) - 1}, "
             f"need {degree_bound + margin}")
     rep = CertificateReport("normality", PASS,
                             inputs=f"sub=<{', '.join(str(g) for g in A.gens)}>",
@@ -352,25 +318,15 @@ def find_skew_primitives(B: BosonizedAlgebra, grouplike: Element,
         raise AlgebraError(f"{grouplike} is not grouplike")
     pres = B.carrier
     one = pres.one()
-    monomials = pres.enumerate_monomials(degree_bound)
-    columns = []
-    for m in monomials:
+    columns, images = [], []
+    for m in pres.enumerate_monomials(degree_bound):
         e = pres.monomial_element(m)
         defect = H.coproduct(e) - e.outer(one) - grouplike.outer(e)
-        columns.append(dict(defect.coeffs))
-    solutions = kernel_basis(columns, sort_key=lambda key: tuple(monomial_key(m) for m in key))
-    space = RowSpace(monomial_key)
-    for combo in solutions:
-        vec = {}
-        for idx, c in combo.items():
-            m = monomials[idx]
-            new = vec.get(m, ZERO) + c
-            if new:
-                vec[m] = new
-            else:
-                vec.pop(m, None)
-        space.insert(vec)
-    return [Element(pres, row) for row in space.reduced_basis()]
+        columns.append(defect.coeffs)
+        images.append(e.coeffs)
+    basis = kernel_image_basis(columns, images,
+                               lambda key: tuple(monomial_key(m) for m in key), monomial_key)
+    return [Element(pres, row) for row in basis]
 
 
 # -- biproduct decomposition -----------------------------------------------------------
@@ -379,25 +335,13 @@ def find_skew_primitives(B: BosonizedAlgebra, grouplike: Element,
 def _intersection_with_u(B: BosonizedAlgebra, basis_elements):
     """Basis of span(basis_elements) with zero t-part, via an exact kernel."""
     t_index = B.t_index
-    columns = []
-    for e in basis_elements:
-        columns.append({m: c for m, c in e.items() if m[t_index]})
-    combos = kernel_basis(columns, sort_key=monomial_key)
-    space = RowSpace(monomial_key)
-    for combo in combos:
-        vec = {}
-        for idx, c in combo.items():
-            for m, v in basis_elements[idx].items():
-                new = vec.get(m, ZERO) + c * v
-                if new:
-                    vec[m] = new
-                else:
-                    vec.pop(m, None)
-        space.insert(vec)
-    return [Element(B.carrier, row) for row in space.reduced_basis()]
+    columns = [{m: c for m, c in e.items() if m[t_index]} for e in basis_elements]
+    basis = kernel_image_basis(columns, [e.coeffs for e in basis_elements],
+                               monomial_key, monomial_key)
+    return [Element(B.carrier, row) for row in basis]
 
 
-def biproduct_decomposition(B: BosonizedAlgebra, A: SpannedSubalgebra,
+def biproduct_decomposition(B: BosonizedAlgebra, A: FiltrationClosure,
                             degree_bound: int) -> CertificateReport:
     """Certify A = (A `intersect` U) # K degreewise.
 
@@ -417,7 +361,7 @@ def biproduct_decomposition(B: BosonizedAlgebra, A: SpannedSubalgebra,
     if not A.contains(t):
         raise AlgebraError("biproduct decomposition needs t in the subalgebra")
     weights = [0 if g == t else 1 for g in A.gens]
-    graded = SpannedSubalgebra(pres, A.gens, degree_bound, weights=weights)
+    graded = FiltrationClosure(pres, A.gens, weights).extend_to(degree_bound)
 
     inner_per_level = []
     for n in range(degree_bound + 1):
@@ -449,10 +393,8 @@ def biproduct_decomposition(B: BosonizedAlgebra, A: SpannedSubalgebra,
         d = B.u_maps.coproduct(B.restrict_to_u(a))
         left, right = {}, {}
         for (m1, m2), c in d.items():
-            lm = left.setdefault(m2, {})
-            lm[m1] = lm.get(m1, ZERO) + c
-            rm = right.setdefault(m1, {})
-            rm[m2] = rm.get(m2, ZERO) + c
+            accumulate(left.setdefault(m2, {}), {m1: c})
+            accumulate(right.setdefault(m1, {}), {m2: c})
         for m2 in sorted(left, key=monomial_key):
             marginal = B.include_from_u(Element(B.u_maps.carrier, left[m2]))
             if not inner_space.contains(marginal.coeffs):
@@ -477,6 +419,72 @@ def biproduct_decomposition(B: BosonizedAlgebra, A: SpannedSubalgebra,
             rep.add_witness(a, "coinvariant", "not coinvariant")
 
     rep.parameters["innerDimension"] = len(inner)
+    return rep
+
+
+# -- module finiteness and growth obstructions -------------------------------------------
+
+
+def module_finite_check(P: AlgebraPresentation, sub_gens: Sequence[Element],
+                        module_gens: Sequence[Element], side: str,
+                        n_max: int) -> CertificateReport:
+    """Every monomial of degree <= n_max lies in span(sub * module gens).
+
+    ``side`` selects left (subalgebra elements on the left) or right.  The
+    subalgebra is spanned to degree n_max before multiplying by the module
+    generators, which covers the PBW factorizations used here.  The first
+    ten monomials outside the span are the witnesses.
+    """
+    if side not in ("left", "right"):
+        raise AlgebraError("side must be 'left' or 'right'")
+    rep = CertificateReport(f"module-finite.{side}", PASS,
+                            inputs=f"sub=<{', '.join(str(g) for g in sub_gens)}> "
+                                   f"gens=<{', '.join(str(g) for g in module_gens)}>",
+                            parameters={"nMax": n_max, "algebra": P.name})
+    closure = FiltrationClosure(P, sub_gens).extend_to(n_max)
+    span = RowSpace(monomial_key)
+    for s in closure.basis_up_to(n_max):
+        for m in module_gens:
+            prod = s * m if side == "left" else m * s
+            span.insert(prod.coeffs)
+    for n in range(n_max + 1):
+        for mono in P.enumerate_monomials(n):
+            if sum(mono) != n or span.contains({mono: ONE}):
+                continue
+            if len(rep.witnesses) < 10:
+                rep.add_witness(P.monomial_element(mono),
+                                "in subalgebra * module generators", "outside")
+    return rep
+
+
+def growth_obstruction(P: AlgebraPresentation, sub_gens: Sequence[Element],
+                       n_max: int) -> CertificateReport:
+    """Compare detected growth degrees of a subalgebra and the full algebra.
+
+    Strictly smaller subalgebra growth obstructs module-finiteness of the
+    algebra over the subalgebra (equal growth is necessary).  Status 'pass'
+    when the obstruction is certified, 'fail' when there is no obstruction,
+    'inconclusive' when a window did not stabilize.
+    """
+    full_gens = [P.gen(g.name) for g in P.generators]
+    full = growth_series(P, full_gens, n_max)
+    sub = growth_series(P, sub_gens, n_max)
+    params = {"nMax": n_max, "algebra": P.name,
+              "subDegree": sub.detected_degree, "fullDegree": full.detected_degree}
+    rep = CertificateReport("growth-obstruction", PASS,
+                            inputs=f"sub=<{', '.join(str(g) for g in sub_gens)}>",
+                            parameters=params)
+    if not full.stabilized or not sub.stabilized:
+        rep.status = INCONCLUSIVE
+        rep.parameters["note"] = "growth window did not stabilize"
+        return rep
+    if sub.detected_degree < full.detected_degree:
+        rep.parameters["obstruction"] = (f"{sub.detected_degree} < "
+                                         f"{full.detected_degree}")
+    else:
+        rep.status = FAIL
+        rep.parameters["obstruction"] = (f"none ({sub.detected_degree} >= "
+                                         f"{full.detected_degree})")
     return rep
 
 
@@ -535,7 +543,7 @@ def check_sign_commuting_squares(B: BosonizedAlgebra, W: Sequence[Element],
             else:
                 rep.add_witness(f"({a},{b})", "ab = +-ba", ab - ba)
     rep.parameters["pairSigns"] = "; ".join(f"({a},{b}):{s}" for a, b, s in signs)
-    cache = SpannedSubalgebra(pres, group, degree_bound)
+    cache = FiltrationClosure(pres, group).extend_to(degree_bound)
     for a in group:
         sq = a * a
         for b in cache.basis_up_to(degree_bound):

@@ -10,16 +10,16 @@ import itertools
 import time
 from contextlib import contextmanager
 
-from superhopf import (check_overlaps, growth_obstruction, growth_series,
-                       module_finite_check, parse, polynomial_presentation,
-                       session_b_bosonized, session_pl11,
-                       session_pl11_bosonized, verify)
+from superhopf import (FiltrationClosure, check_overlaps, growth_obstruction,
+                       growth_series, module_finite_check, parse,
+                       polynomial_presentation, session_b_bosonized,
+                       session_pl11, session_pl11_bosonized, verify)
 from superhopf.algebra import monomial_key
 from superhopf.catalog import (PL11_BOSONIZED_RELATIONS,
                                check_defining_relations)
 from superhopf.linalg import RowSpace
-from superhopf.verify import (SpannedSubalgebra, adjoint_left,
-                              biproduct_decomposition, check_ad_equals_bracket,
+from superhopf.verify import (adjoint_left, biproduct_decomposition,
+                              check_ad_equals_bracket,
                               check_nilpotent_ideal, check_shift_identity,
                               hopf_axiom_suite, is_normal, zero_divisor_scan)
 
@@ -83,9 +83,9 @@ def test_criterion_5_normality():
     with criterion(5, "normality", 10.0):
         sess = session_pl11_bosonized()
         B, P = sess.bos, sess.pres
-        kx = SpannedSubalgebra(P, [P.gen("x")], 8)
+        kx = FiltrationClosure(P, [P.gen("x")]).extend_to(8)
         assert is_normal(B, kx, 6).passed
-        K = SpannedSubalgebra(P, [P.gen("t")], 8)
+        K = FiltrationClosure(P, [P.gen("t")]).extend_to(8)
         rep = is_normal(B, K, 6)
         assert rep.status == verify.FAIL
         witness_item, _, witness_value = rep.witnesses[0]
@@ -99,7 +99,7 @@ def test_criterion_6_biproduct_decomposition():
         B, P = sess.bos, sess.pres
         for names in (("y", "u", "t"), ("x", "t"),
                       tuple(g.name for g in P.generators)):
-            sub = SpannedSubalgebra(P, [P.gen(n) for n in names], 6)
+            sub = FiltrationClosure(P, [P.gen(n) for n in names]).extend_to(6)
             rep = biproduct_decomposition(B, sub, 6)
             assert rep.passed, (names, rep.witnesses[:2])
 

@@ -115,6 +115,27 @@ def test_z_degree_is_additive(sess_ubar, data):
                                    + pres.monomial_z_degree(m2))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_sparse_sums_never_store_zeros(sess_ubar, seed):
+    from superhopf.verify import adjoint_left, random_element
+    pres, H = sess_ubar.pres, sess_ubar.hopf
+    rng = random.Random(seed)
+    # few low-degree monomials, so sums and products often cancel terms
+    monomials = pres.enumerate_monomials(2)
+    a, b, h = (random_element(pres, rng, 2, max_terms=4, monomials=monomials)
+               for _ in range(3))
+    assert a + b - b == a
+    assert (a - a).is_zero
+    d = H.coproduct(a - b)
+    for result in (a + b, a - b, a * b, b * a, d,
+                   d.apply_element_map(H.antipode_monomial, 0),
+                   d.apply_tensor_map(H.delta_monomial, 1),
+                   d.contract_scalar(H.counit_monomial, 0)):
+        assert all(result.coeffs.values()), result
+    assert adjoint_left(H, h, a + b) == adjoint_left(H, h, a) + adjoint_left(H, h, b)
+
+
 def test_tensor_product_koszul_sign(ubar):
     u, v, one = ubar.gen("u"), ubar.gen("v"), ubar.one()
     left = one.outer(u)

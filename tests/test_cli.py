@@ -158,6 +158,25 @@ def test_unknown_suite_is_rejected(capsys):
         main(["check", "frobnicate"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "normality", "--sub", "t", "--max-degree", "-1"],
+    ["module-finite", "--sub", "x", "--module-gens", "1", "--n-max", "-1"],
+    ["check", "zero-divisors", "--samples", "0"],
+    ["check", "shift-identity", "--shift-n", "-1"],
+    ["check", "nilpotency", "--power", "0"],
+    ["growth", "--n-max", "-3"],
+    ["centralizer", "--max-degree", "-1"],
+    ["check", "hopf-axioms", "--hopf-random", "-5"],
+])
+def test_bounds_that_would_check_nothing_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "error:" in captured.err
+    assert "CHECK" not in captured.out
+
+
 def test_definition_file_session(tmp_path, capsys):
     path = tmp_path / "heisenberg.alg"
     path.write_text(

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from superhopf import parse, verify
+from superhopf import FiltrationClosure, parse, verify
 from superhopf.errors import AlgebraError, DegreeBudgetError
-from superhopf.verify import (SpannedSubalgebra, adjoint_left, adjoint_right,
+from superhopf.verify import (adjoint_left, adjoint_right,
                               biproduct_decomposition, check_ad_equals_bracket,
                               check_antipode, check_bialgebra,
                               check_coassociativity, check_counit,
@@ -119,13 +119,13 @@ def test_ad_equals_bracket_on_triangular(sess_bbar):
 
 def test_normality_of_central_polynomials(bos):
     P = bos.carrier
-    kx = SpannedSubalgebra(P, [P.gen("x")], 8)
+    kx = FiltrationClosure(P, [P.gen("x")]).extend_to(8)
     assert is_normal(bos, kx, 6).passed
 
 
 def test_group_algebra_is_not_normal(bos):
     P = bos.carrier
-    K = SpannedSubalgebra(P, [P.gen("t")], 8)
+    K = FiltrationClosure(P, [P.gen("t")]).extend_to(8)
     rep = is_normal(bos, K, 6)
     assert rep.status == verify.FAIL
     item, _, actual = rep.witnesses[0]
@@ -135,13 +135,13 @@ def test_group_algebra_is_not_normal(bos):
 
 def test_whole_algebra_is_normal(bos):
     P = bos.carrier
-    whole = SpannedSubalgebra(P, [P.gen(g.name) for g in P.generators], 6)
+    whole = FiltrationClosure(P, [P.gen(g.name) for g in P.generators]).extend_to(6)
     assert is_normal(bos, whole, 4).passed
 
 
 def test_normality_needs_enough_cache(bos):
     P = bos.carrier
-    shallow = SpannedSubalgebra(P, [P.gen("x")], 5)
+    shallow = FiltrationClosure(P, [P.gen("x")]).extend_to(5)
     with pytest.raises(DegreeBudgetError):
         is_normal(bos, shallow, 6)
 
@@ -199,7 +199,7 @@ def test_skew_primitives_need_a_grouplike(bos):
 ])
 def test_biproduct_decomposition_cases(bos, gen_names, inner_dim):
     P = bos.carrier
-    sub = SpannedSubalgebra(P, [P.gen(n) for n in gen_names], 6)
+    sub = FiltrationClosure(P, [P.gen(n) for n in gen_names]).extend_to(6)
     rep = biproduct_decomposition(bos, sub, 6)
     assert rep.passed, rep.witnesses[:3]
     assert rep.parameters["innerDimension"] == inner_dim
@@ -207,7 +207,7 @@ def test_biproduct_decomposition_cases(bos, gen_names, inner_dim):
 
 def test_biproduct_decomposition_whole_algebra(bos):
     P = bos.carrier
-    sub = SpannedSubalgebra(P, [P.gen(g.name) for g in P.generators], 6)
+    sub = FiltrationClosure(P, [P.gen(g.name) for g in P.generators]).extend_to(6)
     rep = biproduct_decomposition(bos, sub, 6)
     assert rep.passed
     assert rep.parameters["innerDimension"] == 85  # dim F_6 of the enveloping part
@@ -216,8 +216,8 @@ def test_biproduct_decomposition_whole_algebra(bos):
 def test_biproduct_triangular_inner_part_is_the_y_u_span(bos):
     from superhopf.verify import _intersection_with_u
     P = bos.carrier
-    sub = SpannedSubalgebra(P, [P.gen(n) for n in ("y", "u", "t")], 6,
-                            weights=[1, 1, 0])
+    sub = FiltrationClosure(P, [P.gen(n) for n in ("y", "u", "t")],
+                            weights=[1, 1, 0]).extend_to(6)
     inner = _intersection_with_u(bos, sub.basis_up_to(6))
     monomials = {m for e in inner for m in e.coeffs}
     for m in monomials:
@@ -229,7 +229,7 @@ def test_biproduct_triangular_inner_part_is_the_y_u_span(bos):
 
 def test_biproduct_requires_t(bos):
     P = bos.carrier
-    sub = SpannedSubalgebra(P, [P.gen("x")], 6)
+    sub = FiltrationClosure(P, [P.gen("x")]).extend_to(6)
     with pytest.raises(AlgebraError):
         biproduct_decomposition(bos, sub, 6)
 
@@ -330,7 +330,7 @@ def test_trivial_product_is_not_a_zero_divisor(bos):
 
 def test_report_rendering_and_summary(bos):
     P = bos.carrier
-    K = SpannedSubalgebra(P, [P.gen("t")], 8)
+    K = FiltrationClosure(P, [P.gen("t")]).extend_to(8)
     rep = is_normal(bos, K, 6)
     text = render_reports([rep])
     assert text.startswith("CHECK normality FAIL\n")
