@@ -13,8 +13,9 @@ locally confluent (see :func:`check_overlaps`) normal forms do not depend on
 the order of reductions and the normal monomials are a linear basis.
 
 Elements and tensor elements are exact sparse rational combinations of
-normal-form monomials.  Everything is immutable after construction and all
-operations are pure.
+normal-form monomials; a coefficient is an ``int`` when it is integral and a
+``Fraction`` only where a division made one (see :func:`linalg.exact`).
+Everything is immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -24,11 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import NonTerminationError, PresentationError
-from .linalg import accumulate
-
-Scalar = Fraction
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .linalg import accumulate, exact
 
 SUPER = "super"
 ORDINARY = "ordinary"
@@ -146,13 +143,9 @@ class AlgebraPresentation:
                 raise PresentationError(f"rule {what} is not parity-homogeneous")
 
     def _expand_rhs(self, rhs):
-        """(coefficient, letters) pairs; integral coefficients become ``int``."""
-        out = []
-        for m, c in sorted(rhs.items()):
-            c = Fraction(c)
-            out.append((c.numerator if c.denominator == 1 else c,
-                        self.monomial_letters(m)))
-        return tuple(out)
+        """(coefficient, letters) pairs with exact coefficients."""
+        return tuple((exact(c), self.monomial_letters(m))
+                     for m, c in sorted(rhs.items()))
 
     # -- basic queries --------------------------------------------------------
 
@@ -209,16 +202,16 @@ class AlgebraPresentation:
         return Element(self, {})
 
     def one(self) -> "Element":
-        return Element(self, {self.unit_monomial(): ONE})
+        return Element(self, {self.unit_monomial(): 1})
 
     def scalar(self, c) -> "Element":
-        c = Fraction(c)
+        c = exact(c)
         return Element(self, {self.unit_monomial(): c} if c else {})
 
     def gen(self, name: str) -> "Element":
         m = [0] * self.n
         m[self.gen_index(name)] = 1
-        return Element(self, {tuple(m): ONE})
+        return Element(self, {tuple(m): 1})
 
     def element(self, coeffs: Mapping) -> "Element":
         out = {}
@@ -226,13 +219,13 @@ class AlgebraPresentation:
             m = tuple(m)
             if not self.is_normal_monomial(m):
                 raise PresentationError(f"{m} is not a normal monomial of {self.name}")
-            c = Fraction(c)
+            c = exact(c)
             if c:
                 out[m] = c
         return Element(self, out)
 
     def monomial_element(self, m) -> "Element":
-        return Element(self, {tuple(m): ONE})
+        return Element(self, {tuple(m): 1})
 
     def enumerate_monomials(self, max_degree: int, z_degree: Optional[int] = None):
         """All normal monomials of filtration degree <= max_degree, sorted."""
@@ -257,7 +250,7 @@ class AlgebraPresentation:
 
     # -- the product engine ------------------------------------------------------
 
-    def normalize(self, word: Iterable, coeff=ONE,
+    def normalize(self, word: Iterable, coeff=1,
                   max_steps: int = DEFAULT_STEP_BUDGET) -> "Element":
         """Normal form of ``coeff * (product of the listed generators)``.
 
@@ -270,7 +263,7 @@ class AlgebraPresentation:
         for idx in letters:
             if not 0 <= idx < self.n:
                 raise PresentationError(f"generator index {idx} out of range")
-        coeff = Fraction(coeff)
+        coeff = exact(coeff)
         if not coeff:
             return Element(self, {})
         terms = self._word_normal_form(letters, [max_steps])
@@ -396,7 +389,7 @@ class AlgebraPresentation:
                 f"presentation mismatch: {self.name} vs {other.name}")
 
     def tensor_one(self, legs: int = 2) -> "TensorElement":
-        return TensorElement(self, legs, {(self.unit_monomial(),) * legs: ONE})
+        return TensorElement(self, legs, {(self.unit_monomial(),) * legs: 1})
 
 
 def _format_coeff_monomial(pres, m, c):
@@ -466,8 +459,8 @@ class Element:
     def items(self):
         return self.coeffs.items()
 
-    def coefficient(self, m) -> Fraction:
-        return self.coeffs.get(tuple(m), ZERO)
+    def coefficient(self, m):
+        return self.coeffs.get(tuple(m), 0)
 
     def __add__(self, other):
         if not isinstance(other, Element):
@@ -492,15 +485,15 @@ class Element:
                     accumulate(out, self.alg.mul_monomials(m1, m2), c1 * c2)
             return Element(self.alg, out)
         if isinstance(other, (int, Fraction)):
-            return self._scaled(Fraction(other))
+            return self._scaled(exact(other))
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scaled(Fraction(other))
+            return self._scaled(exact(other))
         return NotImplemented
 
-    def _scaled(self, c: Fraction):
+    def _scaled(self, c):
         if not c:
             return Element(self.alg, {})
         return Element(self.alg, {m: c * v for m, v in self.coeffs.items()})
@@ -575,7 +568,7 @@ class TensorElement:
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = exact(other)
             if not c:
                 return TensorElement(self.alg, self.legs, {})
             return TensorElement(self.alg, self.legs,
@@ -641,7 +634,7 @@ class TensorElement:
         return TensorElement(self.alg, self.legs - 1 + extra, out)
 
     def contract_scalar(self, fn, leg: int) -> "TensorElement":
-        """Apply a map (monomial -> Fraction) to one leg and drop the leg."""
+        """Apply a map (monomial -> scalar) to one leg and drop the leg."""
         out = {}
         for k, c in self.coeffs.items():
             s = fn(k[leg])
@@ -660,7 +653,7 @@ class TensorElement:
         out = {}
         budget = [DEFAULT_STEP_BUDGET]
         for k, c in self.coeffs.items():
-            terms = {alg.unit_monomial(): ONE}
+            terms = {alg.unit_monomial(): 1}
             for m in reversed(k):
                 new_terms = {}
                 for t, ct in terms.items():
@@ -683,7 +676,7 @@ class TensorElement:
 
         def fmt(key, c):
             body = "(x)".join(
-                _format_coeff_monomial(self.alg, m, ONE) if any(m) else "1"
+                _format_coeff_monomial(self.alg, m, 1) if any(m) else "1"
                 for m in key)
             if c == 1:
                 return body
@@ -763,7 +756,7 @@ def check_overlaps(pres: AlgebraPresentation, degree_bound: int = 12,
         prefix, suffix = word[:pos], word[pos + span:]
         for rc, letters in rhs:
             accumulate(out, pres._word_normal_form(prefix + letters + suffix, budget),
-                       Fraction(rc))
+                       rc)
         return Element(pres, out)
 
     report = ConfluenceReport(pres.name, 0)

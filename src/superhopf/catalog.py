@@ -137,10 +137,10 @@ def load_session(source: str, bosonize_file: bool = False) -> Session:
     if source == "b-bosonized":
         return session_b_bosonized()
     g = load_algebra_file(source)
-    report = g.validate()
-    if not report.ok:
-        raise AlgebraError(f"algebra file {source}: {report.violations[0]}")
-    U = enveloping(g)
+    try:
+        U = enveloping(g)  # validates g
+    except AlgebraError as exc:
+        raise AlgebraError(f"algebra file {source}: {exc}") from None
     if bosonize_file:
         B = bosonize(U)
         return Session(f"file:{source}#k[t]", g, U, B, [])

@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power", type=POSITIVE, default=2)
     p.add_argument("--samples", type=POSITIVE, default=200)
     p.add_argument("--hopf-random", type=NON_NEGATIVE, default=100)
-    p.add_argument("--shift-n", type=NON_NEGATIVE, default=6)
+    p.add_argument("--shift-n", type=POSITIVE, default=6)
     _add_common(p)
 
     p = commands.add_parser("growth", help="filtration growth report")

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraPresentation, Element
 from .errors import ParseError
+from .linalg import exact
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
                     r"|(?P<op>[-+*^()/]))")
@@ -150,12 +151,12 @@ def parse_list(text: str, alg: AlgebraPresentation):
 
 
 def parse_linear_combination(text: str, names):
-    """Parse ``3*a - 1/2*b`` into {name: Fraction} over the given names.
+    """Parse ``3*a - 1/2*b`` into {name: exact scalar} over the given names.
 
     Used by the algebra definition file format, where bracket right-hand
     sides are linear in the basis names.
     """
-    coeffs = {name: Fraction(0) for name in names}
+    coeffs = {name: 0 for name in names}
     tokens = _tokenize(text)
     i = 0
 
@@ -175,17 +176,17 @@ def parse_linear_combination(text: str, names):
             if first:
                 raise ParseError("empty expression", pos)
             break
-        sign = Fraction(1)
+        sign = 1
         if kind == "op" and val in "+-":
             next_tok()
-            sign = Fraction(-1) if val == "-" else Fraction(1)
+            sign = -1 if val == "-" else 1
         elif not first:
             raise ParseError(f"expected '+' or '-', got {val!r}", pos)
-        coeff = Fraction(1)
+        coeff = 1
         kind, val, pos = peek()
         if kind == "num":
             next_tok()
-            coeff = Fraction(int(val))
+            coeff = int(val)
             kind, val, pos = peek()
             if kind == "op" and val == "/":
                 next_tok()
@@ -194,7 +195,7 @@ def parse_linear_combination(text: str, names):
                     raise ParseError("denominator must be an integer", pos)
                 if not int(val):
                     raise ParseError("division by zero", pos)
-                coeff /= int(val)
+                coeff = Fraction(coeff, int(val))
                 kind, val, pos = peek()
             if kind == "op" and val == "*":
                 next_tok()
@@ -209,4 +210,4 @@ def parse_linear_combination(text: str, names):
         else:
             raise ParseError("expected a basis name", pos)
         first = False
-    return {k: v for k, v in coeffs.items() if v}
+    return {k: exact(v) for k, v in coeffs.items() if v}

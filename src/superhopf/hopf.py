@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict
 
-from .algebra import (ONE, ORDINARY, SUPER, ZERO, AlgebraPresentation, Element,
-                      Generator, TensorElement)
+from .algebra import (ORDINARY, SUPER, AlgebraPresentation, Element, Generator,
+                      TensorElement)
 from .errors import AlgebraError, PresentationError
 from .liesuper import LieSuperAlgebra
-from .linalg import accumulate
+from .linalg import accumulate, exact
 
 T_NAME = "t"
 
@@ -32,13 +32,13 @@ class HopfStructureMaps:
 
     def __init__(self, carrier: AlgebraPresentation,
                  delta_gen: Dict[int, TensorElement],
-                 eps_gen: Dict[int, Fraction],
+                 eps_gen: Dict,
                  antipode_gen: Dict[int, Element],
                  mode: str):
         self.carrier = carrier
         self.mode = mode
         self.delta_gen = dict(delta_gen)
-        self.eps_gen = {k: Fraction(v) for k, v in eps_gen.items()}
+        self.eps_gen = {k: exact(v) for k, v in eps_gen.items()}
         self.antipode_gen = dict(antipode_gen)
         for idx in range(carrier.n):
             if idx not in self.delta_gen or idx not in self.eps_gen \
@@ -105,14 +105,14 @@ class HopfStructureMaps:
             self._delta_cache, m,
             lambda idx, rest, d: self.delta_gen[idx].tensor_mul(d, self.mode))
 
-    def counit_monomial(self, m) -> Fraction:
-        acc = ONE
+    def counit_monomial(self, m):
+        acc = 1
         for idx, e in enumerate(m):
             if not e:
                 continue
             c = self.eps_gen[idx]
             if not c:
-                return ZERO
+                return 0
             acc *= c ** e
         return acc
 
@@ -136,10 +136,10 @@ class HopfStructureMaps:
             accumulate(out, self.delta_monomial(m).coeffs, c)
         return TensorElement(self.carrier, 2, out)
 
-    def counit(self, a: Element) -> Fraction:
+    def counit(self, a: Element):
         self.carrier._require_same(a.alg)
         return sum((c * self.counit_monomial(m) for m, c in a.items()),
-                   start=ZERO)
+                   start=0)
 
     def antipode(self, a: Element) -> Element:
         self.carrier._require_same(a.alg)
@@ -179,7 +179,7 @@ def enveloping(g: LieSuperAlgebra) -> HopfStructureMaps:
     for hi in range(n):
         for lo in range(hi):
             rhs = linear(g.table[hi][lo])
-            sign = -ONE if (gens[hi].parity * gens[lo].parity) % 2 else ONE
+            sign = -1 if (gens[hi].parity * gens[lo].parity) % 2 else 1
             m = [0] * n
             m[lo] = 1
             m[hi] = 1
@@ -188,15 +188,15 @@ def enveloping(g: LieSuperAlgebra) -> HopfStructureMaps:
     power_rules = {}
     for idx in range(n):
         if gens[idx].parity:
-            half = {k: v / 2 for k, v in linear(g.table[idx][idx]).items()}
-            power_rules[idx] = half
+            power_rules[idx] = {k: exact(Fraction(v, 2))
+                                for k, v in linear(g.table[idx][idx]).items()}
     pres = AlgebraPresentation(gens, swap_rules, power_rules, mode=SUPER,
                                name=f"U({g.name})")
     delta, eps, antipode = {}, {}, {}
     for idx in range(n):
         e = pres.gen(pres.gen_name(idx))
         delta[idx] = e.outer(pres.one()) + pres.one().outer(e)
-        eps[idx] = ZERO
+        eps[idx] = 0
         antipode[idx] = -e
     return HopfStructureMaps(pres, delta, eps, antipode, SUPER)
 
@@ -272,16 +272,16 @@ class BosonizedAlgebra:
         out = {}
         for m, c in a.items():
             d_exp = m[self.t_index]
-            mu = Element(self.u_maps.carrier, {m[:self.t_index]: ONE})
+            mu = Element(self.u_maps.carrier, {m[:self.t_index]: 1})
             du = self.u_maps.coproduct(mu)
             acc = {}
             for (m1, m2), cu in du.items():
                 leg1 = self.include_from_u(
-                    Element(self.u_maps.carrier, {m1: ONE}))
+                    Element(self.u_maps.carrier, {m1: 1}))
                 if self.u_maps.carrier.monomial_parity(m2):
                     leg1 = leg1 * t
                 leg2 = self.include_from_u(
-                    Element(self.u_maps.carrier, {m2: ONE}))
+                    Element(self.u_maps.carrier, {m2: 1}))
                 accumulate(acc, leg1.outer(leg2).coeffs, cu)
             acc = TensorElement(self.carrier, 2, acc)
             if d_exp:
@@ -322,10 +322,10 @@ def bosonize(U: HopfStructureMaps) -> BosonizedAlgebra:
         m = [0] * (n + 1)
         m[lo] = 1
         m[n] = 1
-        sign = -ONE if pres.generators[lo].parity else ONE
+        sign = -1 if pres.generators[lo].parity else 1
         swap_rules[(n, lo)] = {tuple(m): sign}
     power_rules = {k: lift(v) for k, v in pres.power_rules.items()}
-    power_rules[n] = {(0,) * (n + 1): ONE}
+    power_rules[n] = {(0,) * (n + 1): 1}
     big = AlgebraPresentation(gens, swap_rules, power_rules, mode=ORDINARY,
                               name=f"{pres.name}#k[t]")
 
@@ -336,14 +336,14 @@ def bosonize(U: HopfStructureMaps) -> BosonizedAlgebra:
         e = big.gen(big.gen_name(idx))
         tp = t if gens[idx].parity else one
         delta[idx] = e.outer(one) + tp.outer(e)
-        eps[idx] = ZERO
+        eps[idx] = 0
         antipode[idx] = -(tp * e)
     delta[n] = t.outer(t)
-    eps[n] = ONE
+    eps[n] = 1
     antipode[n] = t
     maps = HopfStructureMaps(big, delta, eps, antipode, ORDINARY)
 
     k_part = AlgebraPresentation(
         [Generator(T_NAME, 0, 0, z_degree=0, exp_cap=2)],
-        {}, {0: {(0,): ONE}}, mode=ORDINARY, name="k[t]")
+        {}, {0: {(0,): 1}}, mode=ORDINARY, name="k[t]")
     return BosonizedAlgebra(hopf=maps, u_maps=U, k_part=k_part, t_index=n)

@@ -2,7 +2,8 @@
 
 Basis vectors carry a parity and an optional integer grading.  Structure
 constants are stored densely (the shipped algebras have at most five basis
-elements).  Vectors are dense tuples of rationals in basis coordinates.
+elements).  Vectors are dense tuples of exact rationals in basis coordinates:
+integral ones are ``int``, so integer structure constants stay integers.
 """
 
 from __future__ import annotations
@@ -14,16 +15,13 @@ from typing import Optional, Sequence
 from .algebra import Generator
 from .errors import AlgebraError, ParseError, UnsupportedFieldError
 from .exprs import parse_linear_combination
-from .linalg import RowSpace, kernel_basis
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .linalg import RowSpace, exact, kernel_basis
 
 
 def _to_vec(n, coords):
-    vec = [ZERO] * n
+    vec = [0] * n
     for k, v in coords.items():
-        vec[k] = Fraction(v)
+        vec[k] = exact(v)
     return tuple(vec)
 
 
@@ -55,10 +53,10 @@ class LieSuperAlgebra:
                     continue
                 opposite = table[j][i]
                 if opposite is not None and i != j:
-                    sign = -ONE if (self.parity(i) * self.parity(j)) % 2 == 0 else ONE
+                    sign = -1 if (self.parity(i) * self.parity(j)) % 2 == 0 else 1
                     table[i][j] = tuple(sign * c for c in opposite)
                 else:
-                    table[i][j] = (ZERO,) * self.n
+                    table[i][j] = (0,) * self.n
         self.table = tuple(tuple(row) for row in table)
 
     # -- queries ---------------------------------------------------------------
@@ -73,8 +71,8 @@ class LieSuperAlgebra:
             raise AlgebraError(f"unknown basis name {name!r} in {self.name}") from None
 
     def basis_vector(self, name: str):
-        vec = [ZERO] * self.n
-        vec[self.index(name)] = ONE
+        vec = [0] * self.n
+        vec[self.index(name)] = 1
         return tuple(vec)
 
     def vector_parity(self, vec) -> Optional[int]:
@@ -102,7 +100,7 @@ class LieSuperAlgebra:
 
     def bracket(self, v, w):
         """[v, w] for dense coordinate vectors, extended bilinearly."""
-        out = [ZERO] * self.n
+        out = [0] * self.n
         for i, a in enumerate(v):
             if not a:
                 continue
@@ -158,7 +156,7 @@ class LieSuperAlgebra:
                             report.violations.append(
                                 f"z-grading: [{self.basis[i].name},{self.basis[j].name}] "
                                 f"is not homogeneous of degree {zi + zj}")
-                sign = ONE if (self.parity(i) * self.parity(j)) % 2 else -ONE
+                sign = 1 if (self.parity(i) * self.parity(j)) % 2 else -1
                 mirrored = tuple(sign * c for c in self.table[j][i])
                 if br != mirrored:
                     report.violations.append(
@@ -173,7 +171,7 @@ class LieSuperAlgebra:
                     lhs = self.bracket(a, self.bracket(b, c))
                     rhs1 = self.bracket(self.bracket(a, b), c)
                     rhs2 = self.bracket(b, self.bracket(a, c))
-                    sign = -ONE if (self.parity(i) * self.parity(j)) % 2 else ONE
+                    sign = -1 if (self.parity(i) * self.parity(j)) % 2 else 1
                     rhs = tuple(x + sign * y for x, y in zip(rhs1, rhs2))
                     if lhs != rhs:
                         report.violations.append(
@@ -182,8 +180,8 @@ class LieSuperAlgebra:
         return report
 
     def unit(self, i: int):
-        vec = [ZERO] * self.n
-        vec[i] = ONE
+        vec = [0] * self.n
+        vec[i] = 1
         return tuple(vec)
 
 
@@ -211,12 +209,11 @@ def pl11() -> LieSuperAlgebra:
     unit (odd), v = lower-left unit (odd).  Brackets are computed from the
     matrix super-commutator AB - (-1)^{p(A)p(B)} BA.
     """
-    F = Fraction
     mats = {
-        "x": ((F(1), F(0)), (F(0), F(1))),
-        "y": ((F(1), F(0)), (F(0), F(0))),
-        "u": ((F(0), F(1)), (F(0), F(0))),
-        "v": ((F(0), F(0)), (F(1), F(0))),
+        "x": ((1, 0), (0, 1)),
+        "y": ((1, 0), (0, 0)),
+        "u": ((0, 1), (0, 0)),
+        "v": ((0, 0), (1, 0)),
     }
     parities = {"x": 0, "y": 0, "u": 1, "v": 1}
     z_degrees = {"x": 2, "y": 0, "u": 1, "v": 1}
@@ -294,7 +291,7 @@ def _sparse(vec):
 
 
 def _dense(row, n):
-    vec = [ZERO] * n
+    vec = [0] * n
     for k, v in row.items():
         vec[k] = v
     return tuple(vec)
@@ -356,11 +353,11 @@ def ad_eigen(g: LieSuperAlgebra, h, s: SubSuperSpace):
     roots = _rational_roots(_char_poly(M))
     pairs = []
     for lam in sorted(set(roots), reverse=True):
-        shifted = [{i: M[i][j] - (lam if i == j else ZERO)
-                    for i in range(dim) if M[i][j] - (lam if i == j else ZERO)}
+        shifted = [{i: M[i][j] - (lam if i == j else 0)
+                    for i in range(dim) if M[i][j] - (lam if i == j else 0)}
                    for j in range(dim)]
         for coeffs in kernel_basis(shifted):
-            vec = [ZERO] * g.n
+            vec = [0] * g.n
             for j, c in coeffs.items():
                 for i, b in enumerate(s.vectors[j]):
                     vec[i] += c * b
@@ -371,12 +368,12 @@ def ad_eigen(g: LieSuperAlgebra, h, s: SubSuperSpace):
 def _char_poly(M):
     """Coefficients [c_0, ..., c_n] of det(lam*I - M), Faddeev-LeVerrier."""
     n = len(M)
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
     Mk = [row[:] for row in M]
     for k in range(1, n + 1):
         trace = sum(Mk[i][i] for i in range(n))
-        c = -trace / k
+        c = exact(Fraction(-trace, k))
         coeffs[n - k] = c
         if k == n:
             break
@@ -395,7 +392,7 @@ def _rational_roots(coeffs):
     roots = []
     while len(poly) > 1:
         if not poly[0]:
-            roots.append(ZERO)
+            roots.append(0)
             poly = poly[1:]
             continue
         scale = 1
@@ -406,7 +403,7 @@ def _rational_roots(coeffs):
         found = None
         for p in _divisors(const):
             for q in _divisors(lead):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
+                for cand in (exact(Fraction(p, q)), exact(Fraction(-p, q))):
                     if not _eval_poly(poly, cand):
                         found = cand
                         break
@@ -433,7 +430,7 @@ def _divisors(n):
 
 
 def _eval_poly(poly, x):
-    acc = ZERO
+    acc = 0
     for c in reversed(poly):
         acc = acc * x + c
     return acc
@@ -441,8 +438,8 @@ def _eval_poly(poly, x):
 
 def _deflate(poly, root):
     """Synthetic division by (lam - root); assumes root is exact."""
-    out = [ZERO] * (len(poly) - 1)
-    carry = ZERO
+    out = [0] * (len(poly) - 1)
+    carry = 0
     for k in range(len(poly) - 1, 0, -1):
         carry = poly[k] + carry * root
         out[k - 1] = carry

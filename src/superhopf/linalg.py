@@ -1,8 +1,9 @@
 """Exact sparse vectors and row reduction over the rationals.
 
-Vectors are dicts mapping hashable keys to nonzero ``Fraction`` (or, inside
-the product tables, ``int``) values.  :func:`accumulate` is the one sparse
-sum that keeps that invariant; every linear combination in the package goes
+Vectors are dicts mapping hashable keys to nonzero exact scalars: an ``int``
+when the value is integral, a ``Fraction`` only where a division made one
+(:func:`exact` is that rule).  :func:`accumulate` is the one sparse sum that
+keeps the values nonzero; every linear combination in the package goes
 through it.  Pivots are chosen by minimal sort key, so every reduction is
 deterministic and results are reproducible bit-for-bit;
 :func:`kernel_image_basis` turns a kernel into the reduced basis of its image.
@@ -12,7 +13,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-_ZERO = Fraction(0)
+
+def exact(c):
+    """``c`` as an exact scalar: an ``int`` when integral, else a ``Fraction``."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class RowSpace:
@@ -51,7 +58,7 @@ class RowSpace:
             return None
         pivot = min(res, key=self._key)
         c = res[pivot]
-        row = {k: v / c for k, v in res.items()}
+        row = res if c == 1 else {k: exact(Fraction(v, c)) for k, v in res.items()}
         self.rows[pivot] = row
         return row
 
@@ -66,7 +73,7 @@ class RowSpace:
             row = dict(self.rows[p])
             hits = [q for q in row if q != p and q in self.rows]
             for q in sorted(hits, key=self._key):
-                c = row.pop(q, _ZERO)
+                c = row.pop(q, 0)
                 if c:
                     _eliminate(row, reduced[q], q, c)
             reduced[p] = row
@@ -82,7 +89,7 @@ def _eliminate(vec, row, pivot, c):
     for k, v in row.items():
         if k == pivot:
             continue
-        new = vec.get(k, _ZERO) - c * v
+        new = vec.get(k, 0) - c * v
         if new:
             vec[k] = new
         else:
@@ -127,7 +134,7 @@ def kernel_basis(vectors, sort_key=None):
     kernels = []
     for i, vec in enumerate(vectors):
         aug = {(0, k): v for k, v in vec.items() if v}
-        aug[(1, i)] = Fraction(1)
+        aug[(1, i)] = 1
         stored = space.insert(aug)
         if stored is not None and min(stored, key=aug_key)[0] == 1:
             # All coordinate keys were eliminated: the coefficient part is a

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from superhopf import parse
 from superhopf.algebra import (AlgebraPresentation, Generator, ORDINARY, SUPER)
 from superhopf.errors import NonTerminationError, PresentationError
+from superhopf.linalg import RowSpace
 
 
 def test_normalize_defining_relations(ubar):
@@ -134,6 +135,55 @@ def test_sparse_sums_never_store_zeros(sess_ubar, seed):
                    d.contract_scalar(H.counit_monomial, 0)):
         assert all(result.coeffs.values()), result
     assert adjoint_left(H, h, a + b) == adjoint_left(H, h, a) + adjoint_left(H, h, b)
+
+
+def _exact(values):
+    """Every value is an ``int`` or a ``Fraction`` (never a float or a bool)."""
+    return all(type(c) in (int, Fraction) for c in values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_coefficients_stay_exact_and_integral_inputs_stay_int(sess_u, sess_ubar, seed):
+    from superhopf.verify import random_dense_element, random_element
+    rng = random.Random(seed)
+    for sess in (sess_u, sess_ubar):
+        pres, H = sess.pres, sess.hopf
+        a = random_element(pres, rng, 3, max_terms=4)
+        b = random_dense_element(pres, rng, 2)
+        half = Fraction(1, 2) * a + b
+        for result in (a * b, half * b, a + half, a - b, H.antipode(half)):
+            assert _exact(result.coeffs.values()), result
+        assert _exact(H.coproduct(half).coeffs.values())
+        # from integral inputs products, coproducts and antipodes hold only ints
+        for result in (a * b, b * a, H.coproduct(a * b), H.antipode(a), H.antipode(b)):
+            assert all(type(c) is int for c in result.coeffs.values()), result
+        space = RowSpace()
+        for e in (a, b, half, a * b):
+            space.insert(e.coeffs)
+        for row in space.rows.values():
+            assert _exact(row.values()), row
+        for row in space.reduced_basis():
+            assert _exact(row.values()), row
+
+
+def test_row_space_division_is_exact():
+    space = RowSpace()
+    row = space.insert({"a": 2, "b": 1})
+    assert row == {"a": 1, "b": Fraction(1, 2)}
+    assert type(row["a"]) is int and type(row["b"]) is Fraction
+    # a unit pivot needs no division, so integers stay integers
+    row = space.insert({"c": 1, "d": 3})
+    assert row == {"c": 1, "d": 3} and type(row["d"]) is int
+
+
+def test_scalars_are_int_when_integral(ubar):
+    one = ubar.unit_monomial()
+    assert ubar.scalar(Fraction(4, 2)).coeffs == {one: 2}
+    assert type(ubar.scalar(Fraction(4, 2)).coeffs[one]) is int
+    assert type(ubar.scalar(Fraction(1, 2)).coeffs[one]) is Fraction
+    assert type(ubar.element({one: True}).coeffs[one]) is int
+    assert str(parse("4/2*u", ubar)) == "2*u"
 
 
 def test_tensor_product_koszul_sign(ubar):

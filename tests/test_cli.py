@@ -167,6 +167,7 @@ def test_unknown_suite_is_rejected(capsys):
     ["growth", "--n-max", "-3"],
     ["centralizer", "--max-degree", "-1"],
     ["check", "hopf-axioms", "--hopf-random", "-5"],
+    ["check", "shift-identity", "--shift-n", "0"],
 ])
 def test_bounds_that_would_check_nothing_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -175,6 +176,13 @@ def test_bounds_that_would_check_nothing_are_rejected(capsys, argv):
     assert exc.value.code == 2
     assert "error:" in captured.err
     assert "CHECK" not in captured.out
+
+
+def test_biproduct_at_degree_zero_sees_t_as_a_generator(capsys):
+    code, out, err = run(capsys, "check", "biproduct", "--max-degree", "0")
+    assert code == 0, err
+    for label in ("y-u-t", "x-t", "whole", "K"):
+        assert f"CHECK biproduct.{label} PASS" in out
 
 
 def test_definition_file_session(tmp_path, capsys):
@@ -233,4 +241,22 @@ def test_invalid_definition_file_is_rejected(tmp_path, capsys):
         encoding="utf-8")
     code, _, err = run(capsys, "normalize", "a", "--algebra", str(path))
     assert code == 2
-    assert "antisymmetry" in err
+    assert err.startswith(f"error: algebra file {path}:") and "antisymmetry" in err
+
+
+def test_a_definition_file_is_validated_once(tmp_path, monkeypatch):
+    from superhopf.catalog import load_session
+    from superhopf.liesuper import LieSuperAlgebra
+    path = tmp_path / "heisenberg.alg"
+    path.write_text("[generators]\nz 0\na 0\nb 0\n[brackets]\na b = z\n",
+                    encoding="utf-8")
+    calls = []
+    validate = LieSuperAlgebra.validate
+
+    def counting(self):
+        calls.append(self.name)
+        return validate(self)
+
+    monkeypatch.setattr(LieSuperAlgebra, "validate", counting)
+    load_session(str(path), bosonize_file=True)
+    assert calls == ["file-algebra"]

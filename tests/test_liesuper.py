@@ -8,7 +8,8 @@ from superhopf import (SubSuperSpace, ad_eigen, as_standalone, is_ideal, pl11,
                        subalgebra_generated, upper_triangular_subalgebra)
 from superhopf.algebra import Generator
 from superhopf.errors import AlgebraError, UnsupportedFieldError
-from superhopf.liesuper import LieSuperAlgebra
+from superhopf.hopf import enveloping
+from superhopf.liesuper import LieSuperAlgebra, _char_poly
 
 F = Fraction
 
@@ -154,3 +155,34 @@ def test_standalone_of_bracket_closed_span(g):
     alg = as_standalone(sub)
     assert alg.validate().ok
     assert {x.name for x in alg.basis} == {"x", "u", "v"}
+
+
+def test_integer_structure_constants_stay_int(g):
+    assert all(type(c) is int for row in g.table for br in row for c in br)
+
+
+def test_odd_squares_are_exact_halves():
+    from test_products import osp12
+    U = enveloping(osp12())
+    pres = U.carrier
+    a, b = pres.gen_index("a"), pres.gen_index("b")
+    e, f = pres.monomial(e=1), pres.monomial(f=1)
+    # [a, a] = 2e and [b, b] = -2f halve to integers
+    assert pres.power_rules[a] == {e: 1} and pres.power_rules[b] == {f: -1}
+    assert all(type(c) is int for rule in pres.power_rules.values()
+               for c in rule.values())
+    # [a, a] = e halves to a Fraction
+    basis = [Generator("e", 0, 0), Generator("a", 1, 1)]
+    half = enveloping(LieSuperAlgebra(basis, {(1, 1): {0: 1}})).carrier
+    assert half.power_rules[1] == {(1, 0): Fraction(1, 2)}
+    assert type(half.power_rules[1][(1, 0)]) is Fraction
+
+
+def test_char_poly_of_an_integer_matrix_is_exact():
+    coeffs = _char_poly([[2, 1, 0], [0, 1, 3], [1, 0, 1]])
+    # det(lam*I - M) = lam^3 - 4 lam^2 + 5 lam - 5
+    assert coeffs == [-5, 5, -4, 1]
+    assert all(type(c) is int for c in coeffs)
+    coeffs = _char_poly([[F(1, 2), 0], [0, F(1, 3)]])
+    assert coeffs == [F(1, 6), F(-5, 6), 1]
+    assert all(type(c) in (int, Fraction) for c in coeffs)
