@@ -11,12 +11,13 @@ import argparse
 import sys
 from pathlib import Path
 
+from superhopf.catalog import BUILTINS
 from superhopf.cli import main as cli_main
 
 
 def run(out_dir: Path, seed: int) -> int:
     worst = 0
-    for algebra in ("pl11", "pl11-bosonized", "b-bosonized"):
+    for algebra in BUILTINS:
         out = out_dir / f"checks-{algebra}.txt"
         code = cli_main(["check", "all", "--algebra", algebra,
                          "--seed", str(seed), "--out", str(out)])

@@ -1,14 +1,16 @@
-"""Built-in algebras and the defining-relation startup guard.
+"""Built-in algebras: one table of everything specific to each of them.
 
-Built-ins are constructed in code from the structure constants, never from
-shipped definition files; the known relation tables are asserted against
-the generated presentations at construction time so the two cannot drift.
+``BUILTINS`` maps a built-in name to its Lie constructor, whether it is
+bosonized, the relation table its generated presentation is asserted
+against at load time (so the two cannot drift), and the ``CheckDefaults``
+of its ``check`` cases.  A definition file gets the empty ``CheckDefaults``,
+so the CLI suites run only their generic cases on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .algebra import AlgebraPresentation
 from .errors import AlgebraError
@@ -16,7 +18,7 @@ from .exprs import parse
 from .hopf import BosonizedAlgebra, HopfStructureMaps, bosonize, enveloping
 from .liesuper import (Generator, LieSuperAlgebra, load_algebra_file, pl11,
                        upper_triangular_subalgebra)
-from .verify import FAIL, PASS, CertificateReport
+from .verify import FAIL, INCONCLUSIVE, PASS, CertificateReport
 
 # the relation table of the bosonized enveloping algebra of pl11
 PL11_BOSONIZED_RELATIONS = [
@@ -47,14 +49,64 @@ TRIANGULAR_BOSONIZED_RELATIONS = [
     ("t^2", "1"),
 ]
 
-BUILTIN_NAMES = ("pl11", "pl11-bosonized", "b-bosonized")
+
+@dataclass(frozen=True)
+class CheckDefaults:
+    """The algebra-specific cases of the ``check`` suites; empty for a file."""
+
+    eigenvalues: tuple = ()  # (h, w, eigenvalue): ad_l(h)(w) = eigenvalue * w
+    normality: tuple = ()  # (label, generator names, expected status)
+    biproduct: tuple = ()  # (label, generator names)
+    shift_h: Optional[str] = None  # the h of h^n w = w (h +- 1)^n for odd w
+    nilpotent_ideal: Optional[tuple] = None  # (label, generator names, expected)
+    zero_divisors: Optional[tuple] = None  # (label, expected, degree cap, max_terms)
 
 
-def check_defining_relations(pres: AlgebraPresentation, relations,
-                             name: str = "defining-relations") -> CertificateReport:
+PL11_CASES = CheckDefaults(
+    eigenvalues=(("y", "u", 1), ("y", "v", -1)),
+    normality=(("k[x]", ("x",), PASS),),
+    biproduct=(("y-u-t", ("y", "u", "t")), ("x-t", ("x", "t"))),
+    shift_h="y",
+    # <u> holds x = u*v + v*u, and x*u != 0: its square does not vanish
+    nilpotent_ideal=("u", ("u",), FAIL),
+    # dense random factors give no zero product, and a clean scan is inconclusive
+    zero_divisors=("none-found", INCONCLUSIVE, 3, None),
+)
+
+TRIANGULAR_CASES = CheckDefaults(
+    eigenvalues=(("y", "u", 1),),
+    biproduct=(("y-u-t", ("y", "u", "t")),),
+    shift_h="y",
+    nilpotent_ideal=("u", ("u",), PASS),  # the square of <u> vanishes
+    # not semiprime: a scan over near-monomial factors must hit u*u = 0
+    zero_divisors=("found", FAIL, 2, 1),
+)
+
+
+@dataclass(frozen=True)
+class Builtin:
+    """One ``BUILTINS`` entry."""
+
+    lie: Callable[[], LieSuperAlgebra]
+    bosonized: bool
+    relations: list  # (lhs, rhs) pairs that must normalize to the same element
+    defaults: CheckDefaults
+
+
+BUILTINS = {
+    "pl11": Builtin(pl11, False, PL11_RELATIONS, PL11_CASES),
+    "pl11-bosonized": Builtin(pl11, True, PL11_BOSONIZED_RELATIONS, PL11_CASES),
+    "b-bosonized": Builtin(upper_triangular_subalgebra, True,
+                           TRIANGULAR_BOSONIZED_RELATIONS, TRIANGULAR_CASES),
+}
+
+DEFAULT_ALGEBRA = "pl11-bosonized"  # the CLI's --algebra when none is given
+
+
+def check_defining_relations(pres: AlgebraPresentation, relations) -> CertificateReport:
     """Each relation pair must normalize to the same element."""
-    rep = CertificateReport(name, PASS, parameters={"algebra": pres.name,
-                                                    "relations": len(relations)})
+    rep = CertificateReport("defining-relations", PASS,
+                            parameters={"algebra": pres.name, "relations": len(relations)})
     for lhs, rhs in relations:
         left = parse(lhs, pres)
         right = parse(rhs, pres)
@@ -68,10 +120,10 @@ class Session:
     """A resolved algebra context for the CLI and the scripts."""
 
     name: str
-    lie: Optional[LieSuperAlgebra]
+    lie: LieSuperAlgebra
     u_maps: HopfStructureMaps
     bos: Optional[BosonizedAlgebra]
-    relations: list
+    defaults: CheckDefaults
 
     @property
     def pres(self) -> AlgebraPresentation:
@@ -89,37 +141,6 @@ class Session:
         return self.bos
 
 
-def _assert_relations(pres, relations):
-    rep = check_defining_relations(pres, relations)
-    if rep.status == FAIL:
-        raise AlgebraError(
-            f"generated presentation {pres.name} violates its relation table: "
-            f"{rep.witnesses[0]}")
-
-
-def session_pl11() -> Session:
-    g = pl11()
-    U = enveloping(g)
-    _assert_relations(U.carrier, PL11_RELATIONS)
-    return Session("pl11", g, U, None, PL11_RELATIONS)
-
-
-def session_pl11_bosonized() -> Session:
-    g = pl11()
-    U = enveloping(g)
-    B = bosonize(U)
-    _assert_relations(B.carrier, PL11_BOSONIZED_RELATIONS)
-    return Session("pl11-bosonized", g, U, B, PL11_BOSONIZED_RELATIONS)
-
-
-def session_b_bosonized() -> Session:
-    b = upper_triangular_subalgebra()
-    U = enveloping(b)
-    B = bosonize(U)
-    _assert_relations(B.carrier, TRIANGULAR_BOSONIZED_RELATIONS)
-    return Session("b-bosonized", b, U, B, TRIANGULAR_BOSONIZED_RELATIONS)
-
-
 def polynomial_presentation(names) -> AlgebraPresentation:
     """The commutative polynomial algebra, as the enveloping algebra of an
     abelian even Lie algebra on the given names."""
@@ -129,19 +150,34 @@ def polynomial_presentation(names) -> AlgebraPresentation:
 
 
 def load_session(source: str, bosonize_file: bool = False) -> Session:
-    """Resolve a built-in name or a definition-file path."""
-    if source == "pl11":
-        return session_pl11()
-    if source == "pl11-bosonized":
-        return session_pl11_bosonized()
-    if source == "b-bosonized":
-        return session_b_bosonized()
-    g = load_algebra_file(source)
-    try:
-        U = enveloping(g)  # validates g
-    except AlgebraError as exc:
-        raise AlgebraError(f"algebra file {source}: {exc}") from None
-    if bosonize_file:
-        B = bosonize(U)
-        return Session(f"file:{source}#k[t]", g, U, B, [])
-    return Session(f"file:{source}", g, U, None, [])
+    """Resolve a built-in name (a ``BUILTINS`` entry) or a definition-file path."""
+    builtin = BUILTINS.get(source)
+    if builtin is None:
+        g = load_algebra_file(source)
+        try:
+            U = enveloping(g)  # validates g
+        except AlgebraError as exc:
+            raise AlgebraError(f"algebra file {source}: {exc}") from None
+        return Session(f"file:{source}" + ("#k[t]" if bosonize_file else ""), g, U,
+                       bosonize(U) if bosonize_file else None, CheckDefaults())
+    g = builtin.lie()
+    U = enveloping(g)
+    sess = Session(source, g, U, bosonize(U) if builtin.bosonized else None,
+                   builtin.defaults)
+    rep = check_defining_relations(sess.pres, builtin.relations)
+    if rep.status == FAIL:
+        raise AlgebraError(f"generated presentation {sess.pres.name} violates its "
+                           f"relation table: {rep.witnesses[0]}")
+    return sess
+
+
+def session_pl11() -> Session:
+    return load_session("pl11")
+
+
+def session_pl11_bosonized() -> Session:
+    return load_session("pl11-bosonized")
+
+
+def session_b_bosonized() -> Session:
+    return load_session("b-bosonized")

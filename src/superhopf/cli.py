@@ -5,7 +5,8 @@ Subcommands: ``normalize``, ``check``, ``growth``, ``module-finite``,
 definition-file path), ``--max-degree``, ``--seed``, and ``--out``.  Reports
 are deterministic: two runs with the same configuration produce
 byte-identical files, and the exit status is 0 exactly when no emitted
-report contains a FAIL line.
+report contains a FAIL line.  The ``check`` suites name no algebra or
+generator: their algebra-specific cases come from ``catalog.BUILTINS``.
 """
 
 from __future__ import annotations
@@ -18,14 +19,11 @@ from typing import Optional
 
 from . import growth as growth_mod
 from . import verify
-from .catalog import Session, load_session
+from .catalog import BUILTINS, DEFAULT_ALGEBRA, Session, load_session
 from .errors import AlgebraError, ParseError
-from .exprs import parse, parse_list
+from .exprs import parse, parse_linear_combination, parse_list
 from .liesuper import SubSuperSpace, ad_eigen
 from .verify import CertificateReport, expect, render_reports, render_summary
-
-SUITES = ("hopf-axioms", "adjoint", "normality", "biproduct",
-          "shift-identity", "nilpotency", "zero-divisors", "all")
 
 
 @dataclass
@@ -34,8 +32,10 @@ class SessionConfig:
     max_degree: int
     seed: int
     out: Optional[Path]
-    samples: int
-    bosonize_file: bool
+
+
+class _NoDefaultCase(AlgebraError):
+    """The suite needs a case that the algebra's ``CheckDefaults`` lack."""
 
 
 def _write_output(text: str, out: Optional[Path]):
@@ -58,76 +58,64 @@ def _emit_reports(reports, config: SessionConfig) -> int:
     return 1 if "FAIL" in text else 0
 
 
-# -- suites --------------------------------------------------------------------------
+def _generators(pres):
+    return [pres.gen(g.name) for g in pres.generators]
 
 
-def suite_hopf_axioms(sess: Session, config: SessionConfig, n_random: int):
+# -- suites: the algebra's CheckDefaults cases first, then the generic ones ---------
+
+
+def suite_hopf_axioms(sess: Session, config: SessionConfig, args):
     return verify.hopf_axiom_suite(sess.hopf, monomial_degree=3,
-                                   n_random=n_random, random_degree=4,
+                                   n_random=args.hopf_random, random_degree=4,
                                    seed=config.seed, prefix="hopf")
 
 
-def suite_adjoint(sess: Session, config: SessionConfig):
+def suite_adjoint(sess: Session, config: SessionConfig, args):
     B = sess.require_bosonized()
     reports = [verify.check_ad_equals_bracket(sess.lie, B)]
-    pres = B.carrier
-    names = {g.name for g in pres.generators}
-    if "y" in names:
+    if sess.defaults.eigenvalues:
+        pres = B.carrier
         eigen = CertificateReport("adjoint-eigenvalues", verify.PASS,
                                   parameters={"algebra": pres.name})
-        y = pres.gen("y")
-        for name, lam in (("u", 1), ("v", -1)):
-            if name not in names:
-                continue
-            w = pres.gen(name)
-            got = verify.adjoint_left(B.hopf, y, w)
-            if got != lam * w:
-                eigen.add_witness(f"ad_l(y)({name})", lam * w, got)
+        for h, w, lam in sess.defaults.eigenvalues:
+            want = lam * pres.gen(w)
+            got = verify.adjoint_left(B.hopf, pres.gen(h), pres.gen(w))
+            if got != want:
+                eigen.add_witness(f"ad_l({h})({w})", want, got)
         reports.append(eigen)
     return reports
 
 
-def _default_normality_cases(sess: Session):
-    pres = sess.pres
-    names = {g.name for g in pres.generators}
-    cases = []
-    if "x" in names:
-        cases.append(("k[x]", [parse("x", pres)], verify.PASS))
-    cases.append(("K", [parse("t", pres)], verify.FAIL))
-    cases.append(("whole", [pres.gen(g.name) for g in pres.generators], verify.PASS))
-    return cases
-
-
-def suite_normality(sess: Session, config: SessionConfig, sub_spec: Optional[str]):
+def suite_normality(sess: Session, config: SessionConfig, args):
     B = sess.require_bosonized()
-    bound = config.max_degree
-    if sub_spec is not None:
-        gens = parse_list(sub_spec, B.carrier)
-        sub = growth_mod.FiltrationClosure(B.carrier, gens).extend_to(bound + 2)
-        return [verify.is_normal(B, sub, bound)]
-    reports = []
-    for label, gens, expected in _default_normality_cases(sess):
-        sub = growth_mod.FiltrationClosure(B.carrier, gens).extend_to(bound + 2)
-        inner = verify.is_normal(B, sub, bound)
-        reports.append(expect(inner, expected, name=f"normality.{label}"))
-    return reports
+    pres, bound = B.carrier, config.max_degree
+
+    def normal(gens):
+        sub = growth_mod.FiltrationClosure(pres, gens).extend_to(bound + 2)
+        return verify.is_normal(B, sub, bound)
+
+    if args.sub is not None:
+        return [normal(parse_list(args.sub, pres))]
+    cases = [(label, [pres.gen(n) for n in names], expected)
+             for label, names, expected in sess.defaults.normality]
+    # t anticommutes with the odd generators and commutes with the even ones,
+    # so K = k[t] is normal exactly when there is no odd generator
+    k_normal = all(b.parity == 0 for b in sess.lie.basis)
+    cases += [("K", [B.t()], verify.PASS if k_normal else verify.FAIL),
+              ("whole", _generators(pres), verify.PASS)]
+    return [expect(normal(gens), expected, name=f"normality.{label}")
+            for label, gens, expected in cases]
 
 
-def suite_biproduct(sess: Session, config: SessionConfig):
+def suite_biproduct(sess: Session, config: SessionConfig, args):
     B = sess.require_bosonized()
-    pres = B.carrier
-    bound = config.max_degree
-    names = {g.name for g in pres.generators}
-    cases = []
-    if {"y", "u"} <= names:
-        cases.append(("y-u-t", ["y", "u", "t"]))
-    if "x" in names:
-        cases.append(("x-t", ["x", "t"]))
-    cases.append(("whole", [g.name for g in pres.generators]))
-    cases.append(("K", ["t"]))
+    pres, bound = B.carrier, config.max_degree
+    cases = [(label, [pres.gen(n) for n in names])
+             for label, names in sess.defaults.biproduct]
+    cases += [("whole", _generators(pres)), ("K", [B.t()])]
     reports = []
-    for label, gen_names in cases:
-        gens = [pres.gen(n) for n in gen_names]
+    for label, gens in cases:
         sub = growth_mod.FiltrationClosure(pres, gens).extend_to(bound)
         rep = verify.biproduct_decomposition(B, sub, bound)
         rep.check_name = f"biproduct.{label}"
@@ -135,77 +123,70 @@ def suite_biproduct(sess: Session, config: SessionConfig):
     return reports
 
 
-def suite_shift_identity(sess: Session, config: SessionConfig, n_max: int = 6):
+def suite_shift_identity(sess: Session, config: SessionConfig, args):
     B = sess.require_bosonized()
+    if sess.defaults.shift_h is None:
+        raise _NoDefaultCase("shift-identity suite: this algebra has no default "
+                             "h to shift its odd generators by")
     pres = B.carrier
+    h = pres.gen(sess.defaults.shift_h)
     reports = []
     for g in pres.generators:
-        if g.parity != 1:
-            continue
-        rep = verify.check_shift_identity(B, pres.gen(g.name), n_max)
-        rep.check_name = f"shift-identity.{g.name}"
-        reports.append(rep)
-    if not reports:
-        raise AlgebraError("shift-identity suite needs odd generators")
+        if g.parity == 1:
+            rep = verify.check_shift_identity(B, pres.gen(g.name), args.shift_n, h)
+            rep.check_name = f"shift-identity.{g.name}"
+            reports.append(rep)
     return reports
 
 
-def suite_nilpotency(sess: Session, config: SessionConfig,
-                     ideal_spec: Optional[str], power: int):
+def suite_nilpotency(sess: Session, config: SessionConfig, args):
     pres = sess.pres
-    if ideal_spec is not None:
-        gens = parse_list(ideal_spec, pres)
-        return [verify.check_nilpotent_ideal(pres, gens, power, config.max_degree)]
-    if "u" not in {g.name for g in pres.generators}:
-        raise AlgebraError("nilpotency suite needs a generator named u "
-                           "(or an explicit --ideal-gens)")
-    inner = verify.check_nilpotent_ideal(pres, [pres.gen("u")], power,
-                                         config.max_degree)
-    # the square of <u> vanishes in the triangular case and must not in pl11
-    expected = verify.PASS if sess.name == "b-bosonized" else verify.FAIL
-    if sess.name in ("b-bosonized", "pl11-bosonized"):
-        return [expect(inner, expected, name=f"nilpotency.u-power-{power}")]
-    return [inner]
+    if args.ideal_gens is not None:
+        gens = parse_list(args.ideal_gens, pres)
+        return [verify.check_nilpotent_ideal(pres, gens, args.power,
+                                             config.max_degree)]
+    if sess.defaults.nilpotent_ideal is None:
+        raise _NoDefaultCase("nilpotency suite: this algebra has no default "
+                             "ideal; pass --ideal-gens")
+    label, names, expected = sess.defaults.nilpotent_ideal
+    inner = verify.check_nilpotent_ideal(pres, [pres.gen(n) for n in names],
+                                         args.power, config.max_degree)
+    return [expect(inner, expected, name=f"nilpotency.{label}-power-{args.power}")]
 
 
-def suite_zero_divisors(sess: Session, config: SessionConfig):
-    pres = sess.pres
-    bound = min(config.max_degree, 3)
-    if sess.name == "b-bosonized":
-        # not semiprime: a scan over near-monomial factors must hit u*u = 0
-        inner = verify.zero_divisor_scan(pres, min(bound, 2), config.samples,
-                                         config.seed, max_terms=1)
-        return [expect(inner, verify.FAIL, name="zero-divisors.found")]
-    inner = verify.zero_divisor_scan(pres, bound, config.samples, config.seed)
-    if sess.name in ("pl11", "pl11-bosonized"):
-        return [expect(inner, verify.INCONCLUSIVE, name="zero-divisors.none-found")]
-    return [inner]
+def suite_zero_divisors(sess: Session, config: SessionConfig, args):
+    # without a default case: the plain scan of dense factors, no expectation
+    label, expected, cap, max_terms = sess.defaults.zero_divisors or (None, None, 3, None)
+    inner = verify.zero_divisor_scan(sess.pres, min(config.max_degree, cap),
+                                     args.samples, config.seed, max_terms=max_terms)
+    return [inner if label is None
+            else expect(inner, expected, name=f"zero-divisors.{label}")]
+
+
+SUITE_RUNNERS = {
+    "hopf-axioms": suite_hopf_axioms,
+    "adjoint": suite_adjoint,
+    "normality": suite_normality,
+    "biproduct": suite_biproduct,
+    "shift-identity": suite_shift_identity,
+    "nilpotency": suite_nilpotency,
+    "zero-divisors": suite_zero_divisors,
+}
+SUITES = (*SUITE_RUNNERS, "all")
+UNBOSONIZED_SUITES = ("hopf-axioms", "zero-divisors")  # what `all` runs without t
 
 
 def cmd_check(sess: Session, config: SessionConfig, args) -> int:
-    if args.suite not in SUITES:
-        raise AlgebraError(f"unknown suite {args.suite!r}; choose from {SUITES}")
+    if args.suite != "all":
+        return _emit_reports(SUITE_RUNNERS[args.suite](sess, config, args), config)
     reports = []
-    wanted = SUITES[:-1] if args.suite == "all" else (args.suite,)
-    for suite in wanted:
-        if args.suite == "all" and sess.bos is None \
-                and suite not in ("hopf-axioms", "zero-divisors"):
-            continue  # non-bosonized algebras only support the generic suites
-        if suite == "hopf-axioms":
-            reports.extend(suite_hopf_axioms(sess, config, args.hopf_random))
-        elif suite == "adjoint":
-            reports.extend(suite_adjoint(sess, config))
-        elif suite == "normality":
-            reports.extend(suite_normality(sess, config, args.sub))
-        elif suite == "biproduct":
-            reports.extend(suite_biproduct(sess, config))
-        elif suite == "shift-identity":
-            reports.extend(suite_shift_identity(sess, config, args.shift_n))
-        elif suite == "nilpotency":
-            reports.extend(suite_nilpotency(sess, config, args.ideal_gens,
-                                            args.power))
-        elif suite == "zero-divisors":
-            reports.extend(suite_zero_divisors(sess, config))
+    for suite, run in SUITE_RUNNERS.items():
+        if sess.bos is None and suite not in UNBOSONIZED_SUITES:
+            continue
+        try:
+            reports.extend(run(sess, config, args))
+        except _NoDefaultCase:
+            continue  # `all` runs a suite only where it has a case to run
     return _emit_reports(reports, config)
 
 
@@ -220,10 +201,7 @@ def cmd_normalize(sess: Session, config: SessionConfig, args) -> int:
 
 def cmd_growth(sess: Session, config: SessionConfig, args) -> int:
     pres = sess.pres
-    if args.gens:
-        gens = parse_list(args.gens, pres)
-    else:
-        gens = [pres.gen(g.name) for g in pres.generators]
+    gens = parse_list(args.gens, pres) if args.gens else _generators(pres)
     report = growth_mod.growth_series(pres, gens, args.n_max)
     _write_output(report.to_text(), config.out)
     return 0
@@ -241,10 +219,7 @@ def cmd_module_finite(sess: Session, config: SessionConfig, args) -> int:
 
 def cmd_centralizer(sess: Session, config: SessionConfig, args) -> int:
     pres = sess.pres
-    if args.gens:
-        gens = parse_list(args.gens, pres)
-    else:
-        gens = [pres.gen(g.name) for g in pres.generators]
+    gens = parse_list(args.gens, pres) if args.gens else _generators(pres)
     basis = growth_mod.centralizer_degree_bounded(pres, gens, config.max_degree,
                                                   z_degree=args.z_degree)
     lines = [f"centralizer basis (bound {config.max_degree}"
@@ -257,8 +232,6 @@ def cmd_centralizer(sess: Session, config: SessionConfig, args) -> int:
 
 def cmd_eigen(sess: Session, config: SessionConfig, args) -> int:
     g = sess.lie
-    if g is None:
-        raise AlgebraError("eigen needs an algebra with Lie data")
     h = _lie_vector(g, args.h)
     if args.sub:
         vectors = [_lie_vector(g, spec) for spec in args.sub.split(",") if spec.strip()]
@@ -274,12 +247,16 @@ def cmd_eigen(sess: Session, config: SessionConfig, args) -> int:
 
 
 def _lie_vector(g, spec: str):
-    from .exprs import parse_linear_combination
     combo = parse_linear_combination(spec, [b.name for b in g.basis])
     vec = [0] * g.n
     for name, c in combo.items():
         vec[g.index(name)] = c
     return tuple(vec)
+
+
+COMMANDS = {"normalize": cmd_normalize, "check": cmd_check, "growth": cmd_growth,
+            "module-finite": cmd_module_finite, "centralizer": cmd_centralizer,
+            "eigen": cmd_eigen}
 
 
 # -- argument plumbing --------------------------------------------------------------------
@@ -302,8 +279,8 @@ NON_NEGATIVE, POSITIVE = _int_at_least(0), _int_at_least(1)
 
 
 def _add_common(sub):
-    sub.add_argument("--algebra", default="pl11-bosonized",
-                     help="built-in name (pl11, pl11-bosonized, b-bosonized) "
+    sub.add_argument("--algebra", default=DEFAULT_ALGEBRA,
+                     help=f"built-in name ({', '.join(BUILTINS)}) "
                           "or a definition-file path")
     sub.add_argument("--bosonize", action="store_true",
                      help="bosonize a file-defined algebra")
@@ -365,24 +342,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     config = SessionConfig(algebra=args.algebra, max_degree=args.max_degree,
-                           seed=args.seed, out=args.out,
-                           samples=getattr(args, "samples", 200),
-                           bosonize_file=args.bosonize)
+                           seed=args.seed, out=args.out)
     try:
         sess = load_session(args.algebra, bosonize_file=args.bosonize)
-        if args.command == "normalize":
-            return cmd_normalize(sess, config, args)
-        if args.command == "check":
-            return cmd_check(sess, config, args)
-        if args.command == "growth":
-            return cmd_growth(sess, config, args)
-        if args.command == "module-finite":
-            return cmd_module_finite(sess, config, args)
-        if args.command == "centralizer":
-            return cmd_centralizer(sess, config, args)
-        if args.command == "eigen":
-            return cmd_eigen(sess, config, args)
-        raise AlgebraError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](sess, config, args)
     except (AlgebraError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -491,11 +491,9 @@ def growth_obstruction(P: AlgebraPresentation, sub_gens: Sequence[Element],
 
 
 def check_shift_identity(B: BosonizedAlgebra, w: Element, n_max: int,
-                         h: Optional[Element] = None) -> CertificateReport:
+                         h: Element) -> CertificateReport:
     """For an ad(h)-eigenvector w of eigenvalue +-1: h^n w == w (h +- 1)^n."""
     pres = B.carrier
-    if h is None:
-        h = pres.gen("y")
     commutator = h * w - w * h
     eigenvalue = None
     for lam in (1, -1):

@@ -75,8 +75,8 @@ def test_criterion_4_adjoint_identities():
         y = P.gen("y")
         assert adjoint_left(B.hopf, y, P.gen("u")) == P.gen("u")
         assert adjoint_left(B.hopf, y, P.gen("v")) == -P.gen("v")
-        assert check_shift_identity(B, P.gen("u"), 6).passed
-        assert check_shift_identity(B, P.gen("v"), 6).passed
+        assert check_shift_identity(B, P.gen("u"), 6, P.gen("y")).passed
+        assert check_shift_identity(B, P.gen("v"), 6, P.gen("y")).passed
 
 
 def test_criterion_5_normality():

@@ -260,3 +260,79 @@ def test_a_definition_file_is_validated_once(tmp_path, monkeypatch):
     monkeypatch.setattr(LieSuperAlgebra, "validate", counting)
     load_session(str(path), bosonize_file=True)
     assert calls == ["file-algebra"]
+
+
+OSP12 = """[generators]
+h 0
+e 0
+f 0
+a 1
+b 1
+[brackets]
+h e = 2*e
+h f = -2*f
+h a = a
+h b = -b
+e f = h
+e b = a
+f a = b
+a a = 2*e
+a b = -h
+b b = -2*f
+"""
+
+
+def test_check_all_runs_the_generic_cases_on_a_bosonized_file(tmp_path, capsys):
+    path = tmp_path / "osp12.alg"
+    path.write_text(OSP12, encoding="utf-8")
+    code, out, err = run(capsys, "check", "all", "--algebra", str(path), "--bosonize",
+                         "--max-degree", "2", "--samples", "20", "--hopf-random", "5")
+    assert code == 0 and "error:" not in err
+    names = [line.split()[1] for line in out.splitlines() if line.startswith("CHECK ")]
+    assert names == ["hopf.coassociativity", "hopf.counit", "hopf.antipode",
+                     "hopf.bialgebra", "ad-equals-bracket", "normality.K",
+                     "normality.whole", "biproduct.whole", "biproduct.K",
+                     "zero-divisors"]
+
+
+def test_a_generator_named_x_gets_no_pl11_expectation(tmp_path, capsys):
+    path = tmp_path / "xu.alg"
+    path.write_text("[generators]\nx 0\nu 1\n[brackets]\nx u = u\nu u = 0\n",
+                    encoding="utf-8")
+    code, out, _ = run(capsys, "check", "normality", "--algebra", str(path),
+                       "--bosonize", "--max-degree", "2")
+    assert code == 0, out
+    assert "normality.k[x]" not in out
+    assert "CHECK normality.K PASS" in out
+
+
+def test_k_is_expected_normal_when_there_is_no_odd_generator(tmp_path, capsys):
+    path = tmp_path / "heisenberg.alg"
+    path.write_text("[generators]\nz 0\na 0\nb 0\n[brackets]\na b = z\n",
+                    encoding="utf-8")
+    code, out, _ = run(capsys, "check", "normality", "--algebra", str(path),
+                       "--bosonize", "--max-degree", "2")
+    assert code == 0, out
+    assert "CHECK normality.K PASS" in out  # t is central: K is normal
+
+
+@pytest.mark.parametrize("suite", ["shift-identity", "nilpotency"])
+def test_a_suite_without_a_default_case_is_an_error_on_a_file(tmp_path, capsys, suite):
+    # the triangular algebra b written as a file: same generator names as the
+    # built-in b-bosonized, but a file gets no built-in expectations
+    path = tmp_path / "b.alg"
+    path.write_text("[generators]\ny 0\nu 1\n[brackets]\ny u = u\nu u = 0\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "check", suite, "--algebra", str(path), "--bosonize",
+                         "--max-degree", "2")
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "CHECK" not in out
+
+
+def test_pl11_nilpotency_expects_the_square_of_u_not_to_vanish(capsys):
+    code, out, _ = run(capsys, "check", "nilpotency", "--algebra", "pl11",
+                       "--max-degree", "4")
+    assert code == 0
+    assert "CHECK nilpotency.u-power-2 PASS" in out
+    assert "innerStatus=fail" in out

@@ -239,9 +239,9 @@ def test_biproduct_requires_t(bos):
 
 def test_shift_identity_for_both_eigenvectors(bos):
     P = bos.carrier
-    assert check_shift_identity(bos, P.gen("u"), 6).passed
-    assert check_shift_identity(bos, P.gen("v"), 6).passed
-    assert check_shift_identity(bos, P.gen("u"), 0).passed  # n = 0 is trivial
+    assert check_shift_identity(bos, P.gen("u"), 6, P.gen("y")).passed
+    assert check_shift_identity(bos, P.gen("v"), 6, P.gen("y")).passed
+    assert check_shift_identity(bos, P.gen("u"), 0, P.gen("y")).passed  # n = 0 is trivial
 
 
 def test_shift_identity_concrete_squares(bos):
@@ -254,7 +254,7 @@ def test_shift_identity_concrete_squares(bos):
 def test_shift_identity_rejects_non_eigenvectors(bos):
     P = bos.carrier
     with pytest.raises(AlgebraError):
-        check_shift_identity(bos, P.gen("x"), 3)  # eigenvalue 0, not +-1
+        check_shift_identity(bos, P.gen("x"), 3, P.gen("y"))  # eigenvalue 0, not +-1
 
 
 # -- sign commutation ------------------------------------------------------------------------
