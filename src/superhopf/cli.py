@@ -341,6 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "check" and args.suite == "normality" and args.max_degree < 1:
+        # at degree 0 only 1 is acted on, and ad(h)(1) = eps(h)*1 is always in
+        parser.error("check normality needs --max-degree of at least 1")
     config = SessionConfig(algebra=args.algebra, max_degree=args.max_degree,
                            seed=args.seed, out=args.out)
     try:

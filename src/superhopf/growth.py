@@ -25,7 +25,9 @@ class FiltrationClosure:
     Level n holds the new basis elements reachable as products of
     generators with total weight n (every generator has weight 1 unless
     overridden; weight-0 generators are closed off within each level).
-    Pivoting is deterministic, so bases are reproducible.
+    Pivoting is deterministic, so bases are reproducible.  ``levels`` hold
+    the space's primitive integer rows, so products stay integral;
+    :meth:`basis_up_to` hands out the pivot-1 multiples.
     """
 
     def __init__(self, pres: AlgebraPresentation, gens: Sequence[Element],
@@ -40,61 +42,41 @@ class FiltrationClosure:
             raise AlgebraError("weights must be non-negative, one per generator")
         self.weights = list(weights)
         self.space = RowSpace(monomial_key)
-        self.levels = []  # levels[n] = list of new Elements at level n
+        self.levels = []  # levels[n] = new Elements at level n, as stored rows
         self.dims = []    # dims[n] = cumulative rank through level n
-        self._seed_level_zero()
+        self._add_level([self.pres.one()])
 
-    def _seed_level_zero(self):
-        new = []
-        stored = self.space.insert(self.pres.one().coeffs)
-        if stored is not None:
-            new.append(Element(self.pres, stored))
-        new.extend(self._close_within_level(new))
+    def _add_level(self, products):
+        """Append the level spanned by ``products`` and the weight-0 closure."""
+        zero_gens = [g for g, w in zip(self.gens, self.weights) if w == 0]
+        new = frontier = self._insert_all(products)
+        while frontier:
+            frontier = self._insert_all(e * g for e in frontier for g in zero_gens)
+            new = new + frontier
         self.levels.append(new)
         self.dims.append(self.space.rank)
 
-    def _zero_weight_gens(self):
-        return [g for g, w in zip(self.gens, self.weights) if w == 0]
-
-    def _close_within_level(self, frontier):
-        added = []
-        zero_gens = self._zero_weight_gens()
-        while frontier:
-            next_frontier = []
-            for e in frontier:
-                for g in zero_gens:
-                    prod = e * g
-                    stored = self.space.insert(prod.coeffs)
-                    if stored is not None:
-                        elem = Element(self.pres, stored)
-                        next_frontier.append(elem)
-                        added.append(elem)
-            frontier = next_frontier
-        return added
+    def _insert_all(self, products):
+        """The stored rows of the products that enlarge the span, as Elements."""
+        out = []
+        for prod in products:
+            stored = self.space.insert(prod.coeffs)
+            if stored is not None:
+                out.append(Element(self.pres, stored))
+        return out
 
     def extend_to(self, n: int):
         while len(self.levels) <= n:
             level = len(self.levels)
-            new = []
-            for g, w in zip(self.gens, self.weights):
-                if w == 0 or w > level:
-                    continue
-                for e in self.levels[level - w]:
-                    prod = e * g
-                    stored = self.space.insert(prod.coeffs)
-                    if stored is not None:
-                        new.append(Element(self.pres, stored))
-            new.extend(self._close_within_level(list(new)))
-            self.levels.append(new)
-            self.dims.append(self.space.rank)
+            self._add_level(e * g for g, w in zip(self.gens, self.weights)
+                            if 0 < w <= level for e in self.levels[level - w])
         return self
 
     def basis_up_to(self, n: int):
+        """The basis through level n, each element scaled to pivot 1."""
         self.extend_to(n)
-        out = []
-        for level in self.levels[:n + 1]:
-            out.extend(level)
-        return out
+        return [Element(self.pres, self.space.monic(e.coeffs))
+                for level in self.levels[:n + 1] for e in level]
 
     def contains(self, a: Element) -> bool:
         """Membership in the span of the levels built so far."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .algebra import Generator
@@ -395,9 +396,7 @@ def _rational_roots(coeffs):
             roots.append(0)
             poly = poly[1:]
             continue
-        scale = 1
-        for c in poly:
-            scale = scale * c.denominator // _gcd(scale, c.denominator)
+        scale = lcm(*(c.denominator for c in poly))
         ints = [int(c * scale) for c in poly]
         lead, const = abs(ints[-1]), abs(ints[0])
         found = None
@@ -417,12 +416,6 @@ def _rational_roots(coeffs):
         roots.append(found)
         poly = _deflate(poly, found)
     return roots
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):

@@ -1,17 +1,25 @@
 """Exact sparse vectors and row reduction over the rationals.
 
-Vectors are dicts mapping hashable keys to nonzero exact scalars: an ``int``
-when the value is integral, a ``Fraction`` only where a division made one
-(:func:`exact` is that rule).  :func:`accumulate` is the one sparse sum that
-keeps the values nonzero; every linear combination in the package goes
-through it.  Pivots are chosen by minimal sort key, so every reduction is
-deterministic and results are reproducible bit-for-bit;
-:func:`kernel_image_basis` turns a kernel into the reduced basis of its image.
+Vectors are dicts mapping hashable keys to nonzero exact scalars: ``int``
+or ``Fraction``, never a float.  Int arithmetic stays int and :func:`exact`
+demotes an integral quotient to an ``int``, but an integral sum or product
+of ``Fraction`` values stays ``Fraction(n, 1)``, which equals, hashes and
+prints like the ``int``.  :func:`accumulate` is the one sparse sum that
+keeps the values nonzero; every linear combination goes through it.
+
+:class:`RowSpace` stores rows fraction-free: all ``int``, primitive (gcd 1)
+and with a positive pivot entry, eliminated by cross-multiplication (compare
+Bareiss 1968).  A row is divided by its pivot entry only where a caller sees
+it: :meth:`RowSpace.monic`, :meth:`RowSpace.reduced_basis`,
+:func:`kernel_basis`.  Pivots are chosen by minimal sort key, so results are
+reproducible bit-for-bit; :func:`kernel_image_basis` turns a kernel into the
+reduced basis of its image.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def exact(c):
@@ -26,12 +34,14 @@ class RowSpace:
     """Incrementally maintained row-echelon span of sparse vectors.
 
     ``sort_key`` maps a coordinate key to something orderable; it defaults
-    to the key itself.  Stored rows are scaled so the pivot entry is 1.
+    to the key itself.  Each stored row is the unique primitive integral
+    multiple of its vector with a positive pivot, so ``rows`` holds no
+    ``Fraction``; :meth:`monic` divides a row by its pivot entry.
     """
 
     def __init__(self, sort_key=None):
         self._key = sort_key if sort_key is not None else (lambda k: k)
-        self.rows = {}  # pivot key -> row (dict), row[pivot] == 1
+        self.rows = {}  # pivot key -> primitive int row, row[pivot] > 0
 
     @property
     def rank(self) -> int:
@@ -40,15 +50,25 @@ class RowSpace:
     def reduce(self, vec):
         """Eliminate stored pivots from ``vec`` until its leading key is free.
 
-        Returns the residual dict; an empty residual means membership.
+        Returns an integral residual, a positive multiple of ``vec`` minus a
+        combination of the rows; an empty residual means membership.
         """
-        vec = {k: v for k, v in vec.items() if v}
+        out, mixed = {}, False  # one copy: drop zeros, note non-int entries
+        for k, v in vec.items():
+            if v:
+                out[k] = v
+                if type(v) is not int:
+                    mixed = True
+        if mixed:  # clear the denominators; Fraction(n, 1) becomes an int
+            den = lcm(*(v.denominator for v in out.values()))
+            out = {k: v.numerator * (den // v.denominator) for k, v in out.items()}
+        rows, key, vec = self.rows, self._key, out
         while vec:
-            pivot = min(vec, key=self._key)
-            row = self.rows.get(pivot)
+            pivot = min(vec, key=key)
+            row = rows.get(pivot)
             if row is None:
                 return vec
-            _eliminate(vec, row, pivot, vec.pop(pivot))
+            vec = _eliminate(vec, row, pivot, vec.pop(pivot))
         return vec
 
     def insert(self, vec):
@@ -57,13 +77,17 @@ class RowSpace:
         if not res:
             return None
         pivot = min(res, key=self._key)
-        c = res[pivot]
-        row = res if c == 1 else {k: exact(Fraction(v, c)) for k, v in res.items()}
-        self.rows[pivot] = row
+        c = res[pivot]  # a pivot entry 1 leaves the gcd 1 already
+        row = self.rows[pivot] = res if c == 1 else _primitive(res, c)
         return row
 
     def contains(self, vec) -> bool:
         return not self.reduce(vec)
+
+    def monic(self, row):
+        """``row`` divided by its pivot entry, ints where integral."""
+        b = row[min(row, key=self._key)]
+        return row if b == 1 else {k: exact(Fraction(v, b)) for k, v in row.items()}
 
     def reduced_basis(self):
         """Fully back-substituted canonical basis, sorted by pivot key."""
@@ -75,25 +99,39 @@ class RowSpace:
             for q in sorted(hits, key=self._key):
                 c = row.pop(q, 0)
                 if c:
-                    _eliminate(row, reduced[q], q, c)
-            reduced[p] = row
-        return [reduced[p] for p in pivots]
+                    row = _eliminate(row, reduced[q], q, c)
+            reduced[p] = _primitive(row, row[p])
+        return [self.monic(reduced[p]) for p in pivots]
 
 
-def _eliminate(vec, row, pivot, c):
-    """Subtract ``c * row`` from ``vec`` in place, skipping the pivot entry.
+def _primitive(vec, lead):
+    """``vec`` divided by the gcd of its entries, signed so ``lead`` turns positive."""
+    g = gcd(*vec.values()) if lead > 0 else -gcd(*vec.values())
+    return vec if g == 1 else {k: v // g for k, v in vec.items()}
 
-    Kept apart from :func:`accumulate`: the pivot entry is already gone from
-    ``vec``, and recomputing it only to delete it costs a sum per step.
+
+def _eliminate(vec, row, pivot, a):
+    """``(b/g)*vec - (a/g)*row``, where ``a`` was ``vec[pivot]`` (popped
+    already), ``b = row[pivot]`` and ``g = gcd(a, b)``; ``vec`` is updated in
+    place unless ``b/g`` scales it.  Not :func:`accumulate`, which would
+    recompute the pivot entry only to delete it.
     """
+    b = row[pivot]
+    if b != 1:
+        g = gcd(a, b)
+        if g != b:
+            m = b // g
+            vec = {k: m * v for k, v in vec.items()}
+        a //= g
     for k, v in row.items():
         if k == pivot:
             continue
-        new = vec.get(k, 0) - c * v
+        new = vec.get(k, 0) - a * v
         if new:
             vec[k] = new
         else:
             vec.pop(k, None)
+    return vec
 
 
 def accumulate(out, coeffs, scale=None):
@@ -138,8 +176,8 @@ def kernel_basis(vectors, sort_key=None):
         stored = space.insert(aug)
         if stored is not None and min(stored, key=aug_key)[0] == 1:
             # All coordinate keys were eliminated: the coefficient part is a
-            # kernel vector (pivot normalized to 1 already).
-            kernels.append({k[1]: v for k, v in stored.items()})
+            # kernel vector, returned with its pivot scaled to 1.
+            kernels.append({k[1]: v for k, v in space.monic(stored).items()})
     return kernels
 
 

@@ -281,18 +281,17 @@ def is_normal(B: BosonizedAlgebra, A: FiltrationClosure,
                             parameters={"degreeBound": degree_bound,
                                         "algebra": B.carrier.name})
     pres = B.carrier
-    checked = 0
+    basis = A.basis_up_to(degree_bound)
     for gen in pres.generators:
         h = pres.gen(gen.name)
-        for a in A.basis_up_to(degree_bound):
-            checked += 1
+        for a in basis:
             la = adjoint_left(B.hopf, h, a)
             if not A.contains(la):
                 rep.add_witness(f"ad_l({gen.name})({a})", "membership", la)
             ra = adjoint_right(B.hopf, h, a)
             if not A.contains(ra):
                 rep.add_witness(f"ad_r({gen.name})({a})", "membership", ra)
-    rep.parameters["actionsChecked"] = 2 * checked
+    rep.parameters["actionsChecked"] = 2 * len(pres.generators) * len(basis)
     return rep
 
 
@@ -540,10 +539,10 @@ def check_sign_commuting_squares(B: BosonizedAlgebra, W: Sequence[Element],
             else:
                 rep.add_witness(f"({a},{b})", "ab = +-ba", ab - ba)
     rep.parameters["pairSigns"] = "; ".join(f"({a},{b}):{s}" for a, b, s in signs)
-    cache = FiltrationClosure(pres, group).extend_to(degree_bound)
+    basis = FiltrationClosure(pres, group).basis_up_to(degree_bound)
     for a in group:
         sq = a * a
-        for b in cache.basis_up_to(degree_bound):
+        for b in basis:
             if sq * b != b * sq:
                 rep.add_witness(f"[{a}^2, {b}]", pres.zero(), sq * b - b * sq)
     return rep
@@ -584,9 +583,8 @@ def check_nilpotent_ideal(P: AlgebraPresentation, ideal_gens: Sequence[Element],
                     if prod.is_zero or prod.degree() > degree_bound:
                         continue
                     if space.insert(prod.coeffs) is not None:
-                        stored = prod
-                        basis.append(stored)
-                        new_frontier.append(stored)
+                        basis.append(prod)
+                        new_frontier.append(prod)
         frontier = new_frontier
     rep.parameters["spanDimension"] = len(basis)
 

@@ -170,11 +170,16 @@ def test_coefficients_stay_exact_and_integral_inputs_stay_int(sess_u, sess_ubar,
 def test_row_space_division_is_exact():
     space = RowSpace()
     row = space.insert({"a": 2, "b": 1})
-    assert row == {"a": 1, "b": Fraction(1, 2)}
-    assert type(row["a"]) is int and type(row["b"]) is Fraction
-    # a unit pivot needs no division, so integers stay integers
-    row = space.insert({"c": 1, "d": 3})
-    assert row == {"c": 1, "d": 3} and type(row["d"]) is int
+    # the stored row is the primitive integer multiple, returned as stored
+    assert row == {"a": 2, "b": 1} and row is space.rows["a"]
+    assert all(type(v) is int for v in row.values())
+    # the division happens where a caller sees a row in pivot-1 form
+    basis = space.reduced_basis()
+    assert basis == [{"a": 1, "b": Fraction(1, 2)}]
+    assert type(basis[0]["a"]) is int and type(basis[0]["b"]) is Fraction
+    # denominators are cleared on entry; Fraction(n, 1) becomes an int
+    row = space.insert({"c": Fraction(-1, 3), "d": Fraction(2, 1)})
+    assert row == {"c": 1, "d": -6} and type(row["d"]) is int
 
 
 def test_scalars_are_int_when_integral(ubar):

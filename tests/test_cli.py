@@ -69,6 +69,25 @@ def test_check_nilpotency_on_the_triangular_algebra(capsys):
     assert "CHECK nilpotency.u-power-2 PASS" in out
 
 
+def test_normality_witnesses_print_basis_elements_with_pivot_one(capsys):
+    # the closure stores integer rows; its basis is printed scaled to pivot 1
+    code, out, err = run(capsys, "check", "normality", "--sub", "x+u,t",
+                         "--max-degree", "2")
+    assert code == 1 and err == ""
+    assert out == (
+        "CHECK normality FAIL\n"
+        "    inputs: sub=<x + u, t>\n"
+        "    witness: ad_r(v)(x + u) expected membership got -x*t + 2*u*v*t\n"
+        "    witness: ad_l(v)(t) expected membership got 2*v*t\n"
+        "    witness: ad_r(v)(t) expected membership got 2*v\n"
+        "    witness: ad_r(v)(1/2*x^2 + x*u) expected membership got -x^2*t + 2*x*u*v*t\n"
+        "    witness: ad_l(v)(-x*t + u*t) expected membership got -2*x*v*t + x*t - 2*u*v*t\n"
+        "    witness: ad_r(v)(-x*t + u*t) expected membership got -2*x*v - x\n"
+        "    witness: ad_l(v)(x*t) expected membership got 2*x*v*t\n"
+        "    witness: ad_r(v)(x*t) expected membership got 2*x*v\n"
+        "    params: actionsChecked=60 algebra=U(pl11)#k[t] degreeBound=2\n")
+
+
 def test_check_normality_with_custom_subalgebra(capsys):
     code, out, _ = run(capsys, "check", "normality", "--sub", "t")
     assert code == 1
@@ -168,6 +187,9 @@ def test_unknown_suite_is_rejected(capsys):
     ["centralizer", "--max-degree", "-1"],
     ["check", "hopf-axioms", "--hopf-random", "-5"],
     ["check", "shift-identity", "--shift-n", "0"],
+    # degree 0 acts only on 1, and ad(h)(1) = eps(h)*1 lies in every subalgebra
+    ["check", "normality", "--max-degree", "0"],
+    ["check", "normality", "--sub", "x+u,t", "--max-degree", "0"],
 ])
 def test_bounds_that_would_check_nothing_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
