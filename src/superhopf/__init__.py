@@ -8,9 +8,9 @@ arithmetic and explicit certificates.
 """
 
 from .algebra import (AlgebraPresentation, ConfluenceReport, Element,
-                      Generator, TensorElement, check_overlaps)
-from .catalog import (Session, load_session, polynomial_presentation,
-                      session_b_bosonized, session_pl11,
+                      Generator, TensorElement, check_overlaps,
+                      polynomial_presentation)
+from .catalog import (Session, load_session, session_b_bosonized, session_pl11,
                       session_pl11_bosonized)
 from .errors import (AlgebraError, DegreeBudgetError, NonTerminationError,
                      ParseError, PresentationError, UnsupportedFieldError)
@@ -19,8 +19,8 @@ from .growth import (FiltrationClosure, GrowthReport, centralizer_degree_bounded
                      enveloping_growth_bound, filtration_dim, growth_series)
 from .hopf import BosonizedAlgebra, HopfStructureMaps, bosonize, enveloping
 from .liesuper import (LieSuperAlgebra, SubSuperSpace, ad_eigen, as_standalone,
-                       is_ideal, load_algebra_file, pl11, subalgebra_generated,
-                       upper_triangular_subalgebra)
+                       is_ideal, load_algebra_file, matrix_superalgebra, pl11,
+                       subalgebra_generated, upper_triangular_subalgebra)
 from .verify import (CertificateReport, adjoint_left, adjoint_right,
                      biproduct_decomposition, check_ad_equals_bracket,
                      check_antipode, check_bialgebra, check_coassociativity,

@@ -392,6 +392,16 @@ class AlgebraPresentation:
         return TensorElement(self, legs, {(self.unit_monomial(),) * legs: 1})
 
 
+def polynomial_presentation(names) -> AlgebraPresentation:
+    """The commutative polynomial algebra on ``names``: even generators whose
+    swap rules only sort, i.e. the enveloping algebra of an abelian Lie algebra."""
+    n = len(names)
+    swaps = {(hi, lo): {tuple(int(k in (lo, hi)) for k in range(n)): 1}
+             for hi in range(n) for lo in range(hi)}
+    return AlgebraPresentation([Generator(name, 0, idx) for idx, name in enumerate(names)],
+                               swaps, {}, mode=SUPER, name="U(abelian)")
+
+
 def _format_coeff_monomial(pres, m, c):
     if not any(m):
         return str(c)

@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .algebra import AlgebraPresentation
+from .algebra import AlgebraPresentation, polynomial_presentation  # the latter re-exported
 from .errors import AlgebraError
 from .exprs import parse
 from .hopf import BosonizedAlgebra, HopfStructureMaps, bosonize, enveloping
-from .liesuper import (Generator, LieSuperAlgebra, load_algebra_file, pl11,
+from .liesuper import (LieSuperAlgebra, load_algebra_file, pl11,
                        upper_triangular_subalgebra)
 from .verify import FAIL, INCONCLUSIVE, PASS, CertificateReport
 
@@ -139,14 +139,6 @@ class Session:
                 f"algebra {self.name!r} is not bosonized; this operation needs "
                 "the grouplike t")
         return self.bos
-
-
-def polynomial_presentation(names) -> AlgebraPresentation:
-    """The commutative polynomial algebra, as the enveloping algebra of an
-    abelian even Lie algebra on the given names."""
-    basis = [Generator(name, 0, idx) for idx, name in enumerate(names)]
-    abelian = LieSuperAlgebra(basis, {}, name="abelian")
-    return enveloping(abelian).carrier
 
 
 def load_session(source: str, bosonize_file: bool = False) -> Session:

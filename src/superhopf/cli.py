@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from . import growth as growth_mod
 from . import verify
+from .algebra import polynomial_presentation
 from .catalog import BUILTINS, DEFAULT_ALGEBRA, Session, load_session
 from .errors import AlgebraError, ParseError
 from .exprs import parse, parse_linear_combination, parse_list
@@ -26,16 +26,9 @@ from .liesuper import SubSuperSpace, ad_eigen
 from .verify import CertificateReport, expect, render_reports, render_summary
 
 
-@dataclass
-class SessionConfig:
-    algebra: str
-    max_degree: int
-    seed: int
-    out: Optional[Path]
-
-
-class _NoDefaultCase(AlgebraError):
-    """The suite needs a case that the algebra's ``CheckDefaults`` lack."""
+class _NoCase(AlgebraError):
+    """The suite has no case to run: the algebra's ``CheckDefaults`` lack
+    one, or the degree bound leaves nothing to check."""
 
 
 def _write_output(text: str, out: Optional[Path]):
@@ -47,14 +40,14 @@ def _write_output(text: str, out: Optional[Path]):
             fh.write(text)
 
 
-def _emit_reports(reports, config: SessionConfig) -> int:
+def _emit_reports(reports, args) -> int:
     text = render_reports(reports)
-    _write_output(text, config.out)
-    if config.out is not None:
+    _write_output(text, args.out)
+    if args.out is not None:
         summary = render_summary(reports, extra={
-            "algebra": config.algebra, "seed": config.seed,
-            "maxDegree": config.max_degree})
-        _write_output(summary, config.out.with_name(config.out.name + ".kv"))
+            "algebra": args.algebra, "seed": args.seed,
+            "maxDegree": args.max_degree})
+        _write_output(summary, args.out.with_name(args.out.name + ".kv"))
     return 1 if "FAIL" in text else 0
 
 
@@ -65,13 +58,13 @@ def _generators(pres):
 # -- suites: the algebra's CheckDefaults cases first, then the generic ones ---------
 
 
-def suite_hopf_axioms(sess: Session, config: SessionConfig, args):
+def suite_hopf_axioms(sess: Session, args):
     return verify.hopf_axiom_suite(sess.hopf, monomial_degree=3,
                                    n_random=args.hopf_random, random_degree=4,
-                                   seed=config.seed, prefix="hopf")
+                                   seed=args.seed, prefix="hopf")
 
 
-def suite_adjoint(sess: Session, config: SessionConfig, args):
+def suite_adjoint(sess: Session, args):
     B = sess.require_bosonized()
     reports = [verify.check_ad_equals_bracket(sess.lie, B)]
     if sess.defaults.eigenvalues:
@@ -87,9 +80,12 @@ def suite_adjoint(sess: Session, config: SessionConfig, args):
     return reports
 
 
-def suite_normality(sess: Session, config: SessionConfig, args):
+def suite_normality(sess: Session, args):
     B = sess.require_bosonized()
-    pres, bound = B.carrier, config.max_degree
+    pres, bound = B.carrier, args.max_degree
+    if bound < 1:
+        # degree 0 holds only 1, and ad(h)(1) = eps(h)*1 lies in every subalgebra
+        raise _NoCase("normality suite: degree 0 leaves nothing to check")
 
     def normal(gens):
         sub = growth_mod.FiltrationClosure(pres, gens).extend_to(bound + 2)
@@ -108,9 +104,9 @@ def suite_normality(sess: Session, config: SessionConfig, args):
             for label, gens, expected in cases]
 
 
-def suite_biproduct(sess: Session, config: SessionConfig, args):
+def suite_biproduct(sess: Session, args):
     B = sess.require_bosonized()
-    pres, bound = B.carrier, config.max_degree
+    pres, bound = B.carrier, args.max_degree
     cases = [(label, [pres.gen(n) for n in names])
              for label, names in sess.defaults.biproduct]
     cases += [("whole", _generators(pres)), ("K", [B.t()])]
@@ -123,11 +119,11 @@ def suite_biproduct(sess: Session, config: SessionConfig, args):
     return reports
 
 
-def suite_shift_identity(sess: Session, config: SessionConfig, args):
+def suite_shift_identity(sess: Session, args):
     B = sess.require_bosonized()
     if sess.defaults.shift_h is None:
-        raise _NoDefaultCase("shift-identity suite: this algebra has no default "
-                             "h to shift its odd generators by")
+        raise _NoCase("shift-identity suite: this algebra has no default "
+                      "h to shift its odd generators by")
     pres = B.carrier
     h = pres.gen(sess.defaults.shift_h)
     reports = []
@@ -139,26 +135,26 @@ def suite_shift_identity(sess: Session, config: SessionConfig, args):
     return reports
 
 
-def suite_nilpotency(sess: Session, config: SessionConfig, args):
+def suite_nilpotency(sess: Session, args):
     pres = sess.pres
     if args.ideal_gens is not None:
         gens = parse_list(args.ideal_gens, pres)
         return [verify.check_nilpotent_ideal(pres, gens, args.power,
-                                             config.max_degree)]
+                                             args.max_degree)]
     if sess.defaults.nilpotent_ideal is None:
-        raise _NoDefaultCase("nilpotency suite: this algebra has no default "
-                             "ideal; pass --ideal-gens")
+        raise _NoCase("nilpotency suite: this algebra has no default "
+                      "ideal; pass --ideal-gens")
     label, names, expected = sess.defaults.nilpotent_ideal
     inner = verify.check_nilpotent_ideal(pres, [pres.gen(n) for n in names],
-                                         args.power, config.max_degree)
+                                         args.power, args.max_degree)
     return [expect(inner, expected, name=f"nilpotency.{label}-power-{args.power}")]
 
 
-def suite_zero_divisors(sess: Session, config: SessionConfig, args):
+def suite_zero_divisors(sess: Session, args):
     # without a default case: the plain scan of dense factors, no expectation
     label, expected, cap, max_terms = sess.defaults.zero_divisors or (None, None, 3, None)
-    inner = verify.zero_divisor_scan(sess.pres, min(config.max_degree, cap),
-                                     args.samples, config.seed, max_terms=max_terms)
+    inner = verify.zero_divisor_scan(sess.pres, min(args.max_degree, cap),
+                                     args.samples, args.seed, max_terms=max_terms)
     return [inner if label is None
             else expect(inner, expected, name=f"zero-divisors.{label}")]
 
@@ -176,65 +172,71 @@ SUITES = (*SUITE_RUNNERS, "all")
 UNBOSONIZED_SUITES = ("hopf-axioms", "zero-divisors")  # what `all` runs without t
 
 
-def cmd_check(sess: Session, config: SessionConfig, args) -> int:
+def cmd_check(sess: Session, args) -> int:
     if args.suite != "all":
-        return _emit_reports(SUITE_RUNNERS[args.suite](sess, config, args), config)
+        return _emit_reports(SUITE_RUNNERS[args.suite](sess, args), args)
     reports = []
     for suite, run in SUITE_RUNNERS.items():
         if sess.bos is None and suite not in UNBOSONIZED_SUITES:
             continue
         try:
-            reports.extend(run(sess, config, args))
-        except _NoDefaultCase:
+            reports.extend(run(sess, args))
+        except _NoCase:
             continue  # `all` runs a suite only where it has a case to run
-    return _emit_reports(reports, config)
+    return _emit_reports(reports, args)
 
 
 # -- other commands ---------------------------------------------------------------------
 
 
-def cmd_normalize(sess: Session, config: SessionConfig, args) -> int:
+def cmd_normalize(sess: Session, args) -> int:
     element = parse(args.expression, sess.pres)
-    _write_output(str(element) + "\n", config.out)
+    _write_output(str(element) + "\n", args.out)
     return 0
 
 
-def cmd_growth(sess: Session, config: SessionConfig, args) -> int:
+def cmd_growth(sess: Session, args) -> int:
     pres = sess.pres
     gens = parse_list(args.gens, pres) if args.gens else _generators(pres)
     report = growth_mod.growth_series(pres, gens, args.n_max)
-    _write_output(report.to_text(), config.out)
+    _write_output(report.to_text(), args.out)
     return 0
 
 
-def cmd_module_finite(sess: Session, config: SessionConfig, args) -> int:
+def cmd_module_finite(sess: Session, args) -> int:
     pres = sess.pres
     sub_gens = parse_list(args.sub, pres)
     module_gens = parse_list(args.module_gens, pres)
     sides = ("left", "right") if args.side == "both" else (args.side,)
     reports = [verify.module_finite_check(pres, sub_gens, module_gens, side, args.n_max)
                for side in sides]
-    return _emit_reports(reports, config)
+    return _emit_reports(reports, args)
 
 
-def cmd_centralizer(sess: Session, config: SessionConfig, args) -> int:
+def cmd_centralizer(sess: Session, args) -> int:
     pres = sess.pres
     gens = parse_list(args.gens, pres) if args.gens else _generators(pres)
-    basis = growth_mod.centralizer_degree_bounded(pres, gens, config.max_degree,
+    basis = growth_mod.centralizer_degree_bounded(pres, gens, args.max_degree,
                                                   z_degree=args.z_degree)
-    lines = [f"centralizer basis (bound {config.max_degree}"
+    lines = [f"centralizer basis (bound {args.max_degree}"
              + (f", z-degree {args.z_degree}" if args.z_degree is not None else "")
              + f", dimension {len(basis)})"]
     lines.extend(str(e) for e in basis)
-    _write_output("\n".join(lines) + "\n", config.out)
+    _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def cmd_eigen(sess: Session, config: SessionConfig, args) -> int:
+def cmd_eigen(sess: Session, args) -> int:
     g = sess.lie
-    h = _lie_vector(g, args.h)
+    variables = polynomial_presentation([b.name for b in g.basis])
+
+    def vector(spec):
+        combo = parse_linear_combination(spec, variables)
+        return tuple(combo.get(b.name, 0) for b in g.basis)
+
+    h = vector(args.h)
     if args.sub:
-        vectors = [_lie_vector(g, spec) for spec in args.sub.split(",") if spec.strip()]
+        vectors = [vector(spec) for spec in args.sub.split(",") if spec.strip()]
     else:
         vectors = [g.unit(i) for i in range(g.n)]
     sub = SubSuperSpace(g, vectors)
@@ -242,16 +244,8 @@ def cmd_eigen(sess: Session, config: SessionConfig, args) -> int:
     lines = [f"ad({g.format_vector(h)}) eigenpairs on a {sub.dim}-dimensional subspace"]
     for lam, vec in pairs:
         lines.append(f"eigenvalue {lam}: {g.format_vector(vec)}")
-    _write_output("\n".join(lines) + "\n", config.out)
+    _write_output("\n".join(lines) + "\n", args.out)
     return 0
-
-
-def _lie_vector(g, spec: str):
-    combo = parse_linear_combination(spec, [b.name for b in g.basis])
-    vec = [0] * g.n
-    for name, c in combo.items():
-        vec[g.index(name)] = c
-    return tuple(vec)
 
 
 COMMANDS = {"normalize": cmd_normalize, "check": cmd_check, "growth": cmd_growth,
@@ -342,13 +336,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "check" and args.suite == "normality" and args.max_degree < 1:
-        # at degree 0 only 1 is acted on, and ad(h)(1) = eps(h)*1 is always in
-        parser.error("check normality needs --max-degree of at least 1")
-    config = SessionConfig(algebra=args.algebra, max_degree=args.max_degree,
-                           seed=args.seed, out=args.out)
+        parser.error("check normality needs --max-degree of at least 1")  # see the suite
     try:
         sess = load_session(args.algebra, bosonize_file=args.bosonize)
-        return COMMANDS[args.command](sess, config, args)
+        return COMMANDS[args.command](sess, args)
     except (AlgebraError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

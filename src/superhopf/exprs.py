@@ -9,7 +9,9 @@ Grammar (whitespace insignificant)::
     rational:= nat ['/' nat]
 
 Identifiers are generator names of the target presentation.  A leading
-sign is accepted so printed elements parse back exactly.
+sign is accepted so printed elements parse back exactly.  Linear
+combinations of Lie basis names (definition files, ``eigen``) are parsed
+with the same grammar into a polynomial presentation of the names.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import re
 from fractions import Fraction
 
 from .algebra import AlgebraPresentation, Element
-from .errors import ParseError
+from .errors import ParseError, PresentationError
 from .linalg import exact
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
@@ -150,64 +152,21 @@ def parse_list(text: str, alg: AlgebraPresentation):
     return [parse(p, alg) for p in parts]
 
 
-def parse_linear_combination(text: str, names):
-    """Parse ``3*a - 1/2*b`` into {name: exact scalar} over the given names.
+def parse_linear_combination(text: str, pres: AlgebraPresentation):
+    """Parse ``3*a - 1/2*b`` into {name: exact scalar} over the generators of
+    ``pres``, a :func:`polynomial_presentation` of the basis names.
 
     Used by the algebra definition file format, where bracket right-hand
-    sides are linear in the basis names.
+    sides are linear in the basis names: the grammar is :func:`parse`'s, and
+    every term of the result must have degree exactly 1.
     """
-    coeffs = {name: 0 for name in names}
-    tokens = _tokenize(text)
-    i = 0
-
-    def next_tok():
-        nonlocal i
-        tok = tokens[i]
-        i += 1
-        return tok
-
-    def peek():
-        return tokens[i]
-
-    first = True
-    while True:
-        kind, val, pos = peek()
-        if kind == "end":
-            if first:
-                raise ParseError("empty expression", pos)
-            break
-        sign = 1
-        if kind == "op" and val in "+-":
-            next_tok()
-            sign = -1 if val == "-" else 1
-        elif not first:
-            raise ParseError(f"expected '+' or '-', got {val!r}", pos)
-        coeff = 1
-        kind, val, pos = peek()
-        if kind == "num":
-            next_tok()
-            coeff = int(val)
-            kind, val, pos = peek()
-            if kind == "op" and val == "/":
-                next_tok()
-                kind, val, pos = next_tok()
-                if kind != "num":
-                    raise ParseError("denominator must be an integer", pos)
-                if not int(val):
-                    raise ParseError("division by zero", pos)
-                coeff = Fraction(coeff, int(val))
-                kind, val, pos = peek()
-            if kind == "op" and val == "*":
-                next_tok()
-                kind, val, pos = peek()
-        if kind == "name":
-            next_tok()
-            if val not in coeffs:
-                raise ParseError(f"unknown basis name {val!r}", pos)
-            coeffs[val] += sign * coeff
-        elif coeff == 0:
-            pass  # a bare 0 term
-        else:
-            raise ParseError("expected a basis name", pos)
-        first = False
-    return {k: exact(v) for k, v in coeffs.items() if v}
+    try:
+        value = parse(text, pres)
+    except PresentationError:  # an unknown name: report it where it stands
+        names = {g.name for g in pres.generators}
+        _, name, pos = next(tok for tok in _tokenize(text)
+                            if tok[0] == "name" and tok[1] not in names)
+        raise ParseError(f"unknown basis name {name!r}", pos) from None
+    if any(sum(m) != 1 for m in value.coeffs):
+        raise ParseError(f"{text.strip()!r} is not linear in the basis names", 0)
+    return {pres.gen_name(m.index(1)): exact(c) for m, c in value.items()}

@@ -4,6 +4,11 @@ Basis vectors carry a parity and an optional integer grading.  Structure
 constants are stored densely (the shipped algebras have at most five basis
 elements).  Vectors are dense tuples of exact rationals in basis coordinates:
 integral ones are ``int``, so integer structure constants stay integers.
+
+Structure constants are solved for from matrices under the super-commutator
+(:func:`matrix_superalgebra`; ``pl11`` is gl(1|1)) or read from a definition
+file with the expression parser of :mod:`exprs` (:func:`load_algebra_file`).
+:class:`SubSuperSpace` reads coordinates off the pivots of its reduced basis.
 """
 
 from __future__ import annotations
@@ -13,10 +18,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .algebra import Generator
+from .algebra import Generator, polynomial_presentation
 from .errors import AlgebraError, ParseError, UnsupportedFieldError
 from .exprs import parse_linear_combination
-from .linalg import RowSpace, exact, kernel_basis
+from .linalg import RowSpace, accumulate, exact, kernel_basis
 
 
 def _to_vec(n, coords):
@@ -72,9 +77,7 @@ class LieSuperAlgebra:
             raise AlgebraError(f"unknown basis name {name!r} in {self.name}") from None
 
     def basis_vector(self, name: str):
-        vec = [0] * self.n
-        vec[self.index(name)] = 1
-        return tuple(vec)
+        return self.unit(self.index(name))
 
     def vector_parity(self, vec) -> Optional[int]:
         parities = {self.parity(i) for i, c in enumerate(vec) if c}
@@ -195,51 +198,52 @@ class ValidationReport:
         return not self.violations
 
 
-# -- the built-in example -----------------------------------------------------------
+# -- matrix superalgebras ----------------------------------------------------------
 
 
-def _mat_mul(A, B):
-    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(2)) for j in range(2))
-                 for i in range(2))
+def matrix_superalgebra(name: str, basis) -> LieSuperAlgebra:
+    """The Lie superalgebra spanned by matrices under the super-commutator.
+
+    ``basis`` lists ``(name, parity, z_degree, matrix)`` in pbw order, each
+    matrix a sparse dict ``{(row, col): entry}``.  The coordinates of
+    ``[A, B] = AB - (-1)^{p(A)p(B)} BA`` are solved for with
+    :func:`kernel_basis`; raises :class:`AlgebraError` when the matrices are
+    linearly dependent or their span is not closed under the bracket.
+    """
+    mats = [mat for *_, mat in basis]
+    if kernel_basis(mats):
+        raise AlgebraError(f"{name}: the basis matrices are linearly dependent")
+    brackets = {}
+    for i, (a, pa, _, A) in enumerate(basis):
+        for j, (b, pb, _, B) in enumerate(basis):
+            comm = {}
+            for left, right, scale in ((A, B, 1), (B, A, 1 if pa * pb % 2 else -1)):
+                for (r, k), x in left.items():
+                    for (k2, c), y in right.items():
+                        if k == k2:
+                            accumulate(comm, {(r, c): x * y}, scale)
+            # the matrices are independent: at most one kernel vector, 1 at comm
+            kernel = kernel_basis([comm] + mats)
+            if not kernel:
+                raise AlgebraError(f"{name}: [{a}, {b}] leaves the span of the basis")
+            brackets[(i, j)] = {k - 1: -c for k, c in kernel[0].items() if k}
+    gens = [Generator(label, parity, idx, z_degree=z)
+            for idx, (label, parity, z, _) in enumerate(basis)]
+    return LieSuperAlgebra(gens, brackets, name=name)
 
 
 def pl11() -> LieSuperAlgebra:
-    """The 2x2 matrix superalgebra with diagonal even part.
+    """gl(1|1): the 2x2 matrix superalgebra with diagonal even part.
 
     Basis (in pbw order): x = identity, y = upper-left unit, u = upper-right
-    unit (odd), v = lower-left unit (odd).  Brackets are computed from the
-    matrix super-commutator AB - (-1)^{p(A)p(B)} BA.
+    unit (odd), v = lower-left unit (odd).
     """
-    mats = {
-        "x": ((1, 0), (0, 1)),
-        "y": ((1, 0), (0, 0)),
-        "u": ((0, 1), (0, 0)),
-        "v": ((0, 0), (1, 0)),
-    }
-    parities = {"x": 0, "y": 0, "u": 1, "v": 1}
-    z_degrees = {"x": 2, "y": 0, "u": 1, "v": 1}
-    order = ["x", "y", "u", "v"]
-    basis = [Generator(name, parities[name], idx, z_degree=z_degrees[name])
-             for idx, name in enumerate(order)]
-
-    def decompose(M):
-        # [[a,b],[c,d]] = d*x + (a-d)*y + b*u + c*v
-        (a, b), (c, d) = M
-        return {0: d, 1: a - d, 2: b, 3: c}
-
-    brackets = {}
-    for i, ni in enumerate(order):
-        for j, nj in enumerate(order):
-            A, B = mats[ni], mats[nj]
-            AB = _mat_mul(A, B)
-            BA = _mat_mul(B, A)
-            sign = -1 if (parities[ni] * parities[nj]) % 2 else 1
-            if sign == 1:
-                comm = tuple(tuple(AB[r][s] - BA[r][s] for s in range(2)) for r in range(2))
-            else:
-                comm = tuple(tuple(AB[r][s] + BA[r][s] for s in range(2)) for r in range(2))
-            brackets[(i, j)] = decompose(comm)
-    return LieSuperAlgebra(basis, brackets, name="pl11")
+    return matrix_superalgebra("pl11", [
+        ("x", 0, 2, {(0, 0): 1, (1, 1): 1}),
+        ("y", 0, 0, {(0, 0): 1}),
+        ("u", 1, 1, {(0, 1): 1}),
+        ("v", 1, 1, {(1, 0): 1}),
+    ])
 
 
 # -- subspaces ------------------------------------------------------------------------
@@ -272,19 +276,11 @@ class SubSuperSpace:
         return self._space.contains(_sparse(vec))
 
     def express(self, vec):
-        """Coordinates of ``vec`` in the stored basis, or None if outside."""
-        residual = list(vec)
-        coords = []
-        for basis_vec in self.vectors:
-            pivot = next(i for i, c in enumerate(basis_vec) if c)
-            c = residual[pivot]
-            coords.append(c)
-            if c:
-                for i, b in enumerate(basis_vec):
-                    residual[i] -= c * b
-        if any(residual):
+        """Coordinates of ``vec`` in the stored basis, or None if outside: the
+        basis is fully reduced, so they are the entries of ``vec`` at the pivots."""
+        if not self.contains(vec):
             return None
-        return tuple(coords)
+        return tuple(vec[p] for p in sorted(self._space.rows))
 
 
 def _sparse(vec):
@@ -485,13 +481,15 @@ def load_algebra_file(path) -> LieSuperAlgebra:
 
     Format: a ``[generators]`` section with lines ``name parity [zdegree]``
     followed by a ``[brackets]`` section with lines ``a b = <expr>`` where
-    the expression is linear in the basis names.  Omitted brackets default
+    the expression is in the ``normalize`` grammar (:mod:`exprs`) and of
+    degree exactly 1 in the basis names.  Omitted brackets default
     to zero (the reversed orientation of a stated bracket is filled in by
     super antisymmetry).  ``#`` starts a comment.
     """
     basis = []
     brackets = {}
     section = None
+    variables = None  # the basis names as commuting variables, built once per file
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -515,20 +513,23 @@ def load_algebra_file(path) -> LieSuperAlgebra:
                     raise ParseError(f"z-degree must be an integer, got {parts[2]!r}",
                                      lineno) from None
                 basis.append(Generator(name, int(parity), len(basis), z_degree=z))
+                variables = None
             elif section == "brackets":
                 if "=" not in line:
                     raise ParseError(f"bracket line needs '=': {line!r}", lineno)
                 lhs, rhs = line.split("=", 1)
-                names = lhs.split()
-                if len(names) != 2:
+                pair = lhs.split()
+                if len(pair) != 2:
                     raise ParseError(f"bracket left side needs two names: {lhs!r}",
                                      lineno)
-                index = {g.name: g.pbw_index for g in basis}
+                if variables is None:
+                    variables = polynomial_presentation([g.name for g in basis])
+                    index = {g.name: g.pbw_index for g in basis}
                 try:
-                    i, j = index[names[0]], index[names[1]]
+                    i, j = index[pair[0]], index[pair[1]]
                 except KeyError as exc:
                     raise ParseError(f"unknown basis name {exc.args[0]!r}", lineno)
-                combo = parse_linear_combination(rhs.strip(), [g.name for g in basis])
+                combo = parse_linear_combination(rhs.strip(), variables)
                 brackets[(i, j)] = {index[k]: v for k, v in combo.items()}
             else:
                 raise ParseError("content before any section header", lineno)

@@ -10,6 +10,7 @@ witnesses.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -201,9 +202,10 @@ def hopf_axiom_suite(H: HopfStructureMaps, monomial_degree: int = 3,
                for _ in range(n_random)]
     test_set = gens + monomials + randoms
     pairs = [(a, b) for a in gens for b in gens]
+    # basis is sorted degree first, so the partners of m are a prefix of it
     by_degree = [pres.monomial_element(m) for m in basis]
-    pairs += [(a, b) for a in by_degree for b in by_degree
-              if a.degree() + b.degree() <= random_degree]
+    pairs += [(a, b) for m, a in zip(basis, by_degree)
+              for b in by_degree[:bisect_right(basis, random_degree - sum(m), key=sum)]]
     pairs += list(zip(randoms, randoms[1:]))
     params = {"monomialDegree": monomial_degree, "randomElements": n_random,
               "randomDegree": random_degree, "seed": seed, "algebra": pres.name}

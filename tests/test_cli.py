@@ -317,6 +317,17 @@ def test_check_all_runs_the_generic_cases_on_a_bosonized_file(tmp_path, capsys):
                      "zero-divisors"]
 
 
+def test_check_all_at_degree_zero_leaves_normality_out(tmp_path, capsys):
+    # degree 0 holds only 1, so normality has no case to run there
+    path = tmp_path / "osp12.alg"
+    path.write_text(OSP12, encoding="utf-8")
+    code, out, err = run(capsys, "check", "all", "--algebra", str(path), "--bosonize",
+                         "--max-degree", "0", "--samples", "20", "--hopf-random", "5")
+    assert code == 0 and err == ""
+    assert "normality." not in out and "FAIL" not in out
+    assert "CHECK biproduct.K PASS" in out
+
+
 def test_a_generator_named_x_gets_no_pl11_expectation(tmp_path, capsys):
     path = tmp_path / "xu.alg"
     path.write_text("[generators]\nx 0\nu 1\n[brackets]\nx u = u\nu u = 0\n",

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from superhopf import parse, parse_list
+from superhopf import parse, parse_list, polynomial_presentation
 from superhopf.errors import ParseError, PresentationError
 from superhopf.exprs import parse_linear_combination
 
@@ -62,7 +62,7 @@ def test_round_trip_fractional_coefficients(ubar):
 
 
 def test_linear_combination_parser():
-    names = ["x", "y", "u"]
+    names = polynomial_presentation(["x", "y", "u"])
     assert parse_linear_combination("x", names) == {"x": Fraction(1)}
     assert parse_linear_combination("2*x - 1/2*y", names) == {
         "x": Fraction(2), "y": Fraction(-1, 2)}
@@ -72,3 +72,18 @@ def test_linear_combination_parser():
         parse_linear_combination("w", names)
     with pytest.raises(ParseError):
         parse_linear_combination("2", names)
+
+
+def test_linear_combinations_use_the_expression_grammar():
+    names = polynomial_presentation(["x", "y", "u"])
+    combo = parse_linear_combination("2*(x - y) + 1/2*u + 1/2*u", names)
+    assert combo == {"x": 2, "y": -2, "u": 1}
+    assert all(type(c) is int for c in combo.values())  # 1/2 + 1/2 is the int 1
+    assert parse_linear_combination("x*y - y*x + u", names) == {"u": 1}
+    with pytest.raises(ParseError):
+        parse_linear_combination("x*y", names)  # degree 2
+    with pytest.raises(ParseError):
+        parse_linear_combination("x + 1", names)  # a degree-0 term
+    with pytest.raises(ParseError) as exc:
+        parse_linear_combination("x + 2*w", names)
+    assert exc.value.position == 6 and "unknown basis name 'w'" in str(exc.value)

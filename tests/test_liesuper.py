@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from superhopf import (SubSuperSpace, ad_eigen, as_standalone, is_ideal, pl11,
-                       subalgebra_generated, upper_triangular_subalgebra)
+from superhopf import (SubSuperSpace, ad_eigen, as_standalone, is_ideal,
+                       matrix_superalgebra, pl11, subalgebra_generated,
+                       upper_triangular_subalgebra)
 from superhopf.algebra import Generator
 from superhopf.errors import AlgebraError, UnsupportedFieldError
 from superhopf.hopf import enveloping
@@ -129,6 +130,18 @@ def test_ad_eigen_requires_invariance(g):
     just_u = SubSuperSpace(g, [vec(g, "u")])
     with pytest.raises(AlgebraError):
         ad_eigen(g, vec(g, "v"), just_u)  # [v, u] = x leaves span{u}
+    u_plus_v = tuple(a + b for a, b in zip(vec(g, "u"), vec(g, "v")))
+    with pytest.raises(AlgebraError):  # [y, u+v] = u-v is nonzero at the pivot u
+        ad_eigen(g, vec(g, "y"), SubSuperSpace(g, [u_plus_v]))
+
+
+def test_express_reads_coordinates_at_the_pivots(g):
+    x_2y = tuple(a + 2 * b for a, b in zip(vec(g, "x"), vec(g, "y")))
+    sub = SubSuperSpace(g, [x_2y, vec(g, "u")])
+    assert sub.express(tuple(3 * c for c in x_2y)) == (3, 0)
+    assert sub.express(tuple(F(1, 2) * a - b for a, b in zip(x_2y, vec(g, "u")))) \
+        == (F(1, 2), -1)
+    assert sub.express(vec(g, "x")) is None
 
 
 def test_irrational_spectrum_is_rejected():
@@ -155,6 +168,19 @@ def test_standalone_of_bracket_closed_span(g):
     alg = as_standalone(sub)
     assert alg.validate().ok
     assert {x.name for x in alg.basis} == {"x", "u", "v"}
+
+
+def test_standalone_of_a_span_not_closed_under_the_bracket(g):
+    with pytest.raises(AlgebraError):
+        as_standalone(SubSuperSpace(g, [vec(g, "u"), vec(g, "v")]))  # [u, v] = x
+
+
+def test_matrix_superalgebra_rejects_bad_bases():
+    y, u, v = {(0, 0): 1}, {(0, 1): 1}, {(1, 0): 1}
+    with pytest.raises(AlgebraError, match="span"):  # [u, v] is the identity
+        matrix_superalgebra("no-x", [("y", 0, 0, y), ("u", 1, 1, u), ("v", 1, 1, v)])
+    with pytest.raises(AlgebraError, match="dependent"):
+        matrix_superalgebra("twice", [("y", 0, 0, y), ("z", 0, 0, {(0, 0): 2})])
 
 
 def test_integer_structure_constants_stay_int(g):

@@ -6,59 +6,22 @@ from math import comb
 
 import pytest
 
-from superhopf import (LieSuperAlgebra, check_overlaps, enveloping, session_b_bosonized,
-                       session_pl11, session_pl11_bosonized)
+from superhopf import (check_overlaps, enveloping, matrix_superalgebra,
+                       session_b_bosonized, session_pl11, session_pl11_bosonized)
 from superhopf.algebra import AlgebraPresentation, Generator
 from superhopf.errors import NonTerminationError
 
 from word_rewriter import rewrite
 
 
-def _mat_mul(a, b):
-    out = {}
-    for (i, k), x in a.items():
-        for (k2, j), y in b.items():
-            if k == k2:
-                out[(i, j)] = out.get((i, j), 0) + x * y
-    return out
-
-
-def matrix_superalgebra(name, basis):
-    """Lie superalgebra of ``(label, parity, pivot, matrix)`` in PBW order.
-
-    The pivot entry is nonzero in its own matrix only, so a bracket's
-    coordinates are read off the pivots and then checked entry by entry.
-    """
-    gens = [Generator(label, parity, k) for k, (label, parity, _, _) in enumerate(basis)]
-    brackets = {}
-    for i, (_, pi, _, a) in enumerate(basis):
-        for j, (_, pj, _, b) in enumerate(basis):
-            sign = 1 if pi * pj else -1
-            comm = _mat_mul(a, b)
-            for key, v in _mat_mul(b, a).items():
-                comm[key] = comm.get(key, 0) + sign * v
-            coords = {k: Fraction(comm.get(piv, 0), mat[piv])
-                      for k, (_, _, piv, mat) in enumerate(basis) if comm.get(piv, 0)}
-            rebuilt = {}
-            for k, c in coords.items():
-                for key, v in basis[k][3].items():
-                    rebuilt[key] = rebuilt.get(key, 0) + c * v
-            assert {k: v for k, v in rebuilt.items() if v} \
-                == {k: v for k, v in comm.items() if v}, "basis is not bracket-closed"
-            brackets[(i, j)] = coords
-    g = LieSuperAlgebra(gens, brackets, name=name)
-    assert g.validate().ok
-    return g
-
-
 def osp12():
     """osp(1|2) in gl(1|2), coordinate 0 even: [a, a] = 2e and [b, b] = -2f."""
     return matrix_superalgebra("osp(1|2)", [
-        ("h", 0, (1, 1), {(1, 1): 1, (2, 2): -1}),
-        ("e", 0, (1, 2), {(1, 2): 1}),
-        ("f", 0, (2, 1), {(2, 1): 1}),
-        ("a", 1, (1, 0), {(1, 0): 1, (0, 2): 1}),
-        ("b", 1, (2, 0), {(2, 0): 1, (0, 1): -1}),
+        ("h", 0, None, {(1, 1): 1, (2, 2): -1}),
+        ("e", 0, None, {(1, 2): 1}),
+        ("f", 0, None, {(2, 1): 1}),
+        ("a", 1, None, {(1, 0): 1, (0, 2): 1}),
+        ("b", 1, None, {(2, 0): 1, (0, 1): -1}),
     ])
 
 
@@ -68,7 +31,7 @@ def gl21():
     units = sorted(((i, j) for i in range(3) for j in range(3)),
                    key=lambda ij: (parity[ij[0]] ^ parity[ij[1]], ij))
     return matrix_superalgebra("gl(2|1)", [
-        (f"e{i + 1}{j + 1}", parity[i] ^ parity[j], (i, j), {(i, j): 1})
+        (f"e{i + 1}{j + 1}", parity[i] ^ parity[j], None, {(i, j): 1})
         for i, j in units])
 
 
