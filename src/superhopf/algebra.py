@@ -593,34 +593,31 @@ class TensorElement:
         return NotImplemented
 
     def tensor_mul(self, other: "TensorElement", mode: Optional[str] = None):
-        """Componentwise product; Koszul signs if ``mode == "super"``.
+        """Product of two 2-leg tensors; Koszul signs if ``mode == "super"``.
 
-        In super mode the sign for one pair of terms is
-        ``prod_{i<j} (-1)^{p(other_i) p(self_j)}``, i.e. the factors of the
-        right operand pass the later legs of the left operand.
+        ``(a1 (x) a2)(b1 (x) b2) = (-1)^{p(a2) p(b1)} a1 b1 (x) a2 b2``, the
+        sign only in super mode: the right operand's first leg passes the
+        left operand's second.  Each term's parity is computed once, and
+        each leg product is one :meth:`AlgebraPresentation.mul_monomials`.
+        Tensors with another number of legs raise :class:`PresentationError`.
         """
-        self.alg._require_same(other.alg)
-        if self.legs != other.legs:
-            raise PresentationError("tensor leg count mismatch")
-        if mode is None:
-            mode = self.alg.mode
         alg = self.alg
+        alg._require_same(other.alg)
+        if self.legs != 2 or other.legs != 2:
+            raise PresentationError("tensor_mul multiplies 2-leg tensors")
+        parity = (alg.monomial_parity if (mode or alg.mode) == SUPER
+                  else lambda m: 0)
+        left = [(k, c, parity(k[1])) for k, c in self.coeffs.items()]
+        right = [(k, c, parity(k[0])) for k, c in other.coeffs.items()]
+        mul = alg.mul_monomials
         out = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                c = c1 * c2
-                if mode == SUPER:
-                    exp = 0
-                    for i in range(self.legs):
-                        pi = alg.monomial_parity(k2[i])
-                        if pi:
-                            for j in range(i + 1, self.legs):
-                                exp += alg.monomial_parity(k1[j])
-                    if exp % 2:
-                        c = -c
-                factors = [alg.mul_monomials(k1[i], k2[i]) for i in range(self.legs)]
-                _accumulate_outer(out, factors, c)
-        return TensorElement(alg, self.legs, out)
+        for (a1, a2), ca, pa in left:
+            for (b1, b2), cb, pb in right:
+                second = mul(a2, b2)
+                accumulate(out, {(m1, m2): c1 * c2 for m1, c1 in mul(a1, b1).items()
+                                 for m2, c2 in second.items()},
+                           -ca * cb if pa and pb else ca * cb)
+        return TensorElement(alg, 2, out)
 
     def apply_element_map(self, fn, leg: int) -> "TensorElement":
         """Apply a linear, parity-even map (monomial -> Element) to one leg."""
@@ -703,22 +700,6 @@ class TensorElement:
 def _ask(key):
     """A job for :meth:`AlgebraPresentation._run` that looks up one entry."""
     return (yield key)
-
-
-def _accumulate_outer(out, factors, coeff):
-    """Add coeff * (outer product of per-leg raw dicts) into ``out``."""
-    keys = [()]
-    vals = [1]
-    for factor in factors:
-        new_keys, new_vals = [], []
-        for k, v in zip(keys, vals):
-            for m, c in factor.items():
-                new_keys.append(k + (m,))
-                new_vals.append(v * c)
-        keys, vals = new_keys, new_vals
-        if not keys:
-            return
-    accumulate(out, dict(zip(keys, vals)), coeff)
 
 
 # -- local confluence ------------------------------------------------------------

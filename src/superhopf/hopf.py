@@ -1,16 +1,19 @@
 """Hopf structure maps for enveloping algebras and their parity smash products.
 
-:func:`enveloping` equips the enveloping algebra of a Lie superalgebra with
-its super-Hopf structure (primitive generators, super-multiplicative
-coproduct).  :func:`bosonize` adjoins an involutive grouplike ``t`` acting
-by parity conjugation, producing an ordinary Hopf algebra on the smash
-product carrier.
+:class:`HopfStructureMaps` extends generator images over PBW monomials one
+generator power at a time, so a coproduct costs one tensor product per
+distinct generator of the monomial.  :func:`enveloping` equips the
+enveloping algebra of a Lie superalgebra with its super-Hopf structure
+(primitive generators, super-multiplicative coproduct).  :func:`bosonize`
+adjoins an involutive grouplike ``t`` acting by parity conjugation,
+producing an ordinary Hopf algebra on the smash product carrier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Dict
 
 from .algebra import (ORDINARY, SUPER, AlgebraPresentation, Element, Generator,
@@ -27,7 +30,10 @@ class HopfStructureMaps:
 
     The maps are extended to the whole carrier on demand: the coproduct and
     counit multiplicatively, the antipode anti-multiplicatively, with Koszul
-    signs exactly when ``mode == "super"``.  Per-monomial images are memoized.
+    signs exactly when ``mode == "super"``.  The coproduct of a power of an
+    even primitive generator is the binomial sum ``sum_b C(a, b) g^b (x)
+    g^(a-b)``; any other power repeats the step for one letter.  Images of
+    monomials, powers included, are memoized.
     """
 
     def __init__(self, carrier: AlgebraPresentation,
@@ -72,38 +78,54 @@ class HopfStructureMaps:
 
     # -- monomial-level maps --------------------------------------------------
 
-    def _split(self, m):
-        """First letter index and the remaining monomial."""
-        for idx, e in enumerate(m):
-            if e:
-                rest = list(m)
-                rest[idx] -= 1
-                return idx, tuple(rest)
-        raise ValueError("unit monomial has no letters")
+    def _power(self, idx, a):
+        """The monomial ``g_idx^a``."""
+        one = self.carrier.unit_monomial()
+        return one[:idx] + (a,) + one[idx + 1:]
 
-    def _extend(self, cache, m, step):
-        """Image of ``m`` under a map extended letter by letter.
-
-        Peels first letters off ``m`` until a cached suffix is left, then
-        works back up with ``step(letter, suffix, image of suffix)``,
-        caching every image on the way; a loop, so long monomials need no
-        recursion.
+    def _extend(self, cache, m, images, step, closed=lambda idx, a: None):
+        """Image of ``m = g^a * rest``, ``g`` its first generator, under a map
+        extended over PBW monomials: ``step(idx, a, image of g^a, rest, image
+        of rest)``.  ``g^a`` is ``images[idx]`` if ``a`` is 1, else
+        ``closed(idx, a)`` unless that is None, else ``g * g^(a-1)``.  Missing
+        images are filled from a stack, so long monomials need no recursion.
         """
-        chain = []
-        image = cache.get(m)
-        while image is None:
-            idx, rest = self._split(m)
-            chain.append((m, idx, rest))
-            m = rest
-            image = cache.get(m)
-        for m, idx, rest in reversed(chain):
-            image = cache[m] = step(idx, rest, image)
-        return image
+        stack = [m]
+        while stack:
+            top = stack[-1]
+            if top in cache:
+                stack.pop()
+                continue
+            idx = next(i for i, e in enumerate(top) if e)
+            power, rest = self._power(idx, top[idx]), top[:idx] + (0,) + top[idx + 1:]
+            if not any(rest):
+                image = images[idx] if top[idx] == 1 else closed(idx, top[idx])
+                if image is not None:
+                    cache[top] = image
+                    continue
+                power, rest = self._power(idx, 1), self._power(idx, top[idx] - 1)
+            missing = [k for k in (power, rest) if k not in cache]
+            if missing:
+                stack += missing
+            else:
+                cache[top] = step(idx, power[idx], cache[power], rest, cache[rest])
+        return cache[m]
+
+    def _binomial(self, idx, a):
+        """Delta(g^a) = sum_b C(a, b) g^b (x) g^(a-b) if g is even and primitive."""
+        g, one = self._power(idx, 1), self.carrier.unit_monomial()
+        if self.carrier.generators[idx].parity \
+                or self.delta_gen[idx].coeffs != {(g, one): 1, (one, g): 1}:
+            return None
+        return TensorElement(self.carrier, 2, {
+            (self._power(idx, b), self._power(idx, a - b)): comb(a, b)
+            for b in range(a + 1)})
 
     def delta_monomial(self, m) -> TensorElement:
         return self._extend(
-            self._delta_cache, m,
-            lambda idx, rest, d: self.delta_gen[idx].tensor_mul(d, self.mode))
+            self._delta_cache, m, self.delta_gen,
+            lambda idx, a, d_power, rest, d: d_power.tensor_mul(d, self.mode),
+            self._binomial)
 
     def counit_monomial(self, m):
         acc = 1
@@ -117,15 +139,15 @@ class HopfStructureMaps:
         return acc
 
     def antipode_monomial(self, m) -> Element:
-        def step(idx, rest, s_rest):
-            # S(g * rest) = sign * S(rest) * S(g)
-            img = s_rest * self.antipode_gen[idx]
-            if self.mode == SUPER and (self.carrier.generators[idx].parity
+        def step(idx, a, s_power, rest, s_rest):
+            # S(g^a * rest) = sign * S(rest) * S(g^a)
+            img = s_rest * s_power
+            if self.mode == SUPER and (a * self.carrier.generators[idx].parity
                                        * self.carrier.monomial_parity(rest)) % 2:
                 img = -img
             return img
 
-        return self._extend(self._antipode_cache, m, step)
+        return self._extend(self._antipode_cache, m, self.antipode_gen, step)
 
     # -- linear extensions -----------------------------------------------------
 

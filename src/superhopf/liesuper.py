@@ -529,7 +529,11 @@ def load_algebra_file(path) -> LieSuperAlgebra:
                     i, j = index[pair[0]], index[pair[1]]
                 except KeyError as exc:
                     raise ParseError(f"unknown basis name {exc.args[0]!r}", lineno)
-                combo = parse_linear_combination(rhs.strip(), variables)
+                try:
+                    combo = parse_linear_combination(rhs.strip(), variables)
+                except ParseError as exc:
+                    raise ParseError(f"{exc.message} on line {lineno}, in {rhs.strip()!r}",
+                                     exc.position) from None
                 brackets[(i, j)] = {index[k]: v for k, v in combo.items()}
             else:
                 raise ParseError("content before any section header", lineno)

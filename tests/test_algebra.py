@@ -211,6 +211,15 @@ def test_tensor_mul_associative(ubar):
             == a.tensor_mul(b.tensor_mul(c, mode), mode)
 
 
+def test_tensor_mul_needs_two_legs(ubar):
+    u, v = ubar.gen("u"), ubar.gen("v")
+    three = u.outer(v).apply_tensor_map(lambda m: ubar.tensor_one(2), 1)
+    assert three.legs == 3
+    for a, b in ((three, three), (three, u.outer(v)), (u.outer(v), three)):
+        with pytest.raises(PresentationError):
+            a.tensor_mul(b)
+
+
 def test_presentation_mismatch_raises(ubar, kxy):
     with pytest.raises(PresentationError):
         ubar.gen("x") + kxy.gen("x")

@@ -51,6 +51,16 @@ def test_bad_integers_in_a_definition_file_are_parse_errors(tmp_path, capsys):
     assert err.startswith("error: division by zero")
 
 
+def test_a_bad_bracket_right_side_names_its_file_line(tmp_path, capsys):
+    path = tmp_path / "bad.alg"
+    path.write_text("[generators]\nh 0\ne 0\nf 0\n\n[brackets]\ne f = 2*q\n",
+                    encoding="utf-8")
+    code, _, err = run(capsys, "check", "hopf-axioms", "--algebra", str(path))
+    assert code == 2
+    assert err.startswith("error: unknown basis name 'q'")
+    assert "line 7" in err and "position 2" in err
+
+
 def test_check_all_passes_on_the_bosonized_algebra(tmp_path, capsys):
     out = tmp_path / "report.txt"
     code, _, _ = run(capsys, "check", "all", "--hopf-random", "25",

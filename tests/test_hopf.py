@@ -6,10 +6,13 @@ from math import comb
 
 import pytest
 
-from superhopf import bosonize, enveloping, parse
+from superhopf import (bosonize, enveloping, parse, session_b_bosonized,
+                       session_pl11)
 from superhopf.algebra import Generator, TensorElement
 from superhopf.errors import AlgebraError
 from superhopf.liesuper import LieSuperAlgebra
+
+from test_products import gl21, osp12
 
 F = Fraction
 
@@ -205,7 +208,7 @@ def test_k_part_presentation(bos):
     assert K.normalize(["t", "t"]) == K.one()
 
 
-def test_structure_maps_of_long_monomials_need_no_recursion(sess_ubar):
+def test_structure_maps_of_long_monomials_need_no_recursion(sess_u, sess_ubar):
     H = sess_ubar.hopf
     pres = H.carrier
     y_power = pres.monomial_element(pres.monomial(y=1100))
@@ -215,7 +218,53 @@ def test_structure_maps_of_long_monomials_need_no_recursion(sess_ubar):
     sys.setrecursionlimit(200)
     try:
         d = H.coproduct(pres.monomial_element(pres.monomial(x=250)))
+        # Delta(y^n u) = Delta(y)^n Delta(u), with Delta(u) = u(x)1 + g(x)u, where
+        # g = 1 on pl11 and g = t on its bosonization; n + 1 terms per leg of Delta(u)
+        long_deltas = [(G, G.coproduct(G.carrier.monomial_element(
+            G.carrier.monomial(y=1100, u=1)))) for G in (sess_u.hopf, H)]
     finally:
         sys.setrecursionlimit(limit)
     assert d == TensorElement(pres, 2, {(pres.monomial(x=k), pres.monomial(x=250 - k)):
                                         Fraction(comb(250, k)) for k in range(251)})
+    for G, delta in long_deltas:
+        P = G.carrier
+        g = {"t": 1} if "t" in [gen.name for gen in P.generators] else {}
+        want = {}
+        for k in range(1101):
+            want[(P.monomial(y=k, u=1), P.monomial(y=1100 - k))] = comb(1100, k)
+            want[(P.monomial(y=k, **g), P.monomial(y=1100 - k, u=1))] = comb(1100, k)
+        assert delta == TensorElement(P, 2, want)
+
+
+def letter_by_letter(H, m):
+    """Delta(m) as the product of the generator images, one letter at a time."""
+    d = H.carrier.tensor_one(2)
+    for idx in H.carrier.monomial_letters(m):
+        d = d.tensor_mul(H.delta_gen[idx], H.mode)
+    return d
+
+
+@pytest.mark.parametrize("lie", [lambda: session_pl11().lie,
+                                 lambda: session_b_bosonized().lie, osp12, gl21],
+                         ids=["pl11", "b", "osp(1|2)", "gl(2|1)"])
+def test_coproducts_by_powers_match_letter_by_letter_products(lie):
+    U = enveloping(lie())  # fresh maps, so every image below is computed here
+    bos = bosonize(U)
+    for H in (U, bos.hopf):
+        # highest degree first, so the monomials peel through uncached suffixes
+        for m in reversed(list(H.carrier.enumerate_monomials(5))):
+            d = H.delta_monomial(m)
+            assert d == letter_by_letter(H, m), H.carrier.monomial_element(m)
+            if H is bos.hopf:
+                assert d == bos.coproduct_reference(H.carrier.monomial_element(m))
+
+
+def test_a_non_primitive_image_takes_the_letter_step(sess_u):
+    U = sess_u.u_maps
+    P = U.carrier
+    x = P.gen("x")
+    corrupted = U.replace(delta={"x": x.outer(x)})
+    x3 = P.monomial_element(P.monomial(x=3))
+    assert corrupted.coproduct(x3) == x3.outer(x3)
+    for m in reversed(list(P.enumerate_monomials(4))):
+        assert corrupted.delta_monomial(m) == letter_by_letter(corrupted, m)
