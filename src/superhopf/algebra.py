@@ -15,7 +15,10 @@ the order of reductions and the normal monomials are a linear basis.
 Elements and tensor elements are exact sparse rational combinations of
 normal-form monomials; a coefficient is an ``int`` when it is integral and a
 ``Fraction`` only where a division made one (see :func:`linalg.exact`).
-Everything is immutable after construction and all operations are pure.
+Both are one combination type, :class:`Combination`, which owns their sums,
+scalar multiples, equality and printing; :func:`format_terms` is the one
+term printer, also for Lie-superalgebra vectors.  Everything is immutable
+after construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -402,46 +405,42 @@ def polynomial_presentation(names) -> AlgebraPresentation:
                                swaps, {}, mode=SUPER, name="U(abelian)")
 
 
-def _format_coeff_monomial(pres, m, c):
-    if not any(m):
-        return str(c)
-    parts = []
-    for idx, e in enumerate(m):
-        if not e:
-            continue
-        name = pres.gen_name(idx)
-        parts.append(name if e == 1 else f"{name}^{e}")
-    body = "*".join(parts)
-    if c == 1:
-        return body
-    if c == -1:
-        return f"-{body}"
-    return f"{c}*{body}"
-
-
-def _format_terms(pres, items, fmt_one):
-    """Render sorted (key, coeff) pairs with +/- joining."""
-    if not items:
-        return "0"
+def format_terms(terms) -> str:
+    """Print ``(body, coefficient)`` pairs as ``c*body`` joined by `` + ``
+    and `` - ``: a coefficient 1 is left out, -1 is a bare sign, an empty
+    body is a scalar term, and no terms at all is ``0``."""
     pieces = []
-    for i, (k, c) in enumerate(items):
-        if i == 0:
-            pieces.append(fmt_one(k, c))
-        elif c < 0:
-            pieces.append(" - " + fmt_one(k, -c))
-        else:
-            pieces.append(" + " + fmt_one(k, c))
-    return "".join(pieces)
+    for body, c in terms:
+        if pieces:
+            pieces.append(" - " if c < 0 else " + ")
+            c = abs(c)
+        pieces.append(str(c) if not body else body if c == 1
+                      else f"-{body}" if c == -1 else f"{c}*{body}")
+    return "".join(pieces) or "0"
 
 
-class Element:
-    """A finite rational combination of normal-form monomials.
+def _monomial_text(alg, m) -> str:
+    """``y^2*u``: the generator powers of a normal monomial; empty for 1."""
+    return "*".join(g.name if e == 1 else f"{g.name}^{e}"
+                    for g, e in zip(alg.generators, m) if e)
 
-    Treated as immutable; supports +, -, * (by scalars and elements) and
-    ** with a non-negative integer.  Equality is exact map equality.
+
+class Combination:
+    """A finite exact combination ``coeffs`` (key -> nonzero coefficient)
+    over the presentation ``alg``: the keys of an :class:`Element` are
+    normal monomials, those of a :class:`TensorElement` tuples of ``legs``
+    monomials.
+
+    Treated as immutable.  Sums, negation, scalar multiples, equality and
+    printing are shared; a subclass says only how to rebuild itself around
+    new coefficients (``_like``) and how to print one key (``_body``).
+    Combinations are equal when they are of one kind over one presentation
+    with equal leg counts and coefficients, so zero tensors with different
+    leg counts differ.
     """
 
     __slots__ = ("alg", "coeffs")
+    legs = None  # a tensor's leg count; an Element has none
 
     def __init__(self, alg: AlgebraPresentation, coeffs):
         self.alg = alg
@@ -450,6 +449,64 @@ class Element:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def items(self):
+        return self.coeffs.items()
+
+    def __add__(self, other, scale=None):
+        """``self + scale*other``; :meth:`__sub__` passes -1."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.alg is not other.alg or self.legs != other.legs:
+            self.alg._require_same(other.alg)  # raises if the presentations differ
+            raise PresentationError("tensor leg count mismatch")
+        out = dict(self.coeffs)
+        accumulate(out, other.coeffs, scale)
+        return self._like(out)
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.coeffs.items()})
+
+    def __rmul__(self, c):
+        if not isinstance(c, (int, Fraction)):
+            return NotImplemented
+        c = exact(c)
+        return self._like({k: c * v for k, v in self.coeffs.items()} if c else {})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alg is other.alg and self.legs == other.legs
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((id(self.alg), self.legs, frozenset(self.coeffs.items())))
+
+    def __str__(self):
+        return format_terms((self._body(k), c)
+                            for k, c in sorted(self.coeffs.items(), reverse=True))
+
+    def __repr__(self):
+        return f"<{self.alg.name}{'' if self.legs is None else ' tensor'}: {self}>"
+
+
+class Element(Combination):
+    """A finite rational combination of normal-form monomials.
+
+    Besides the shared arithmetic: products with elements and scalars and
+    ``**`` with a non-negative integer.
+    """
+
+    __slots__ = ()
+
+    def _like(self, coeffs):
+        return Element(self.alg, coeffs)
+
+    def _body(self, m):
+        return _monomial_text(self.alg, m)
 
     def degree(self) -> int:
         return max((sum(m) for m in self.coeffs), default=0)
@@ -466,25 +523,8 @@ class Element:
             return degrees.pop()
         return None
 
-    def items(self):
-        return self.coeffs.items()
-
     def coefficient(self, m):
         return self.coeffs.get(tuple(m), 0)
-
-    def __add__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        self.alg._require_same(other.alg)
-        out = dict(self.coeffs)
-        accumulate(out, other.coeffs)
-        return Element(self.alg, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Element(self.alg, {m: -c for m, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -494,19 +534,7 @@ class Element:
                 for m2, c2 in other.coeffs.items():
                     accumulate(out, self.alg.mul_monomials(m1, m2), c1 * c2)
             return Element(self.alg, out)
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(exact(other))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(exact(other))
-        return NotImplemented
-
-    def _scaled(self, c):
-        if not c:
-            return Element(self.alg, {})
-        return Element(self.alg, {m: c * v for m, v in self.coeffs.items()})
+        return self.__rmul__(other)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -515,14 +543,6 @@ class Element:
         for _ in range(n):
             result = result * self
         return result
-
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.alg is other.alg and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((id(self.alg), frozenset(self.coeffs.items())))
 
     def outer(self, other: "Element") -> "TensorElement":
         """The simple tensor self (x) other."""
@@ -533,64 +553,27 @@ class Element:
                 out[(m1, m2)] = c1 * c2
         return TensorElement(self.alg, 2, out)
 
-    def __str__(self):
-        items = sorted(self.coeffs.items(), key=lambda kv: kv[0], reverse=True)
-        return _format_terms(self.alg, items,
-                             lambda m, c: _format_coeff_monomial(self.alg, m, c))
 
-    def __repr__(self):
-        return f"<{self.alg.name}: {self}>"
+class TensorElement(Combination):
+    """A sparse combination of tuples of ``legs`` normal monomials."""
 
-
-class TensorElement:
-    """A sparse combination of tuples of normal monomials (tensor legs)."""
-
-    __slots__ = ("alg", "legs", "coeffs")
+    __slots__ = ("legs",)
 
     def __init__(self, alg: AlgebraPresentation, legs: int, coeffs):
         self.alg = alg
         self.legs = legs
         self.coeffs = coeffs
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _like(self, coeffs):
+        return TensorElement(self.alg, self.legs, coeffs)
 
-    def items(self):
-        return self.coeffs.items()
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        self.alg._require_same(other.alg)
-        if self.legs != other.legs:
-            raise PresentationError("tensor leg count mismatch")
-        out = dict(self.coeffs)
-        accumulate(out, other.coeffs)
-        return TensorElement(self.alg, self.legs, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorElement(self.alg, self.legs,
-                             {k: -c for k, c in self.coeffs.items()})
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = exact(other)
-            if not c:
-                return TensorElement(self.alg, self.legs, {})
-            return TensorElement(self.alg, self.legs,
-                                 {k: c * v for k, v in self.coeffs.items()})
-        return NotImplemented
+    def _body(self, key):
+        return "(x)".join(_monomial_text(self.alg, m) or "1" for m in key)
 
     def __mul__(self, other):
         if isinstance(other, TensorElement):
             return self.tensor_mul(other, self.alg.mode)
-        if isinstance(other, (int, Fraction)):
-            return self.__rmul__(other)
-        return NotImplemented
+        return self.__rmul__(other)
 
     def tensor_mul(self, other: "TensorElement", mode: Optional[str] = None):
         """Product of two 2-leg tensors; Koszul signs if ``mode == "super"``.
@@ -668,33 +651,6 @@ class TensorElement:
                 terms = new_terms
             accumulate(out, terms, c)
         return Element(alg, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (self.alg is other.alg and self.legs == other.legs
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((id(self.alg), self.legs, frozenset(self.coeffs.items())))
-
-    def __str__(self):
-        items = sorted(self.coeffs.items(), key=lambda kv: kv[0], reverse=True)
-
-        def fmt(key, c):
-            body = "(x)".join(
-                _format_coeff_monomial(self.alg, m, 1) if any(m) else "1"
-                for m in key)
-            if c == 1:
-                return body
-            if c == -1:
-                return f"-{body}"
-            return f"{c}*{body}"
-
-        return _format_terms(self.alg, items, fmt)
-
-    def __repr__(self):
-        return f"<{self.alg.name} tensor: {self}>"
 
 
 def _ask(key):

@@ -145,12 +145,17 @@ def suite_nilpotency(sess: Session, args):
         raise _NoCase("nilpotency suite: this algebra has no default "
                       "ideal; pass --ideal-gens")
     label, names, expected = sess.defaults.nilpotent_ideal
-    inner = verify.check_nilpotent_ideal(pres, [pres.gen(n) for n in names],
-                                         args.power, args.max_degree)
+    gens = [pres.gen(n) for n in names]
+    if any(g.degree() > args.max_degree for g in gens):
+        raise _NoCase(f"nilpotency suite: the default ideal's generators lie "
+                      f"above the degree bound {args.max_degree}")
+    inner = verify.check_nilpotent_ideal(pres, gens, args.power, args.max_degree)
     return [expect(inner, expected, name=f"nilpotency.{label}-power-{args.power}")]
 
 
 def suite_zero_divisors(sess: Session, args):
+    if args.max_degree < 1:
+        raise _NoCase("zero-divisors suite: degree 0 holds only scalars")
     # without a default case: the plain scan of dense factors, no expectation
     label, expected, cap, max_terms = sess.defaults.zero_divisors or (None, None, 3, None)
     inner = verify.zero_divisor_scan(sess.pres, min(args.max_degree, cap),
@@ -170,6 +175,7 @@ SUITE_RUNNERS = {
 }
 SUITES = (*SUITE_RUNNERS, "all")
 UNBOSONIZED_SUITES = ("hopf-axioms", "zero-divisors")  # what `all` runs without t
+DEGREE_SUITES = ("normality", "zero-divisors")  # degree 0 leaves them nothing to check
 
 
 def cmd_check(sess: Session, args) -> int:
@@ -335,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "check" and args.suite == "normality" and args.max_degree < 1:
-        parser.error("check normality needs --max-degree of at least 1")  # see the suite
+    if args.command == "check" and args.suite in DEGREE_SUITES and args.max_degree < 1:
+        parser.error(f"check {args.suite} needs --max-degree of at least 1")  # see the suite
     try:
         sess = load_session(args.algebra, bosonize_file=args.bosonize)
         return COMMANDS[args.command](sess, args)

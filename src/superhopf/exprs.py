@@ -143,7 +143,11 @@ class _Parser:
 
 def parse(text: str, alg: AlgebraPresentation) -> Element:
     """Parse an expression into a normal-form element of ``alg``."""
-    return _Parser(text, alg).parse()
+    parser = _Parser(text, alg)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression is nested too deeply", parser.peek()[2]) from None
 
 
 def parse_list(text: str, alg: AlgebraPresentation):

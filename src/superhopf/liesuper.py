@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import Optional, Sequence
 
-from .algebra import Generator, polynomial_presentation
+from .algebra import Generator, format_terms, polynomial_presentation
 from .errors import AlgebraError, ParseError, UnsupportedFieldError
 from .exprs import parse_linear_combination
 from .linalg import RowSpace, accumulate, exact, kernel_basis
@@ -118,24 +118,7 @@ class LieSuperAlgebra:
         return tuple(out)
 
     def format_vector(self, vec) -> str:
-        parts = []
-        for i, c in enumerate(vec):
-            if not c:
-                continue
-            name = self.basis[i].name
-            if c == 1:
-                term = name
-            elif c == -1:
-                term = f"-{name}"
-            else:
-                term = f"{c}*{name}"
-            parts.append(term)
-        if not parts:
-            return "0"
-        text = parts[0]
-        for term in parts[1:]:
-            text += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return text
+        return format_terms((g.name, c) for g, c in zip(self.basis, vec) if c)
 
     # -- validation --------------------------------------------------------------
 
@@ -415,7 +398,10 @@ def _rational_roots(coeffs):
 
 
 def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """The positive divisors of ``n`` in ascending order, each d <= sqrt(n)
+    paired with n // d."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _eval_poly(poly, x):

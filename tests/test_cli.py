@@ -1,10 +1,12 @@
 """The command-line interface: outputs, exit codes, determinism."""
 
 import random
+import time
 
 import pytest
 
 from superhopf import parse
+from superhopf.catalog import BUILTINS
 from superhopf.cli import main
 
 
@@ -200,6 +202,8 @@ def test_unknown_suite_is_rejected(capsys):
     # degree 0 acts only on 1, and ad(h)(1) = eps(h)*1 lies in every subalgebra
     ["check", "normality", "--max-degree", "0"],
     ["check", "normality", "--sub", "x+u,t", "--max-degree", "0"],
+    # degree 0 holds only nonzero scalars, whose products never vanish
+    ["check", "zero-divisors", "--algebra", "b-bosonized", "--max-degree", "0"],
 ])
 def test_bounds_that_would_check_nothing_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -208,6 +212,47 @@ def test_bounds_that_would_check_nothing_are_rejected(capsys, argv):
     assert exc.value.code == 2
     assert "error:" in captured.err
     assert "CHECK" not in captured.out
+
+
+@pytest.mark.parametrize("algebra", sorted(BUILTINS))
+def test_check_all_at_degree_zero_passes_on_every_builtin(capsys, algebra):
+    # zero-divisors and the default nilpotent ideal have no case at degree 0
+    code, out, err = run(capsys, "check", "all", "--algebra", algebra,
+                         "--max-degree", "0", "--samples", "20", "--hopf-random", "5")
+    assert code == 0 and err == ""
+    assert "FAIL" not in out
+    assert "zero-divisors" not in out and "nilpotency" not in out
+
+
+def test_nilpotency_by_name_above_the_degree_bound_is_an_error(capsys):
+    code, out, err = run(capsys, "check", "nilpotency", "--algebra", "b-bosonized",
+                         "--max-degree", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
+    nested = "(" * 3000 + "x" + ")" * 3000
+    code, out, err = run(capsys, "normalize", nested)
+    assert code == 2 and out == ""
+    assert err.startswith("error: expression is nested too deeply")
+    path = tmp_path / "deep.alg"
+    path.write_text(f"[generators]\nx 0\ny 0\n[brackets]\nx y = {nested}\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "growth", "--algebra", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: expression is nested too deeply on line 5")
+
+
+def test_eigen_with_a_large_eigenvalue_is_quick(tmp_path, capsys):
+    path = tmp_path / "big.alg"
+    path.write_text("[generators]\nh 0\ne 0\n[brackets]\nh e = 1000000007*e\n",
+                    encoding="utf-8")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "eigen", "--algebra", str(path), "--h", "h")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.splitlines()[1:] == ["eigenvalue 1000000007: e", "eigenvalue 0: h"]
 
 
 def test_biproduct_at_degree_zero_sees_t_as_a_generator(capsys):
