@@ -199,6 +199,23 @@ class AlgebraPresentation:
             return False
         return all(m[idx] < cap for idx, cap in self._caps.items())
 
+    def leading_monomials_multiply(self) -> bool:
+        """Whether LM(a*b) = LM(a) + LM(b) whenever that sum is normal.
+
+        True when the degree-2 part of every swap rule is one nonzero multiple
+        of the sorted pair ``g_lo*g_hi`` and every power rule lowers degree.
+        Then the top-degree part of ``m1*m2`` is a nonzero product of swap
+        factors times the sorted join, or 0 when the join passes a cap, and in
+        ``a*b`` only the leading monomials under the term order
+        :func:`monomial_key` reach LM(a) + LM(b).
+        """
+        for (hi, lo), rhs in self.swap_rules.items():
+            pair = tuple(int(k in (lo, hi)) for k in range(self.n))
+            if [m for m in rhs if sum(m) == 2] != [pair]:
+                return False
+        return all(sum(m) < self._caps[idx]
+                   for idx, rhs in self.power_rules.items() for m in rhs)
+
     # -- element constructors --------------------------------------------------
 
     def zero(self) -> "Element":

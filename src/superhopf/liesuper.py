@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 from typing import Optional, Sequence
 
 from .algebra import Generator, format_terms, polynomial_presentation
@@ -365,43 +365,68 @@ def _char_poly(M):
 
 
 def _rational_roots(coeffs):
-    """All roots with multiplicity; raises if any root is irrational."""
+    """All roots with multiplicity; raises if any root is irrational.
+
+    With integer coefficients a_0..a_n, the rational roots are r/a_n for the
+    integer roots r of the monic sum of a_k a_n^(n-1-k) y^k, which
+    :func:`_integer_roots` finds without factoring any coefficient.
+    """
     poly = list(coeffs)
     while len(poly) > 1 and not poly[-1]:
         poly.pop()
+    scale = lcm(*(c.denominator for c in poly))
+    ints = [int(c * scale) for c in poly]
+    n, lead = len(ints) - 1, ints[-1]
     roots = []
-    while len(poly) > 1:
-        if not poly[0]:
-            roots.append(0)
-            poly = poly[1:]
-            continue
-        scale = lcm(*(c.denominator for c in poly))
-        ints = [int(c * scale) for c in poly]
-        lead, const = abs(ints[-1]), abs(ints[0])
-        found = None
-        for p in _divisors(const):
-            for q in _divisors(lead):
-                for cand in (exact(Fraction(p, q)), exact(Fraction(-p, q))):
-                    if not _eval_poly(poly, cand):
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            raise UnsupportedFieldError(
-                "characteristic polynomial has an irrational root")
-        roots.append(found)
-        poly = _deflate(poly, found)
+    for r in _integer_roots([c * lead ** (n - 1 - k) for k, c in enumerate(ints[:-1])]
+                            + [1]):
+        root = exact(Fraction(r, lead))
+        while not _eval_poly(poly, root):
+            roots.append(root)
+            poly = _deflate(poly, root)
+    if len(poly) > 1:
+        raise UnsupportedFieldError("characteristic polynomial has an irrational root")
     return roots
 
 
-def _divisors(n):
-    """The positive divisors of ``n`` in ascending order, each d <= sqrt(n)
-    paired with n // d."""
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
+def _integer_roots(q):
+    """The distinct integer roots of a monic integer polynomial ``q``
+    (coefficients from the constant up).
+
+    Sturm bisection over intervals whose ends are half-integers, so never a
+    root, within the Cauchy bound: a unit interval still holding a real root
+    holds one integer, which is tested.
+    """
+    seq = [q, [k * c for k, c in enumerate(q)][1:]]
+    while len(seq[-1]) > 1:  # Sturm's chain: minus the remainder of the last two
+        rem, b = list(seq[-2]), seq[-1]
+        while len(rem) >= len(b):
+            f = Fraction(rem[-1], b[-1])
+            for k, c in enumerate(b, len(rem) - len(b)):
+                rem[k] -= f * c
+            rem.pop()
+        while rem and not rem[-1]:
+            rem.pop()
+        if not rem:
+            break
+        seq.append([-c for c in rem])
+
+    def changes(e):  # sign changes of the sequence at e - 1/2
+        signs = [v > 0 for v in (_eval_poly(p, Fraction(2 * e - 1, 2)) for p in seq) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    bound = 1 + max(abs(c) for c in q)
+    roots, stack = [], [(-bound, bound + 1)]
+    while stack:
+        lo, hi = stack.pop()
+        if changes(lo) == changes(hi):
+            continue
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            stack += [(lo, mid), (mid, hi)]
+        elif not _eval_poly(q, lo):
+            roots.append(lo)
+    return roots
 
 
 def _eval_poly(poly, x):
@@ -518,7 +543,10 @@ def load_algebra_file(path) -> LieSuperAlgebra:
                 try:
                     combo = parse_linear_combination(rhs.strip(), variables)
                 except ParseError as exc:
-                    raise ParseError(f"{exc.message} on line {lineno}, in {rhs.strip()!r}",
+                    text = rhs.strip()
+                    if len(text) > 60:
+                        text = text[:60] + "..."
+                    raise ParseError(f"{exc.message} on line {lineno}, in {text!r}",
                                      exc.position) from None
                 brackets[(i, j)] = {index[k]: v for k, v in combo.items()}
             else:

@@ -612,9 +612,13 @@ def zero_divisor_scan(P: AlgebraPresentation, degree_bound: int, samples: int,
     product is a genuine finding (sparse near-monomial factors would merely
     rediscover the nilpotent generators; pass ``max_terms`` to sample those
     deliberately).  A clean scan is inconclusive: it cannot prove primality.
+
+    Under :meth:`AlgebraPresentation.leading_monomials_multiply`, a pair whose
+    leading monomials sum to a normal monomial is nonzero and is not multiplied.
     """
     rng = random.Random(seed)
     monomials = P.enumerate_monomials(degree_bound)
+    certify = P.leading_monomials_multiply()
     found = []
     for _ in range(samples):
         if max_terms is None:
@@ -625,6 +629,10 @@ def zero_divisor_scan(P: AlgebraPresentation, degree_bound: int, samples: int,
                                monomials=monomials)
             b = random_element(P, rng, degree_bound, max_terms=max_terms,
                                monomials=monomials)
+        if certify and P.is_normal_monomial(tuple(
+                x + y for x, y in zip(max(a.coeffs, key=monomial_key),
+                                      max(b.coeffs, key=monomial_key)))):
+            continue
         if (a * b).is_zero:
             found.append((a, b))
     status = FAIL if found else INCONCLUSIVE

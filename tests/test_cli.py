@@ -242,17 +242,23 @@ def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
     code, out, err = run(capsys, "growth", "--algebra", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: expression is nested too deeply on line 5")
+    assert len(err.splitlines()[0]) < 200  # the echoed right-hand side is clipped
 
 
 def test_eigen_with_a_large_eigenvalue_is_quick(tmp_path, capsys):
-    path = tmp_path / "big.alg"
-    path.write_text("[generators]\nh 0\ne 0\n[brackets]\nh e = 1000000007*e\n",
-                    encoding="utf-8")
-    start = time.perf_counter()
-    code, out, _ = run(capsys, "eigen", "--algebra", str(path), "--h", "h")
-    assert time.perf_counter() - start < 1.0
-    assert code == 0
-    assert out.splitlines()[1:] == ["eigenvalue 1000000007: e", "eigenvalue 0: h"]
+    for names, brackets, eigenpairs in [
+            ("he", "h e = 1000000007*e", ["1000000007: e", "0: h"]),
+            ("he", "h e = 1000000000000000000*e", ["1000000000000000000: e", "0: h"]),
+            ("hef", "h e = 1000000007*e\nh f = -1000000009*f",
+             ["1000000007: e", "0: h", "-1000000009: f"])]:
+        path = tmp_path / "big.alg"
+        gens = "".join(f"{g} 0\n" for g in names)
+        path.write_text(f"[generators]\n{gens}[brackets]\n{brackets}\n", encoding="utf-8")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "eigen", "--algebra", str(path), "--h", "h")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out.splitlines()[1:] == [f"eigenvalue {pair}" for pair in eigenpairs]
 
 
 def test_biproduct_at_degree_zero_sees_t_as_a_generator(capsys):

@@ -10,7 +10,7 @@ from superhopf import (SubSuperSpace, ad_eigen, as_standalone, is_ideal,
 from superhopf.algebra import Generator
 from superhopf.errors import AlgebraError, UnsupportedFieldError
 from superhopf.hopf import enveloping
-from superhopf.liesuper import LieSuperAlgebra, _char_poly
+from superhopf.liesuper import LieSuperAlgebra, _char_poly, _rational_roots
 
 F = Fraction
 
@@ -153,6 +153,25 @@ def test_irrational_spectrum_is_rejected():
     sub = SubSuperSpace(alg, [alg.basis_vector("a"), alg.basis_vector("b")])
     with pytest.raises(UnsupportedFieldError):
         ad_eigen(alg, alg.basis_vector("h"), sub)
+
+
+@pytest.mark.parametrize("coeffs, roots", [
+    ([-6, 11, -6, 1], [1, 2, 3]),
+    ([4, -4, 1], [2, 2]),  # a double root: no sign change at it
+    ([0, 0, 1], [0, 0]),
+    ([F(-1, 4), 0, 1], [F(-1, 2), F(1, 2)]),
+    ([F(3, 2), 1], [F(-3, 2)]),
+    ([-10**36, 0, 1], [-10**18, 10**18]),
+    ([1], []),
+])
+def test_rational_roots_with_multiplicity(coeffs, roots):
+    assert sorted(_rational_roots(coeffs)) == roots
+
+
+@pytest.mark.parametrize("coeffs", [[-2, 0, 1], [1, 0, 1], [-2, 1, -2, 1]])
+def test_irrational_or_complex_roots_raise(coeffs):
+    with pytest.raises(UnsupportedFieldError):
+        _rational_roots(coeffs)
 
 
 def test_standalone_triangular_subalgebra(g):
