@@ -9,8 +9,9 @@ already sorted and under its caps is returned directly and never stored;
 any other folds the letters of its shorter factor into the longer one.
 Every table lookup costs one step of a budget, so a rule system that does
 not terminate raises :class:`NonTerminationError`.  When the rules are
-locally confluent (see :func:`check_overlaps`) normal forms do not depend on
-the order of reductions and the normal monomials are a linear basis.
+locally confluent (every overlap resolves, see :func:`check_overlaps`) normal
+forms do not depend on the order of reductions and the normal monomials are
+a linear basis.  The presentation's ``mode`` alone decides Koszul signs.
 
 Elements and tensor elements are exact sparse rational combinations of
 normal-form monomials; a coefficient is an ``int`` when it is integral and a
@@ -66,7 +67,8 @@ class AlgebraPresentation:
     position) to the normal form of ``g_hi * g_lo`` given as a mapping
     ``monomial -> coefficient``.  ``power_rules`` maps a capped generator
     index to the normal form of ``g ** cap``.  ``mode`` selects Koszul
-    signs (``"super"``) or none (``"ordinary"``) in tensor arithmetic.
+    signs (``"super"``) or none (``"ordinary"``) in tensor arithmetic and in
+    the structure maps built on the presentation.
     """
 
     def __init__(self, generators: Sequence[Generator], swap_rules, power_rules,
@@ -270,9 +272,9 @@ class AlgebraPresentation:
 
     # -- the product engine ------------------------------------------------------
 
-    def normalize(self, word: Iterable, coeff=1,
+    def normalize(self, word: Iterable,
                   max_steps: int = DEFAULT_STEP_BUDGET) -> "Element":
-        """Normal form of ``coeff * (product of the listed generators)``.
+        """Normal form of the product of the listed generators.
 
         ``word`` may contain generator names or pbw indices; the empty word
         is the identity.  Raises :class:`NonTerminationError` if the step
@@ -283,11 +285,7 @@ class AlgebraPresentation:
         for idx in letters:
             if not 0 <= idx < self.n:
                 raise PresentationError(f"generator index {idx} out of range")
-        coeff = exact(coeff)
-        if not coeff:
-            return Element(self, {})
-        terms = self._word_normal_form(letters, [max_steps])
-        return Element(self, {m: coeff * c for m, c in terms.items()})
+        return Element(self, dict(self._word_normal_form(letters, [max_steps])))
 
     def mul_monomials(self, m1, m2, max_steps: int = DEFAULT_STEP_BUDGET):
         """Normal form of the product of two normal monomials, as a raw dict.
@@ -554,11 +552,17 @@ class Element(Combination):
         return self.__rmul__(other)
 
     def __pow__(self, n: int):
+        """``self**n``, one factor at a time until ``self**k`` is a scalar ``c``
+        (0 included), and then ``c**(n//k) * self**(n%k)``.  Not by squaring:
+        a dense square costs far more products than the factors it saves."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = self.alg.one()
-        for _ in range(n):
+        result, unit = self.alg.one(), self.alg.unit_monomial()
+        for k in range(1, n + 1):
             result = result * self
+            if result.coeffs.keys() <= {unit}:
+                q, r = divmod(n, k)
+                return result.coefficient(unit) ** q * self ** r
         return result
 
     def outer(self, other: "Element") -> "TensorElement":
@@ -589,24 +593,24 @@ class TensorElement(Combination):
 
     def __mul__(self, other):
         if isinstance(other, TensorElement):
-            return self.tensor_mul(other, self.alg.mode)
+            return self.tensor_mul(other)
         return self.__rmul__(other)
 
-    def tensor_mul(self, other: "TensorElement", mode: Optional[str] = None):
-        """Product of two 2-leg tensors; Koszul signs if ``mode == "super"``.
+    def tensor_mul(self, other: "TensorElement"):
+        """Product of two 2-leg tensors, with Koszul signs in super mode.
 
         ``(a1 (x) a2)(b1 (x) b2) = (-1)^{p(a2) p(b1)} a1 b1 (x) a2 b2``, the
-        sign only in super mode: the right operand's first leg passes the
-        left operand's second.  Each term's parity is computed once, and
-        each leg product is one :meth:`AlgebraPresentation.mul_monomials`.
-        Tensors with another number of legs raise :class:`PresentationError`.
+        sign only when the presentation's ``mode`` is ``"super"``: the right
+        operand's first leg passes the left operand's second.  Each term's
+        parity is computed once, and each leg product is one
+        :meth:`AlgebraPresentation.mul_monomials`.  Tensors with another
+        number of legs raise :class:`PresentationError`.
         """
         alg = self.alg
         alg._require_same(other.alg)
         if self.legs != 2 or other.legs != 2:
             raise PresentationError("tensor_mul multiplies 2-leg tensors")
-        parity = (alg.monomial_parity if (mode or alg.mode) == SUPER
-                  else lambda m: 0)
+        parity = alg.monomial_parity if alg.mode == SUPER else lambda m: 0
         left = [(k, c, parity(k[1])) for k, c in self.coeffs.items()]
         right = [(k, c, parity(k[0])) for k, c in other.coeffs.items()]
         mul = alg.mul_monomials
@@ -696,17 +700,15 @@ class ConfluenceReport:
         return not self.discrepancies
 
 
-def check_overlaps(pres: AlgebraPresentation, degree_bound: int = 12,
-                   max_steps: int = DEFAULT_STEP_BUDGET) -> ConfluenceReport:
+def check_overlaps(pres: AlgebraPresentation) -> ConfluenceReport:
     """Resolve every overlap ambiguity of the rule system both ways.
 
     Overlap words are built from pairs of rule left-hand sides sharing a
     boundary (descending triples, and cap overlaps such as g^cap*g and
-    g*g^cap).  An empty discrepancy list certifies local confluence, hence
+    g*g^cap), whatever their length; each word is reduced within the default
+    step budget.  An empty discrepancy list certifies local confluence, hence
     unique normal forms and a PBW basis for a terminating system.
     """
-    if degree_bound < 3:
-        raise ValueError("degree_bound must be at least 3")
     lhs = []
     for (hi, lo), _ in sorted(pres.swap_rules.items()):
         lhs.append(((hi, lo), pres._swap_rhs[(hi, lo)]))
@@ -716,7 +718,7 @@ def check_overlaps(pres: AlgebraPresentation, degree_bound: int = 12,
 
     def reduce_with_first(word, pos, span, rhs):
         out = {}
-        budget = [max_steps]
+        budget = [DEFAULT_STEP_BUDGET]
         prefix, suffix = word[:pos], word[pos + span:]
         for rc, letters in rhs:
             accumulate(out, pres._word_normal_form(prefix + letters + suffix, budget),
@@ -730,8 +732,6 @@ def check_overlaps(pres: AlgebraPresentation, degree_bound: int = 12,
                 if w1[len(w1) - k:] != w2[:k]:
                     continue
                 word = w1 + w2[k:]
-                if len(word) > degree_bound:
-                    continue
                 report.overlaps_checked += 1
                 left = reduce_with_first(word, 0, len(w1), rhs1)
                 right = reduce_with_first(word, len(w1) - k, len(w2), rhs2)

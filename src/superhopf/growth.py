@@ -119,30 +119,31 @@ class GrowthReport:
         return "\n".join(lines) + "\n"
 
 
-def difference_table(dims, max_order: int = 6):
+def difference_table(dims):
+    """``dims`` and its finite differences up to order 6."""
     table = [list(dims)]
-    while len(table) <= max_order and len(table[-1]) > 1:
+    while len(table) <= 6 and len(table[-1]) > 1:
         prev = table[-1]
         table.append([prev[i + 1] - prev[i] for i in range(len(prev) - 1)])
     return table
 
 
-def detect_degree(dims, min_run: int = 3):
+def detect_degree(dims):
     """Smallest d whose d-th difference ends in a positive constant run.
 
     Returns (degree, onset_n) or (None, None) when no difference order
-    stabilizes for at least ``min_run`` consecutive values through the end
-    of the window.
+    stabilizes for at least 3 consecutive values through the end of the
+    window.
     """
     table = difference_table(dims)
     for d, seq in enumerate(table):
-        if len(seq) < min_run:
+        if len(seq) < 3:
             break
         tail = seq[-1]
         run = 1
         while run < len(seq) and seq[-1 - run] == tail:
             run += 1
-        if run >= min_run and tail > 0:
+        if run >= 3 and tail > 0:
             onset = d + (len(seq) - run)
             return d, onset
     return None, None
@@ -181,8 +182,7 @@ def centralizer_degree_bounded(P: AlgebraPresentation,
                 stacked[(pos, mm)] = c
         columns.append(stacked)
         images.append(e.coeffs)
-    basis = kernel_image_basis(columns, images,
-                               lambda key: (key[0], monomial_key(key[1])), monomial_key)
+    basis = kernel_image_basis(columns, images, monomial_key)
     return [Element(P, row) for row in basis]
 
 

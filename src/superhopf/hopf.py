@@ -2,11 +2,12 @@
 
 :class:`HopfStructureMaps` extends generator images over PBW monomials one
 generator power at a time, so a coproduct costs one tensor product per
-distinct generator of the monomial.  :func:`enveloping` equips the
-enveloping algebra of a Lie superalgebra with its super-Hopf structure
-(primitive generators, super-multiplicative coproduct).  :func:`bosonize`
-adjoins an involutive grouplike ``t`` acting by parity conjugation,
-producing an ordinary Hopf algebra on the smash product carrier.
+distinct generator of the monomial.  Koszul signs follow the carrier's
+``mode``.  :func:`enveloping` equips the enveloping algebra of a Lie
+superalgebra with its super-Hopf structure (primitive generators,
+super-multiplicative coproduct).  :func:`bosonize` adjoins an involutive
+grouplike ``t`` acting by parity conjugation, producing an ordinary Hopf
+algebra on the smash product carrier.
 """
 
 from __future__ import annotations
@@ -30,19 +31,17 @@ class HopfStructureMaps:
 
     The maps are extended to the whole carrier on demand: the coproduct and
     counit multiplicatively, the antipode anti-multiplicatively, with Koszul
-    signs exactly when ``mode == "super"``.  The coproduct of a power of an
-    even primitive generator is the binomial sum ``sum_b C(a, b) g^b (x)
-    g^(a-b)``; any other power repeats the step for one letter.  Images of
-    monomials, powers included, are memoized.
+    signs exactly when the carrier's ``mode`` is ``"super"``.  The coproduct
+    of a power of an even primitive generator is the binomial sum ``sum_b
+    C(a, b) g^b (x) g^(a-b)``; any other power repeats the step for one
+    letter.  Images of monomials, powers included, are memoized.
     """
 
     def __init__(self, carrier: AlgebraPresentation,
                  delta_gen: Dict[int, TensorElement],
                  eps_gen: Dict,
-                 antipode_gen: Dict[int, Element],
-                 mode: str):
+                 antipode_gen: Dict[int, Element]):
         self.carrier = carrier
-        self.mode = mode
         self.delta_gen = dict(delta_gen)
         self.eps_gen = {k: exact(v) for k, v in eps_gen.items()}
         self.antipode_gen = dict(antipode_gen)
@@ -74,7 +73,7 @@ class HopfStructureMaps:
             antipode[self.carrier.gen_index(name)] = value
         if updates:
             raise TypeError(f"unknown arguments {sorted(updates)}")
-        return HopfStructureMaps(self.carrier, delta, eps, antipode, self.mode)
+        return HopfStructureMaps(self.carrier, delta, eps, antipode)
 
     # -- monomial-level maps --------------------------------------------------
 
@@ -124,7 +123,7 @@ class HopfStructureMaps:
     def delta_monomial(self, m) -> TensorElement:
         return self._extend(
             self._delta_cache, m, self.delta_gen,
-            lambda idx, a, d_power, rest, d: d_power.tensor_mul(d, self.mode),
+            lambda idx, a, d_power, rest, d: d_power.tensor_mul(d),
             self._binomial)
 
     def counit_monomial(self, m):
@@ -142,8 +141,8 @@ class HopfStructureMaps:
         def step(idx, a, s_power, rest, s_rest):
             # S(g^a * rest) = sign * S(rest) * S(g^a)
             img = s_rest * s_power
-            if self.mode == SUPER and (a * self.carrier.generators[idx].parity
-                                       * self.carrier.monomial_parity(rest)) % 2:
+            if self.carrier.mode == SUPER and (a * self.carrier.generators[idx].parity
+                                               * self.carrier.monomial_parity(rest)) % 2:
                 img = -img
             return img
 
@@ -214,13 +213,20 @@ def enveloping(g: LieSuperAlgebra) -> HopfStructureMaps:
                                 for k, v in linear(g.table[idx][idx]).items()}
     pres = AlgebraPresentation(gens, swap_rules, power_rules, mode=SUPER,
                                name=f"U({g.name})")
+    return HopfStructureMaps(pres, *_lie_generator_images(pres, [pres.one()] * n))
+
+
+def _lie_generator_images(pres: AlgebraPresentation, taus):
+    """The images of the first ``len(taus)`` generators of ``pres``, as the
+    three dicts ``(delta, eps, antipode)``: ``Delta(g) = g (x) 1 + tau (x)
+    g``, ``eps(g) = 0`` and ``S(g) = -tau*g``, where ``tau = taus[i]`` for
+    ``g = g_i`` is 1 or the grouplike ``t^{p(g)}``."""
+    one = pres.one()
     delta, eps, antipode = {}, {}, {}
-    for idx in range(n):
-        e = pres.gen(pres.gen_name(idx))
-        delta[idx] = e.outer(pres.one()) + pres.one().outer(e)
-        eps[idx] = 0
-        antipode[idx] = -e
-    return HopfStructureMaps(pres, delta, eps, antipode, SUPER)
+    for idx, tau in enumerate(taus):
+        g = pres.gen(pres.gen_name(idx))
+        delta[idx], eps[idx], antipode[idx] = g.outer(one) + tau.outer(g), 0, -(tau * g)
+    return delta, eps, antipode
 
 
 @dataclass
@@ -229,13 +235,11 @@ class BosonizedAlgebra:
 
     ``hopf`` carries the ordinary Hopf structure of the smash product;
     ``u_maps`` keeps the original super structure on the sub-presentation
-    generated by the Lie generators; ``k_part`` is the standalone group
-    algebra on ``t``.
+    generated by the Lie generators.
     """
 
     hopf: HopfStructureMaps
     u_maps: HopfStructureMaps
-    k_part: AlgebraPresentation
     t_index: int
 
     @property
@@ -307,7 +311,7 @@ class BosonizedAlgebra:
                 accumulate(acc, leg1.outer(leg2).coeffs, cu)
             acc = TensorElement(self.carrier, 2, acc)
             if d_exp:
-                acc = acc.tensor_mul(t.outer(t), ORDINARY)
+                acc = acc.tensor_mul(t.outer(t))
             accumulate(out, acc.coeffs, c)
         return TensorElement(self.carrier, 2, out)
 
@@ -321,13 +325,12 @@ def bosonize(U: HopfStructureMaps) -> BosonizedAlgebra:
     while ``Delta(t) = t (x) t``, ``S(t) = t``, ``eps(t) = 1``.
     """
     pres = U.carrier
-    if U.mode != SUPER:
+    if pres.mode != SUPER:
         raise AlgebraError("bosonize needs a super-mode Hopf algebra")
+    delta, eps, antipode = _lie_generator_images(pres, [pres.one()] * pres.n)
     for idx in range(pres.n):
-        e = pres.gen(pres.gen_name(idx))
-        primitive = e.outer(pres.one()) + pres.one().outer(e)
-        if U.delta_gen[idx] != primitive or U.eps_gen[idx] != 0 \
-                or U.antipode_gen[idx] != -e:
+        if U.delta_gen[idx] != delta[idx] or U.eps_gen[idx] != eps[idx] \
+                or U.antipode_gen[idx] != antipode[idx]:
             raise AlgebraError(
                 f"generator {pres.gen_name(idx)} is not primitive; "
                 "bosonize expects an enveloping-type Hopf superalgebra")
@@ -352,20 +355,8 @@ def bosonize(U: HopfStructureMaps) -> BosonizedAlgebra:
                               name=f"{pres.name}#k[t]")
 
     t = big.gen(T_NAME)
-    one = big.one()
-    delta, eps, antipode = {}, {}, {}
-    for idx in range(n):
-        e = big.gen(big.gen_name(idx))
-        tp = t if gens[idx].parity else one
-        delta[idx] = e.outer(one) + tp.outer(e)
-        eps[idx] = 0
-        antipode[idx] = -(tp * e)
-    delta[n] = t.outer(t)
-    eps[n] = 1
-    antipode[n] = t
-    maps = HopfStructureMaps(big, delta, eps, antipode, ORDINARY)
-
-    k_part = AlgebraPresentation(
-        [Generator(T_NAME, 0, 0, z_degree=0, exp_cap=2)],
-        {}, {0: {(0,): 1}}, mode=ORDINARY, name="k[t]")
-    return BosonizedAlgebra(hopf=maps, u_maps=U, k_part=k_part, t_index=n)
+    delta, eps, antipode = _lie_generator_images(
+        big, [t if g.parity else big.one() for g in pres.generators])
+    delta[n], eps[n], antipode[n] = t.outer(t), 1, t
+    return BosonizedAlgebra(hopf=HopfStructureMaps(big, delta, eps, antipode),
+                            u_maps=U, t_index=n)

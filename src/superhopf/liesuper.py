@@ -446,19 +446,17 @@ def _deflate(poly, root):
     return out
 
 
-def as_standalone(s: SubSuperSpace, names=None) -> LieSuperAlgebra:
+def as_standalone(s: SubSuperSpace) -> LieSuperAlgebra:
     """Reinterpret a bracket-closed subspace as a Lie superalgebra.
 
     Basis vectors that coincide with parent basis vectors keep their names;
-    other vectors get synthetic names unless ``names`` is supplied.
+    other vectors get the synthetic names ``e0``, ``e1``, ...
     """
     parent = s.parent
     basis = []
     for idx, vec in enumerate(s.vectors):
         support = [i for i, c in enumerate(vec) if c]
-        if names is not None:
-            name = names[idx]
-        elif len(support) == 1 and vec[support[0]] == 1:
+        if len(support) == 1 and vec[support[0]] == 1:
             name = parent.basis[support[0]].name
         else:
             name = f"e{idx}"

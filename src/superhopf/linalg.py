@@ -12,8 +12,9 @@ and with a positive pivot entry, eliminated by cross-multiplication (compare
 Bareiss 1968).  A row is divided by its pivot entry only where a caller sees
 it: :meth:`RowSpace.monic`, :meth:`RowSpace.reduced_basis`,
 :func:`kernel_basis`.  Pivots are chosen by minimal sort key, so results are
-reproducible bit-for-bit; :func:`kernel_image_basis` turns a kernel into the
-reduced basis of its image.
+reproducible bit-for-bit.  The kernel vectors of :func:`kernel_basis` do not
+depend on the order of the coordinates, and :func:`kernel_image_basis` turns
+a kernel into the fully reduced basis of its image.
 """
 
 from __future__ import annotations
@@ -155,41 +156,37 @@ def accumulate(out, coeffs, scale=None):
                 del out[k]
 
 
-def kernel_basis(vectors, sort_key=None):
+def kernel_basis(vectors):
     """Basis of ``{c : sum_i c_i * vectors[i] == 0}`` over the rationals.
 
-    ``vectors`` is a sequence of sparse dicts.  Returns a list of dicts
-    mapping the index i to the coefficient c_i, row-reduced and
-    deterministic.
+    ``vectors`` is a sequence of sparse dicts with mutually comparable keys.
+    Returns a list of dicts mapping the index i to the coefficient c_i,
+    row-reduced and deterministic: each vector is tagged with the unit
+    coordinate ``(1, i)``, ordered after every coordinate ``(0, k)``.
     """
-    base = sort_key if sort_key is not None else (lambda k: k)
-
-    def aug_key(k):
-        tag, payload = k
-        return (0, base(payload)) if tag == 0 else (1, payload)
-
-    space = RowSpace(aug_key)
+    space = RowSpace()
     kernels = []
     for i, vec in enumerate(vectors):
         aug = {(0, k): v for k, v in vec.items() if v}
         aug[(1, i)] = 1
         stored = space.insert(aug)
-        if stored is not None and min(stored, key=aug_key)[0] == 1:
+        if stored is not None and min(stored)[0] == 1:
             # All coordinate keys were eliminated: the coefficient part is a
             # kernel vector, returned with its pivot scaled to 1.
             kernels.append({k[1]: v for k, v in space.monic(stored).items()})
     return kernels
 
 
-def kernel_image_basis(columns, images, column_key, image_key):
+def kernel_image_basis(columns, images, image_key):
     """Reduced basis of ``{sum_i c_i * images[i] : c in kernel(columns)}``.
 
     ``columns`` and ``images`` are parallel sequences of sparse dicts;
-    ``column_key`` orders the coordinates of ``columns`` for the kernel and
-    ``image_key`` those of the images for the returned basis.
+    ``image_key`` orders the coordinates of the images.  The result is the
+    fully reduced echelon basis of the image under that order, which is
+    unique, so it does not depend on how the kernel was found.
     """
     space = RowSpace(image_key)
-    for combo in kernel_basis(columns, sort_key=column_key):
+    for combo in kernel_basis(columns):
         vec = {}
         for idx, c in combo.items():
             accumulate(vec, images[idx], c)

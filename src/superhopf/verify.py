@@ -170,29 +170,29 @@ def check_antipode(H: HopfStructureMaps, test_set: Iterable[Element],
 
 
 def check_bialgebra(H: HopfStructureMaps, pair_set, parameters=None) -> CertificateReport:
-    """Delta(ab) == Delta(a) Delta(b) with the mode-appropriate tensor product."""
+    """Delta(ab) == Delta(a) Delta(b), the tensor product signed by the carrier's mode."""
     rep = CertificateReport("bialgebra", PASS, parameters=dict(parameters or {}))
     count = 0
     for a, b in pair_set:
         count += 1
         left = H.coproduct(a * b)
-        right = H.coproduct(a).tensor_mul(H.coproduct(b), H.mode)
+        right = H.coproduct(a) * H.coproduct(b)
         if left != right:
             rep.add_witness(f"({a}, {b})", left, right)
     rep.parameters["pairs"] = count
     return rep
 
 
-def hopf_axiom_suite(H: HopfStructureMaps, monomial_degree: int = 3,
-                     n_random: int = 100, random_degree: int = 4,
-                     seed: int = 0, prefix: str = "") -> list:
-    """The four Hopf-axiom checks on a standard test set.
+def hopf_axiom_suite(H: HopfStructureMaps, n_random: int = 100,
+                     seed: int = 0) -> list:
+    """The four Hopf-axiom checks on a standard test set, named ``hopf.*``.
 
-    Test set: all generators, all monomials of degree <= monomial_degree,
-    and n_random seeded random elements of degree <= random_degree.  The
-    bialgebra check runs on generator pairs, monomial pairs of total degree
-    <= random_degree, and consecutive random pairs.
+    Test set: all generators, all monomials of degree <= 3, and n_random
+    seeded random elements of degree <= 4.  The bialgebra check runs on
+    generator pairs, monomial pairs of total degree <= 4, and consecutive
+    random pairs.
     """
+    monomial_degree, random_degree = 3, 4
     pres = H.carrier
     rng = random.Random(seed)
     gens = [pres.gen(g.name) for g in pres.generators]
@@ -215,9 +215,8 @@ def hopf_axiom_suite(H: HopfStructureMaps, monomial_degree: int = 3,
         check_antipode(H, test_set, params),
         check_bialgebra(H, pairs, params),
     ]
-    if prefix:
-        for rep in reports:
-            rep.check_name = f"{prefix}.{rep.check_name}"
+    for rep in reports:
+        rep.check_name = f"hopf.{rep.check_name}"
     return reports
 
 
@@ -324,8 +323,7 @@ def find_skew_primitives(B: BosonizedAlgebra, grouplike: Element,
         defect = H.coproduct(e) - e.outer(one) - grouplike.outer(e)
         columns.append(defect.coeffs)
         images.append(e.coeffs)
-    basis = kernel_image_basis(columns, images,
-                               lambda key: tuple(monomial_key(m) for m in key), monomial_key)
+    basis = kernel_image_basis(columns, images, monomial_key)
     return [Element(pres, row) for row in basis]
 
 
@@ -336,8 +334,7 @@ def _intersection_with_u(B: BosonizedAlgebra, basis_elements):
     """Basis of span(basis_elements) with zero t-part, via an exact kernel."""
     t_index = B.t_index
     columns = [{m: c for m, c in e.items() if m[t_index]} for e in basis_elements]
-    basis = kernel_image_basis(columns, [e.coeffs for e in basis_elements],
-                               monomial_key, monomial_key)
+    basis = kernel_image_basis(columns, [e.coeffs for e in basis_elements], monomial_key)
     return [Element(B.carrier, row) for row in basis]
 
 
@@ -553,17 +550,11 @@ def check_sign_commuting_squares(B: BosonizedAlgebra, W: Sequence[Element],
 # -- nilpotency and zero divisors ---------------------------------------------------
 
 
-def check_nilpotent_ideal(P: AlgebraPresentation, ideal_gens: Sequence[Element],
-                          power: int, degree_bound: int) -> CertificateReport:
-    """Products of `power` spanning elements of the two-sided ideal all vanish.
-
-    The spanning set is the degree-bounded closure of the generators under
-    one-sided multiplication by the algebra generators.
-    """
-    rep = CertificateReport("nilpotency", PASS,
-                            inputs=f"ideal=<{', '.join(str(g) for g in ideal_gens)}>",
-                            parameters={"power": power, "degreeBound": degree_bound,
-                                        "algebra": P.name})
+def ideal_span(P: AlgebraPresentation, ideal_gens: Sequence[Element],
+               degree_bound: int) -> list:
+    """A spanning set of the two-sided ideal up to the degree bound: the
+    closure of the nonzero generators under one-sided multiplication by the
+    algebra generators, one element per rank it adds."""
     seeds = [g for g in ideal_gens if not g.is_zero]
     for g in seeds:
         if g.degree() > degree_bound:
@@ -588,19 +579,41 @@ def check_nilpotent_ideal(P: AlgebraPresentation, ideal_gens: Sequence[Element],
                         basis.append(prod)
                         new_frontier.append(prod)
         frontier = new_frontier
+    return basis
+
+
+def check_nilpotent_ideal(P: AlgebraPresentation, ideal_gens: Sequence[Element],
+                          power: int, degree_bound: int) -> CertificateReport:
+    """Products of `power` elements of :func:`ideal_span` all vanish.
+
+    The index words of length `power` are walked in lexicographic order on
+    an explicit stack, and a prefix whose product is already zero is not
+    extended; the first five words with a nonzero product are the witnesses.
+    """
+    rep = CertificateReport("nilpotency", PASS,
+                            inputs=f"ideal=<{', '.join(str(g) for g in ideal_gens)}>",
+                            parameters={"power": power, "degreeBound": degree_bound,
+                                        "algebra": P.name})
+    basis = ideal_span(P, ideal_gens, degree_bound)
     rep.parameters["spanDimension"] = len(basis)
-
-    def products(depth, acc, label):
-        if depth == 0:
-            if not acc.is_zero:
-                rep.add_witness(label, P.zero(), acc)
-            return
-        for i, e in enumerate(basis):
-            if rep.witnesses and len(rep.witnesses) >= 5:
-                return  # enough witnesses to be useful
-            products(depth - 1, acc * e, f"{label}*[{i}]" if label else f"[{i}]")
-
-    products(power, P.one(), "")
+    word, prods, i = [], [P.one()], 0  # prods[k]: product of the first k of word
+    while len(rep.witnesses) < 5:  # enough witnesses to be useful
+        if len(word) == power:
+            rep.add_witness("*".join(f"[{k}]" for k in word), P.zero(), prods[-1])
+            i = len(basis)
+        if i == len(basis):  # every extension of word is done: backtrack
+            if not word:
+                break
+            i = word.pop() + 1
+            prods.pop()
+            continue
+        prod = prods[-1] * basis[i]
+        if prod.is_zero:
+            i += 1
+        else:
+            word.append(i)
+            prods.append(prod)
+            i = 0
     return rep
 
 

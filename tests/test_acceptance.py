@@ -59,8 +59,7 @@ def test_criterion_2_confluence():
 def test_criterion_3_hopf_axiom_suite():
     with criterion(3, "hopf-axioms", 60.0):
         for sess in (session_pl11(), session_pl11_bosonized()):
-            reports = hopf_axiom_suite(sess.hopf, monomial_degree=3,
-                                       n_random=100, random_degree=4, seed=1)
+            reports = hopf_axiom_suite(sess.hopf, n_random=100, seed=1)
             for rep in reports:
                 assert rep.passed, (sess.name, rep.check_name, rep.witnesses[:2])
 

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superhopf import parse
-from superhopf.algebra import (AlgebraPresentation, Generator, ORDINARY, SUPER)
+from superhopf.algebra import AlgebraPresentation, Generator
 from superhopf.errors import NonTerminationError, PresentationError
 from superhopf.linalg import RowSpace
+from superhopf.verify import random_element
 
 
 def test_normalize_defining_relations(ubar):
@@ -28,8 +29,21 @@ def test_normalize_is_idempotent_on_random_words(ubar):
         e = ubar.normalize(word)
         renormalized = ubar.zero()
         for m, c in e.items():
-            renormalized = renormalized + ubar.normalize(ubar.monomial_letters(m), c)
+            renormalized = renormalized + c * ubar.normalize(ubar.monomial_letters(m))
         assert renormalized == e
+
+
+def test_powers_match_repeated_multiplication(ubar, sess_u):
+    rng = random.Random(11)
+    # powers of these reach a scalar (1, 4, 0, -3 or 0) and stop multiplying there
+    elements = [parse(e, ubar) for e in ("t", "2*t", "t*u", "-3", "x-x")]
+    for pres in (ubar, sess_u.pres):
+        elements += [random_element(pres, rng, 2) for _ in range(15)]
+    for a in elements:
+        expected = a.alg.one()
+        for n in range(7):
+            assert a ** n == expected, (a, n)
+            expected = expected * a
 
 
 def test_normalize_rejects_unknown_generator(ubar):
@@ -191,24 +205,24 @@ def test_scalars_are_int_when_integral(ubar):
     assert str(parse("4/2*u", ubar)) == "2*u"
 
 
-def test_tensor_product_koszul_sign(ubar):
-    u, v, one = ubar.gen("u"), ubar.gen("v"), ubar.one()
-    left = one.outer(u)
-    right = v.outer(one)
-    assert left.tensor_mul(right, SUPER) == -(v.outer(u))
-    assert left.tensor_mul(right, ORDINARY) == v.outer(u)
-    s = u.outer(v) + one.outer(one)
-    assert ubar.tensor_one(2).tensor_mul(s, SUPER) == s
+def test_tensor_product_koszul_sign(sess_u, ubar):
+    # the presentation's mode decides the sign: super on U(pl11), none on
+    # its bosonization
+    for pres, sign in ((sess_u.pres, -1), (ubar, 1)):
+        u, v, one = pres.gen("u"), pres.gen("v"), pres.one()
+        assert one.outer(u).tensor_mul(v.outer(one)) == sign * v.outer(u)
+        s = u.outer(v) + one.outer(one)
+        assert pres.tensor_one(2).tensor_mul(s) == s
 
 
-def test_tensor_mul_associative(ubar):
-    u, v, t, y = (ubar.gen(n) for n in "uvty")
-    a = u.outer(v) + t.outer(y)
-    b = v.outer(u)
-    c = y.outer(t) + u.outer(u)
-    for mode in (SUPER, ORDINARY):
-        assert a.tensor_mul(b, mode).tensor_mul(c, mode) \
-            == a.tensor_mul(b.tensor_mul(c, mode), mode)
+def test_tensor_mul_associative(sess_u, ubar):
+    for pres, even in ((sess_u.pres, "x"), (ubar, "t")):
+        u, v, g, y = (pres.gen(n) for n in ("u", "v", even, "y"))
+        a = u.outer(v) + g.outer(y)
+        b = v.outer(u)
+        c = y.outer(g) + u.outer(u)
+        assert (a * b) * c == a * (b * c)
+        assert a * b == a.tensor_mul(b)
 
 
 def test_tensor_mul_needs_two_legs(ubar):

@@ -199,11 +199,6 @@ def test_unknown_suite_is_rejected(capsys):
     ["centralizer", "--max-degree", "-1"],
     ["check", "hopf-axioms", "--hopf-random", "-5"],
     ["check", "shift-identity", "--shift-n", "0"],
-    # degree 0 acts only on 1, and ad(h)(1) = eps(h)*1 lies in every subalgebra
-    ["check", "normality", "--max-degree", "0"],
-    ["check", "normality", "--sub", "x+u,t", "--max-degree", "0"],
-    # degree 0 holds only nonzero scalars, whose products never vanish
-    ["check", "zero-divisors", "--algebra", "b-bosonized", "--max-degree", "0"],
 ])
 def test_bounds_that_would_check_nothing_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -212,6 +207,20 @@ def test_bounds_that_would_check_nothing_are_rejected(capsys, argv):
     assert exc.value.code == 2
     assert "error:" in captured.err
     assert "CHECK" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    # degree 0 acts only on 1, and ad(h)(1) = eps(h)*1 lies in every subalgebra
+    ["check", "normality", "--max-degree", "0"],
+    ["check", "normality", "--sub", "x+u,t", "--max-degree", "0"],
+    # degree 0 holds only nonzero scalars, whose products never vanish
+    ["check", "zero-divisors", "--algebra", "b-bosonized", "--max-degree", "0"],
+])
+def test_suites_with_nothing_to_check_are_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "CHECK" not in out
 
 
 @pytest.mark.parametrize("algebra", sorted(BUILTINS))
@@ -259,6 +268,22 @@ def test_eigen_with_a_large_eigenvalue_is_quick(tmp_path, capsys):
         assert time.perf_counter() - start < 1.0
         assert code == 0
         assert out.splitlines()[1:] == [f"eigenvalue {pair}" for pair in eigenpairs]
+
+
+def test_huge_powers_and_long_nilpotent_words_are_quick(capsys):
+    # a power stops at its first scalar partial power (u*u = 0, t*t = 1); the
+    # nilpotency walk extends no prefix whose product is zero (here u*u = 0)
+    start = time.perf_counter()
+    for expression, normal_form in (("u^99999999999", "0"), ("t^10000001", "t"),
+                                    ("(t*u)^1000000000000", "0")):
+        code, out, _ = run(capsys, "normalize", expression)
+        assert code == 0 and out == normal_form + "\n"
+    for power, bound in (("2000", "1"), ("12", "3")):
+        code, out, err = run(capsys, "check", "nilpotency", "--algebra", "b-bosonized",
+                             "--ideal-gens", "u", "--power", power, "--max-degree", bound)
+        assert code == 0 and err == ""
+        assert out.startswith("CHECK nilpotency PASS\n")
+    assert time.perf_counter() - start < 5.0
 
 
 def test_biproduct_at_degree_zero_sees_t_as_a_generator(capsys):

@@ -2,10 +2,8 @@
 
 from fractions import Fraction
 
-import pytest
-
 from superhopf import check_overlaps
-from superhopf.algebra import AlgebraPresentation
+from superhopf.algebra import AlgebraPresentation, Generator
 
 
 def test_enveloping_pl11_is_confluent(sess_u):
@@ -48,6 +46,10 @@ def test_overlap_count_includes_cap_overlaps(ubar):
     assert report.overlaps_checked == 25
 
 
-def test_degree_bound_guard(ubar):
-    with pytest.raises(ValueError):
-        check_overlaps(ubar, degree_bound=2)
+def test_long_cap_overlaps_are_all_checked():
+    # a^7 -> 1 overlaps itself in the words a^(14-k), k = 1..6; the longest
+    # has 13 letters, and a length cut would skip it
+    pres = AlgebraPresentation([Generator("a", 0, 0, exp_cap=7)], {}, {0: {(0,): 1}},
+                               name="k[a]/(a^7-1)")
+    report = check_overlaps(pres)
+    assert report.overlaps_checked == 6 and report.confluent

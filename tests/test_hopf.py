@@ -202,12 +202,6 @@ def test_super_antipode_is_an_involution_on_the_enveloping_part(sess_u):
         assert U.antipode(U.antipode(e)) == e
 
 
-def test_k_part_presentation(bos):
-    K = bos.k_part
-    assert [g.name for g in K.generators] == ["t"]
-    assert K.normalize(["t", "t"]) == K.one()
-
-
 def test_structure_maps_of_long_monomials_need_no_recursion(sess_u, sess_ubar):
     H = sess_ubar.hopf
     pres = H.carrier
@@ -240,7 +234,7 @@ def letter_by_letter(H, m):
     """Delta(m) as the product of the generator images, one letter at a time."""
     d = H.carrier.tensor_one(2)
     for idx in H.carrier.monomial_letters(m):
-        d = d.tensor_mul(H.delta_gen[idx], H.mode)
+        d = d.tensor_mul(H.delta_gen[idx])
     return d
 
 

@@ -17,7 +17,9 @@ from test_products import gl21, osp12
 def _carriers():
     b = session_b_bosonized().bos
     out = {"pl11": session_pl11().pres, "pl11-bosonized": session_pl11_bosonized().pres,
-           "b-bosonized": b.carrier, "b": b.u_maps.carrier, "k[t]": b.k_part}
+           "b-bosonized": b.carrier, "b": b.u_maps.carrier,
+           "k[t]": AlgebraPresentation([Generator("t", 0, 0, exp_cap=2)], {},
+                                       {0: {(0,): 1}}, name="k[t]")}
     for g in (osp12(), gl21()):
         U = enveloping(g)
         out[g.name] = U.carrier

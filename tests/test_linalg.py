@@ -59,7 +59,7 @@ def _oracle_rref(vectors):
 def _oracle_kernel(vectors):
     """Relations among ``vectors``, found as in ``kernel_basis`` by tagging
     each vector with a unit coordinate (1, i) ordered after the others."""
-    oracle = _Oracle(lambda k: (k[0], _sort_key(k[1]) if k[0] == 0 else k[1]))
+    oracle = _Oracle(lambda k: k)
     kernel = []
     for i, vec in enumerate(vectors):
         row = oracle.insert({**{(0, k): v for k, v in vec.items()}, (1, i): 1})
@@ -120,9 +120,12 @@ def test_row_space_agrees_with_a_fraction_oracle(seed):
     for probe in _random_vectors(rng)[:4]:
         assert space.contains(probe) == (len(_oracle_rref(vectors + [probe]))
                                          == len(expected))
-    # the kernel equals the oracle's, vector by vector, scaled to pivot 1
-    kernel = kernel_basis(vectors, sort_key=_sort_key)
+    # the kernel equals the oracle's, vector by vector, scaled to pivot 1,
+    # and does not depend on the order of the coordinates
+    kernel = kernel_basis(vectors)
     assert kernel == _oracle_kernel(vectors)
+    assert kernel == kernel_basis([{_sort_key(k): v for k, v in vec.items()}
+                                   for vec in vectors])
     assert len(kernel) == len(vectors) - len(expected)
     for combo in kernel:
         assert combo[min(combo)] == 1 and _pivot_one_types(combo)

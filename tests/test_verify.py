@@ -1,5 +1,6 @@
 """Certificate checks: axioms, adjoint actions, normality, biproducts."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -300,6 +301,31 @@ def test_nilpotency_trivial_and_error_cases(bos):
     assert check_nilpotent_ideal(P, [P.zero()], 2, 4).passed
     with pytest.raises(DegreeBudgetError):
         check_nilpotent_ideal(P, [P.gen("u") * P.gen("v")], 2, 1)
+
+
+def _brute_force_nilpotency_witnesses(P, basis, power):
+    """The first five index words of length ``power``, in lexicographic
+    order, whose plain product of basis elements is nonzero."""
+    out = []
+    for word in itertools.product(range(len(basis)), repeat=power):
+        prod = P.one()
+        for i in word:
+            prod = prod * basis[i]
+        if not prod.is_zero:
+            out.append(("*".join(f"[{i}]" for i in word), str(P.zero()), str(prod)))
+    return out[:5]
+
+
+@pytest.mark.parametrize("power", [2, 3])
+@pytest.mark.parametrize("gens,bound", [(["u"], 2), (["u", "y"], 1), (["u*v"], 2)])
+def test_nilpotency_witnesses_match_a_brute_force_enumeration(bos, gens, bound, power):
+    P = bos.carrier
+    ideal = [parse(g, P) for g in gens]
+    basis = verify.ideal_span(P, ideal, bound)
+    rep = check_nilpotent_ideal(P, ideal, power, bound)
+    want = _brute_force_nilpotency_witnesses(P, basis, power)
+    assert rep.witnesses == want
+    assert rep.status == (verify.FAIL if want else verify.PASS)
 
 
 def test_zero_divisor_scan_is_clean_on_the_full_bosonization(bos):
