@@ -2,11 +2,11 @@
 
 A presentation fixes an ordered generator alphabet, swap rules for
 descending adjacent pairs and power rules for capped exponents.  Products
-run through two memo tables holding the normal forms of ``g_i * m`` (left)
-and ``m * g_i`` (right) for a generator ``g_i`` and a normal monomial ``m``,
-filled from the rules on an explicit stack.  A product whose joined word is
-already sorted and under its caps is returned directly and never stored;
-any other folds the letters of its shorter factor into the longer one.
+run through one memo table holding the normal form of ``m * g_i`` for a
+generator ``g_i`` and a normal monomial ``m``, filled from the rules on an
+explicit stack.  A product whose joined word is already sorted and under its
+caps is returned directly and never stored; any other folds the letters of
+its right factor, one at a time, into its left one.
 Every table lookup costs one step of a budget, so a rule system that does
 not terminate raises :class:`NonTerminationError`.  When the rules are
 locally confluent (every overlap resolves, see :func:`check_overlaps`) normal
@@ -35,8 +35,6 @@ SUPER = "super"
 ORDINARY = "ordinary"
 
 DEFAULT_STEP_BUDGET = 10**7
-
-LEFT, RIGHT = 0, 1  # the side a generator multiplies a monomial from
 
 
 @dataclass(frozen=True)
@@ -88,9 +86,8 @@ class AlgebraPresentation:
         # rule right-hand sides pre-expanded to letter words for splicing
         self._swap_rhs = {k: self._expand_rhs(v) for k, v in self.swap_rules.items()}
         self._power_rhs = {k: self._expand_rhs(v) for k, v in self.power_rules.items()}
-        self._mul_cache = {}    # (m1, m2) -> m1*m2, unsorted products only
-        self._left_cache = {}   # (i, m) -> g_i*m
-        self._right_cache = {}  # (i, m) -> m*g_i
+        self._mul_cache = {}     # (m1, m2) -> m1*m2, unsorted products only
+        self._letter_cache = {}  # (i, m) -> m*g_i
 
     # -- construction checks -------------------------------------------------
 
@@ -295,6 +292,10 @@ class AlgebraPresentation:
         return self._mul(m1, m2, [max_steps])
 
     def _mul(self, m1, m2, budget):
+        """``m1*m2`` as a raw dict: the letters of ``m2`` folded into ``m1``.
+
+        A single letter makes the product a table entry, shared as it is.
+        """
         if not any(m1):
             return {m2: 1}
         if not any(m2):
@@ -308,75 +309,67 @@ class AlgebraPresentation:
             cap = self._caps.get(j)
             if not any(m1[j + 1:]) and (cap is None or m1[j] + m2[j] < cap):
                 return {m1[:j] + (m1[j] + m2[j],) + m2[j + 1:]: 1}  # already sorted
-            # fold the letters of the shorter factor into the longer one; a
-            # single letter makes the product a table entry, shared as it is
-            side, short, long = (LEFT, m1, m2) if sum(m1) <= sum(m2) else (RIGHT, m2, m1)
-            letters = self.monomial_letters(short)
-            job = (_ask((letters[0], long)) if len(letters) == 1
-                   else self._fold(side, letters, {long: 1}))
-            cached = self._mul_cache[key] = self._run(side, job, budget)
+            letters = self.monomial_letters(m2)
+            job = (_ask((letters[0], m1)) if len(letters) == 1
+                   else self._fold(letters, {m1: 1}))
+            cached = self._mul_cache[key] = self._run(job, budget)
         self._charge(budget)  # the lookup of the pair itself
         return cached
 
     def _word_normal_form(self, letters, budget):
         """Normal form of a word of pbw indices, as a raw dict."""
-        return self._run(LEFT, self._fold(LEFT, letters, {self.unit_monomial(): 1}),
-                         budget)
+        return self._run(self._fold(letters, {self.unit_monomial(): 1}), budget)
 
     def _charge(self, budget):
         budget[0] -= 1
         if budget[0] < 0:
             raise NonTerminationError(f"rewrite step budget exhausted in {self.name}")
 
-    def _fold(self, side, letters, terms):
-        """Multiply the combination ``terms`` by ``letters`` on one side.
+    def _fold(self, letters, terms):
+        """Multiply the combination ``terms`` on the right by ``letters``.
 
         A generator: it yields the table key ``(i, m)`` of each unsorted
-        product ``g_i*m`` (left, last letter first) or ``m*g_i`` (right),
-        is sent that product back, and returns the collected combination.
+        product ``m*g_i``, first letter first, is sent that product back,
+        and returns the collected combination.
         """
         caps = self._caps
-        for i in (reversed(letters) if side == LEFT else letters):
+        for i in letters:
             cap = caps.get(i)
             out = {}
             for m, c in terms.items():
                 e = m[i] + 1
-                if (cap is None or e < cap) \
-                        and not any(m[:i] if side == LEFT else m[i + 1:]):
+                if (cap is None or e < cap) and not any(m[i + 1:]):
                     accumulate(out, {m[:i] + (e,) + m[i + 1:]: 1}, c)
                 else:
                     accumulate(out, (yield i, m), c)
             terms = out
         return terms
 
-    def _entry(self, side, i, m):
-        """Fill one table entry, yielding like :meth:`_fold`.
+    def _entry(self, i, m):
+        """Fill one table entry ``m*g_i``, yielding like :meth:`_fold`.
 
-        ``g_i`` is swapped with the letter of ``m`` it meets; if that is its
-        own power, the power rule applies.  The rest of ``m`` is folded into
-        each right-hand side term.
+        ``g_i`` is swapped with the last letter of ``m`` if that comes later
+        in the order; if it is ``g_i``'s own power, the power rule applies.
+        Each right-hand side term is folded into the rest of ``m``.
         """
-        passed = range(i) if side == LEFT else range(self.n - 1, i, -1)
-        j = next((j for j in passed if m[j]), None)
+        j = next((j for j in range(self.n - 1, i, -1) if m[j]), None)
         if j is None:
             rhs, base = self._power_rhs[i], m[:i] + (0,) + m[i + 1:]
         else:
-            rhs = self._swap_rhs[(i, j) if side == LEFT else (j, i)]
-            base = m[:j] + (m[j] - 1,) + m[j + 1:]
+            rhs, base = self._swap_rhs[(j, i)], m[:j] + (m[j] - 1,) + m[j + 1:]
         out = {}
         for rc, letters in rhs:
-            accumulate(out, (yield from self._fold(side, letters, {base: 1})), rc)
+            accumulate(out, (yield from self._fold(letters, {base: 1})), rc)
         return out
 
-    def _run(self, side, job, budget):
+    def _run(self, job, budget):
         """Drive ``job`` (a :meth:`_fold` or :func:`_ask`) to its result.
 
-        Missing entries of the ``side`` table are filled on a stack of
-        :meth:`_entry` tasks.  Every lookup costs one step of ``budget``;
-        looking up an entry still being filled means the rules rewrite a
-        word back into itself.
+        Missing table entries are filled on a stack of :meth:`_entry` tasks.
+        Every lookup costs one step of ``budget``; looking up an entry still
+        being filled means the rules rewrite a word back into itself.
         """
-        cache = self._left_cache if side == LEFT else self._right_cache
+        cache = self._letter_cache
         stack, keys, pending = [job], [], set()
         value = None
         while True:
@@ -399,7 +392,7 @@ class AlgebraPresentation:
                         f"rewriting cycle at {self.gen_name(key[0])} in {self.name}")
                 keys.append(key)
                 pending.add(key)
-                stack.append(self._entry(side, *key))
+                stack.append(self._entry(*key))
 
     def _require_same(self, other):
         if self is not other:

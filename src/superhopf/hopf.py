@@ -286,35 +286,6 @@ class BosonizedAlgebra:
             lambda m: self.project_to_group(self.carrier.monomial_element(m)), 1)
         return projected == a.outer(self.carrier.one())
 
-    def coproduct_reference(self, a: Element) -> TensorElement:
-        """Coproduct via the biproduct sum formula, as an independent oracle.
-
-        For a monomial x * t^d with x in the coinvariant part this computes
-        ``sum (x1 t^{p(x2)} (x) x2) * (t^d (x) t^d)`` from the super
-        coproduct of x, instead of extending the generator images.
-        """
-        self.carrier._require_same(a.alg)
-        t = self.t()
-        out = {}
-        for m, c in a.items():
-            d_exp = m[self.t_index]
-            mu = Element(self.u_maps.carrier, {m[:self.t_index]: 1})
-            du = self.u_maps.coproduct(mu)
-            acc = {}
-            for (m1, m2), cu in du.items():
-                leg1 = self.include_from_u(
-                    Element(self.u_maps.carrier, {m1: 1}))
-                if self.u_maps.carrier.monomial_parity(m2):
-                    leg1 = leg1 * t
-                leg2 = self.include_from_u(
-                    Element(self.u_maps.carrier, {m2: 1}))
-                accumulate(acc, leg1.outer(leg2).coeffs, cu)
-            acc = TensorElement(self.carrier, 2, acc)
-            if d_exp:
-                acc = acc.tensor_mul(t.outer(t))
-            accumulate(out, acc.coeffs, c)
-        return TensorElement(self.carrier, 2, out)
-
 
 def bosonize(U: HopfStructureMaps) -> BosonizedAlgebra:
     """Adjoin the parity automorphism as a grouplike of order two.

@@ -338,27 +338,28 @@ def _intersection_with_u(B: BosonizedAlgebra, basis_elements):
     return [Element(B.carrier, row) for row in basis]
 
 
-def biproduct_decomposition(B: BosonizedAlgebra, A: FiltrationClosure,
+def biproduct_decomposition(B: BosonizedAlgebra, gens: Sequence[Element],
                             degree_bound: int) -> CertificateReport:
-    """Certify A = (A `intersect` U) # K degreewise.
+    """Certify A = (A `intersect` U) # K degreewise for A generated by ``gens``.
 
-    The subalgebra is re-spanned with the grouplike t given filtration
-    weight zero, which is the grading under which the group algebra factor
-    exactly doubles each level.  Checks: the t-free part is closed under
-    multiplication, under the coproduct (tensor-factor marginals stay in
-    the part), and under the super antipode; and dim A_n equals twice the
-    t-free dimension at every cached level.
+    A is spanned with the grouplike t given filtration weight zero, which
+    is the grading under which the group algebra factor exactly doubles
+    each level; without t among ``gens`` every weight is 1.  Checks: the
+    t-free part is closed under multiplication, under the coproduct
+    (tensor-factor marginals stay in the part), and under the super
+    antipode; and dim A_n equals twice the t-free dimension at every cached
+    level.
     """
     pres = B.carrier
     t = B.t()
     rep = CertificateReport("biproduct", PASS,
-                            inputs=f"sub=<{', '.join(str(g) for g in A.gens)}>",
+                            inputs=f"sub=<{', '.join(str(g) for g in gens)}>",
                             parameters={"degreeBound": degree_bound,
                                         "algebra": pres.name})
-    if t not in A.gens and not A.contains(t):
+    weights = [0 if g == t else 1 for g in gens]
+    graded = FiltrationClosure(pres, gens, weights).extend_to(degree_bound)
+    if not graded.contains(t):
         raise AlgebraError("biproduct decomposition needs t in the subalgebra")
-    weights = [0 if g == t else 1 for g in A.gens]
-    graded = FiltrationClosure(pres, A.gens, weights).extend_to(degree_bound)
 
     inner_per_level = []
     for n in range(degree_bound + 1):

@@ -98,8 +98,7 @@ def test_criterion_6_biproduct_decomposition():
         B, P = sess.bos, sess.pres
         for names in (("y", "u", "t"), ("x", "t"),
                       tuple(g.name for g in P.generators)):
-            sub = FiltrationClosure(P, [P.gen(n) for n in names]).extend_to(6)
-            rep = biproduct_decomposition(B, sub, 6)
+            rep = biproduct_decomposition(B, [P.gen(n) for n in names], 6)
             assert rep.passed, (names, rep.witnesses[:2])
 
 

@@ -70,6 +70,14 @@ def test_products_match_the_word_rewriter(name):
     for _ in range(60):
         word = [rng.randrange(pres.n) for _ in range(rng.randint(0, 6))]
         assert pres.normalize(word).coeffs == rewrite(pres, word), word
+    # a single letter on either side: g*h^k folds h^k into g, h^k*g folds g
+    for g in range(pres.n):
+        letter = pres.normalize([g])
+        for h in range(pres.n):
+            for k in range(9):
+                power = pres.normalize([h] * k)
+                assert (letter * power).coeffs == rewrite(pres, [g] + [h] * k), (g, h, k)
+                assert (power * letter).coeffs == rewrite(pres, [h] * k + [g]), (h, k, g)
 
 
 def test_u_times_a_high_power_of_y_is_binomial():
@@ -81,13 +89,21 @@ def test_u_times_a_high_power_of_y_is_binomial():
     assert got == want
 
 
+def test_the_table_grows_linearly_with_a_long_power():
+    # each entry (y, y^j*u) holds y^(j+1)*u - y^j*u
+    pres = cold_pl11_bosonized()
+    n = 200
+    pres.mul_monomials(pres.monomial(u=1), pres.monomial(y=n))
+    assert sum(len(v) for v in pres._letter_cache.values()) <= 3 * n
+
+
 def test_tiny_budget_raises_on_cold_and_warm_tables():
     pres = cold_pl11_bosonized()
     word = ["v", "u"] * 6
     with pytest.raises(NonTerminationError):
         pres.normalize(word, max_steps=3)  # cold
     expected = pres.normalize(word)
-    assert pres._left_cache
+    assert pres._letter_cache
     with pytest.raises(NonTerminationError):
         pres.normalize(word, max_steps=3)  # warm
     assert pres.normalize(word) == expected
@@ -103,7 +119,7 @@ def test_sorted_products_store_no_table_entries():
     assert power == pres.monomial_element(pres.monomial(y=20000))
     assert pres.mul_monomials(pres.monomial(x=3), pres.monomial(y=2, t=1)) \
         == {pres.monomial(x=3, y=2, t=1): 1}
-    assert not (pres._left_cache or pres._right_cache or pres._mul_cache)
+    assert not (pres._letter_cache or pres._mul_cache)
 
 
 def test_rewriting_cycle_raises():

@@ -200,16 +200,14 @@ def test_skew_primitives_need_a_grouplike(bos):
 ])
 def test_biproduct_decomposition_cases(bos, gen_names, inner_dim):
     P = bos.carrier
-    sub = FiltrationClosure(P, [P.gen(n) for n in gen_names]).extend_to(6)
-    rep = biproduct_decomposition(bos, sub, 6)
+    rep = biproduct_decomposition(bos, [P.gen(n) for n in gen_names], 6)
     assert rep.passed, rep.witnesses[:3]
     assert rep.parameters["innerDimension"] == inner_dim
 
 
 def test_biproduct_decomposition_whole_algebra(bos):
     P = bos.carrier
-    sub = FiltrationClosure(P, [P.gen(g.name) for g in P.generators]).extend_to(6)
-    rep = biproduct_decomposition(bos, sub, 6)
+    rep = biproduct_decomposition(bos, [P.gen(g.name) for g in P.generators], 6)
     assert rep.passed
     assert rep.parameters["innerDimension"] == 85  # dim F_6 of the enveloping part
 
@@ -230,9 +228,8 @@ def test_biproduct_triangular_inner_part_is_the_y_u_span(bos):
 
 def test_biproduct_requires_t(bos):
     P = bos.carrier
-    sub = FiltrationClosure(P, [P.gen("x")]).extend_to(6)
     with pytest.raises(AlgebraError):
-        biproduct_decomposition(bos, sub, 6)
+        biproduct_decomposition(bos, [P.gen("x")], 6)
 
 
 # -- shift identity -------------------------------------------------------------------------
