@@ -2,13 +2,13 @@
 
 A presentation fixes an ordered generator alphabet, swap rules for
 descending adjacent pairs and power rules for capped exponents.  Products
-run through one memo table holding the normal form of ``m * g_i`` for a
-generator ``g_i`` and a normal monomial ``m``, filled from the rules on an
-explicit stack.  A product whose joined word is already sorted and under its
-caps is returned directly and never stored; any other folds the letters of
-its right factor, one at a time, into its left one.
-Every table lookup costs one step of a budget, so a rule system that does
-not terminate raises :class:`NonTerminationError`.  When the rules are
+run through one memo keyed by the pair of normal monomials ``(m1, m2)``.
+A product whose joined word is already sorted and under its caps is returned
+directly and never stored; any other folds the letters of its right factor,
+one at a time, into its left one.  The memo's entries with a one-letter right
+factor ``g_i`` are the table of ``m * g_i``, filled from the rules on an
+explicit stack.  Every memo lookup costs one step of a budget, so a rule system
+that does not terminate raises :class:`NonTerminationError`.  When the rules are
 locally confluent (every overlap resolves, see :func:`check_overlaps`) normal
 forms do not depend on the order of reductions and the normal monomials are
 a linear basis.  The presentation's ``mode`` alone decides Koszul signs.
@@ -86,8 +86,8 @@ class AlgebraPresentation:
         # rule right-hand sides pre-expanded to letter words for splicing
         self._swap_rhs = {k: self._expand_rhs(v) for k, v in self.swap_rules.items()}
         self._power_rhs = {k: self._expand_rhs(v) for k, v in self.power_rules.items()}
-        self._mul_cache = {}     # (m1, m2) -> m1*m2, unsorted products only
-        self._letter_cache = {}  # (i, m) -> m*g_i
+        self._mul_cache = {}  # (m1, m2) -> m1*m2, unsorted products only
+        self._letters = [self.monomial(**{g.name: 1}) for g in self.generators]
 
     # -- construction checks -------------------------------------------------
 
@@ -309,10 +309,8 @@ class AlgebraPresentation:
             cap = self._caps.get(j)
             if not any(m1[j + 1:]) and (cap is None or m1[j] + m2[j] < cap):
                 return {m1[:j] + (m1[j] + m2[j],) + m2[j + 1:]: 1}  # already sorted
-            letters = self.monomial_letters(m2)
-            job = (_ask((letters[0], m1)) if len(letters) == 1
-                   else self._fold(letters, {m1: 1}))
-            cached = self._mul_cache[key] = self._run(job, budget)
+            value = self._run(self._fold(self.monomial_letters(m2), {m1: 1}), budget)
+            cached = self._mul_cache.setdefault(key, value)
         self._charge(budget)  # the lookup of the pair itself
         return cached
 
@@ -328,11 +326,11 @@ class AlgebraPresentation:
     def _fold(self, letters, terms):
         """Multiply the combination ``terms`` on the right by ``letters``.
 
-        A generator: it yields the table key ``(i, m)`` of each unsorted
+        A generator: it yields the memo key ``(m, g_i)`` of each unsorted
         product ``m*g_i``, first letter first, is sent that product back,
         and returns the collected combination.
         """
-        caps = self._caps
+        caps, units = self._caps, self._letters
         for i in letters:
             cap = caps.get(i)
             out = {}
@@ -341,17 +339,18 @@ class AlgebraPresentation:
                 if (cap is None or e < cap) and not any(m[i + 1:]):
                     accumulate(out, {m[:i] + (e,) + m[i + 1:]: 1}, c)
                 else:
-                    accumulate(out, (yield i, m), c)
+                    accumulate(out, (yield m, units[i]), c)
             terms = out
         return terms
 
-    def _entry(self, i, m):
-        """Fill one table entry ``m*g_i``, yielding like :meth:`_fold`.
+    def _entry(self, m, g):
+        """Fill the table entry ``m*g`` for ``g = g_i``, yielding like :meth:`_fold`.
 
         ``g_i`` is swapped with the last letter of ``m`` if that comes later
         in the order; if it is ``g_i``'s own power, the power rule applies.
         Each right-hand side term is folded into the rest of ``m``.
         """
+        i = g.index(1)
         j = next((j for j in range(self.n - 1, i, -1) if m[j]), None)
         if j is None:
             rhs, base = self._power_rhs[i], m[:i] + (0,) + m[i + 1:]
@@ -363,13 +362,13 @@ class AlgebraPresentation:
         return out
 
     def _run(self, job, budget):
-        """Drive ``job`` (a :meth:`_fold` or :func:`_ask`) to its result.
+        """Drive the :meth:`_fold` ``job`` to its result.
 
-        Missing table entries are filled on a stack of :meth:`_entry` tasks.
-        Every lookup costs one step of ``budget``; looking up an entry still
-        being filled means the rules rewrite a word back into itself.
+        Missing table entries go into the memo from a stack of :meth:`_entry`
+        tasks.  Every lookup costs one step of ``budget``; looking up an entry
+        still being filled means the rules rewrite a word back into itself.
         """
-        cache = self._letter_cache
+        cache = self._mul_cache
         stack, keys, pending = [job], [], set()
         value = None
         while True:
@@ -388,8 +387,8 @@ class AlgebraPresentation:
             value = cache.get(key)
             if value is None:
                 if key in pending:
-                    raise NonTerminationError(
-                        f"rewriting cycle at {self.gen_name(key[0])} in {self.name}")
+                    name = self.gen_name(key[1].index(1))
+                    raise NonTerminationError(f"rewriting cycle at {name} in {self.name}")
                 keys.append(key)
                 pending.add(key)
                 stack.append(self._entry(*key))
@@ -665,11 +664,6 @@ class TensorElement(Combination):
                 terms = new_terms
             accumulate(out, terms, c)
         return Element(alg, out)
-
-
-def _ask(key):
-    """A job for :meth:`AlgebraPresentation._run` that looks up one entry."""
-    return (yield key)
 
 
 # -- local confluence ------------------------------------------------------------

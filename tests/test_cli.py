@@ -53,6 +53,19 @@ def test_bad_integers_in_a_definition_file_are_parse_errors(tmp_path, capsys):
     assert err.startswith("error: division by zero")
 
 
+def test_a_definition_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.alg"
+    path.write_bytes(b"\xff\xfe[generators]\nh 0\n")
+    code, out, err = run(capsys, "check", "all", "--algebra", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: not UTF-8 text (at position 1)\n"
+    path.write_bytes(b"[generators]\r\nh 0\r\n# caf\xe9\r\n")
+    code, _, err = run(capsys, "normalize", "h", "--algebra", str(path))
+    assert code == 2 and "position 3" in err
+    path.write_bytes("[generators]\r\nh 0 # café\r\n".encode("utf-8"))
+    assert run(capsys, "normalize", "h*h", "--algebra", str(path))[:2] == (0, "h^2\n")
+
+
 def test_a_bad_bracket_right_side_names_its_file_line(tmp_path, capsys):
     path = tmp_path / "bad.alg"
     path.write_text("[generators]\nh 0\ne 0\nf 0\n\n[brackets]\ne f = 2*q\n",

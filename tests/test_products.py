@@ -94,7 +94,7 @@ def test_the_table_grows_linearly_with_a_long_power():
     pres = cold_pl11_bosonized()
     n = 200
     pres.mul_monomials(pres.monomial(u=1), pres.monomial(y=n))
-    assert sum(len(v) for v in pres._letter_cache.values()) <= 3 * n
+    assert sum(len(v) for (_, g), v in pres._mul_cache.items() if sum(g) == 1) <= 3 * n
 
 
 def test_tiny_budget_raises_on_cold_and_warm_tables():
@@ -103,7 +103,7 @@ def test_tiny_budget_raises_on_cold_and_warm_tables():
     with pytest.raises(NonTerminationError):
         pres.normalize(word, max_steps=3)  # cold
     expected = pres.normalize(word)
-    assert pres._letter_cache
+    assert pres._mul_cache
     with pytest.raises(NonTerminationError):
         pres.normalize(word, max_steps=3)  # warm
     assert pres.normalize(word) == expected
@@ -119,7 +119,14 @@ def test_sorted_products_store_no_table_entries():
     assert power == pres.monomial_element(pres.monomial(y=20000))
     assert pres.mul_monomials(pres.monomial(x=3), pres.monomial(y=2, t=1)) \
         == {pres.monomial(x=3, y=2, t=1): 1}
-    assert not (pres._letter_cache or pres._mul_cache)
+    assert not (pres._mul_cache or pres._mul_cache)
+
+
+def test_a_single_letter_product_is_stored_once():
+    pres = cold_pl11_bosonized()
+    pres.mul_monomials(pres.monomial(v=1), pres.monomial(u=1))
+    memos = [v for k, v in vars(pres).items() if k.endswith("_cache")]
+    assert sum(len(memo) for memo in memos) == 1
 
 
 def test_rewriting_cycle_raises():

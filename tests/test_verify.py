@@ -1,5 +1,6 @@
 """Certificate checks: axioms, adjoint actions, normality, biproducts."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -7,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from superhopf import FiltrationClosure, parse, verify
+from superhopf.algebra import Element, monomial_key
 from superhopf.errors import AlgebraError, DegreeBudgetError
+from superhopf.linalg import kernel_image_basis
 from superhopf.verify import (adjoint_left, adjoint_right,
                               biproduct_decomposition, check_ad_equals_bracket,
                               check_antipode, check_bialgebra,
@@ -69,6 +72,35 @@ def test_full_axiom_suite_on_all_three_algebras(sess_u, sess_ubar, sess_bbar):
         assert all(r.passed for r in reports), sess.name
 
 
+def test_corrupted_counit_fails_at_u(bos):
+    P = bos.carrier
+    gens = [P.gen(g.name) for g in P.generators]
+    rep = check_counit(bos.hopf.replace(eps={"t": 0}), gens)
+    assert rep.status == verify.FAIL
+    assert rep.witnesses[0] == ("u", "u", "0")  # (eps (x) id)Delta(u) = eps(t)*u
+
+
+def test_corrupted_antipode_fails_at_u(bos):
+    P = bos.carrier
+    u = P.gen("u")
+    rep = check_antipode(bos.hopf.replace(antipode={"u": u}), [P.one(), u])
+    assert rep.status == verify.FAIL
+    assert [w[0] for w in rep.witnesses] == ["u", "u"]
+    assert all(w[1] == "0" for w in rep.witnesses)
+
+
+def test_corrupted_coproduct_fails_the_bialgebra_check_at_u_u(bos):
+    # u(x)1 + 1(x)u drops the t of the bosonized coproduct; the tensor product
+    # of the bosonization carries no Koszul sign, so the cross terms of Delta(u)^2
+    # add up instead of cancelling, while u^2 = 0
+    P = bos.carrier
+    u, one = P.gen("u"), P.one()
+    rep = check_bialgebra(bos.hopf.replace(delta={"u": u.outer(one) + one.outer(u)}),
+                          [(u, u)])
+    assert rep.status == verify.FAIL
+    assert rep.witnesses == [("(u, u)", "0", "2*u(x)u")]
+
+
 # -- adjoint actions -----------------------------------------------------------------
 
 
@@ -120,14 +152,12 @@ def test_ad_equals_bracket_on_triangular(sess_bbar):
 
 def test_normality_of_central_polynomials(bos):
     P = bos.carrier
-    kx = FiltrationClosure(P, [P.gen("x")]).extend_to(8)
-    assert is_normal(bos, kx, 6).passed
+    assert is_normal(bos, [P.gen("x")], 6).passed
 
 
 def test_group_algebra_is_not_normal(bos):
     P = bos.carrier
-    K = FiltrationClosure(P, [P.gen("t")]).extend_to(8)
-    rep = is_normal(bos, K, 6)
+    rep = is_normal(bos, [P.gen("t")], 6)
     assert rep.status == verify.FAIL
     item, _, actual = rep.witnesses[0]
     assert item == "ad_l(u)(t)"
@@ -136,15 +166,7 @@ def test_group_algebra_is_not_normal(bos):
 
 def test_whole_algebra_is_normal(bos):
     P = bos.carrier
-    whole = FiltrationClosure(P, [P.gen(g.name) for g in P.generators]).extend_to(6)
-    assert is_normal(bos, whole, 4).passed
-
-
-def test_normality_needs_enough_cache(bos):
-    P = bos.carrier
-    shallow = FiltrationClosure(P, [P.gen("x")]).extend_to(5)
-    with pytest.raises(DegreeBudgetError):
-        is_normal(bos, shallow, 6)
+    assert is_normal(bos, [P.gen(g.name) for g in P.generators], 4).passed
 
 
 # -- grouplikes and skew primitives -----------------------------------------------------
@@ -212,18 +234,69 @@ def test_biproduct_decomposition_whole_algebra(bos):
     assert rep.parameters["innerDimension"] == 85  # dim F_6 of the enveloping part
 
 
+def intersection_with_u(B, basis_elements):
+    """Basis of span(basis_elements) with zero t-part, via an exact kernel."""
+    t_index = B.t_index
+    columns = [{m: c for m, c in e.items() if m[t_index]} for e in basis_elements]
+    basis = kernel_image_basis(columns, [e.coeffs for e in basis_elements], monomial_key)
+    return [Element(B.carrier, row) for row in basis]
+
+
+def t_free_rows(B, split):
+    """The reduced rows of a t-first row space that hold no t-letter."""
+    return [Element(B.carrier, row) for row in split.reduced_basis()
+            if not any(m[B.t_index] for m in row)]
+
+
+@pytest.mark.parametrize("gens", [("y", "u", "t"), ("x", "t"), "whole",
+                                  ("y + x*t", "t")])  # rows mixing t-free and t-letters
+def test_the_t_first_order_splits_off_the_kernel_intersection(bos, gens):
+    P = bos.carrier
+    if gens == "whole":
+        gens = [g.name for g in P.generators]
+    weights = [0 if g == "t" else 1 for g in gens]
+    sub = FiltrationClosure(P, [parse(g, P) for g in gens], weights).extend_to(6)
+    for n, split in enumerate(verify._t_first_levels(bos, sub)):
+        oracle = intersection_with_u(bos, sub.basis_up_to(n))
+        assert t_free_rows(bos, split) == oracle, n
+        assert sum(1 for p in split.rows if not p[bos.t_index]) == len(oracle), n
+
+
 def test_biproduct_triangular_inner_part_is_the_y_u_span(bos):
-    from superhopf.verify import _intersection_with_u
     P = bos.carrier
     sub = FiltrationClosure(P, [P.gen(n) for n in ("y", "u", "t")],
                             weights=[1, 1, 0]).extend_to(6)
-    inner = _intersection_with_u(bos, sub.basis_up_to(6))
+    *_, split = verify._t_first_levels(bos, sub)
+    inner = t_free_rows(bos, split)
     monomials = {m for e in inner for m in e.coeffs}
     for m in monomials:
         assert m[P.gen_index("x")] == 0
         assert m[P.gen_index("v")] == 0
         assert m[bos.t_index] == 0
     assert len(inner) == 13
+
+
+def corrupted_u_maps(B, **updates):
+    return dataclasses.replace(B, u_maps=B.u_maps.replace(**updates))
+
+
+def test_biproduct_flags_an_antipode_that_leaves_the_t_free_part(bos):
+    P, Q = bos.carrier, bos.u_maps.carrier
+    broken = corrupted_u_maps(bos, antipode={"u": -Q.gen("v")})
+    rep = biproduct_decomposition(broken, [P.gen(n) for n in ("y", "u", "t")], 2)
+    assert rep.status == verify.FAIL
+    assert rep.witnesses[0] == ("S_U(u)", "in A cap U", "-v")
+
+
+def test_biproduct_flags_a_coproduct_marginal_outside_the_t_free_part(bos):
+    P, Q = bos.carrier, bos.u_maps.carrier
+    one = Q.one()
+    broken = corrupted_u_maps(bos, delta={"u": Q.gen("v").outer(one) + one.outer(Q.gen("u"))})
+    rep = biproduct_decomposition(broken, [P.gen(n) for n in ("y", "u", "t")], 2)
+    assert rep.status == verify.FAIL
+    item, expected, actual = rep.witnesses[0]
+    assert item.startswith("Delta_U(u) left marginal")
+    assert (expected, actual) == ("in A cap U", "v")
 
 
 def test_biproduct_requires_t(bos):
@@ -353,8 +426,7 @@ def test_trivial_product_is_not_a_zero_divisor(bos):
 
 def test_report_rendering_and_summary(bos):
     P = bos.carrier
-    K = FiltrationClosure(P, [P.gen("t")]).extend_to(8)
-    rep = is_normal(bos, K, 6)
+    rep = is_normal(bos, [P.gen("t")], 6)
     text = render_reports([rep])
     assert text.startswith("CHECK normality FAIL\n")
     assert "    witness: ad_l(u)(t)" in text
