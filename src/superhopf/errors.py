@@ -24,7 +24,13 @@ class UnsupportedFieldError(AlgebraError):
 class ParseError(AlgebraError):
     """Expression or definition-file syntax error, with a position."""
 
+    unit = "position"
     def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+        super().__init__(f"{message} (at {self.unit} {position})")
         self.message = message
         self.position = position
+
+
+class LineError(ParseError):
+    """A definition-file error whose ``position`` is a line number."""
+    unit = "line"

@@ -1,19 +1,20 @@
 """Filtration dimension counting and polynomial-growth-degree detection.
 
 ``FiltrationClosure`` maintains exact degree-by-degree bases of the span of
-all products of at most n chosen generators.  Growth degrees are detected
-from iterated finite differences over the observed window (an honest,
-desk-scale reading of Gelfand-Kirillov dimension: the reports always carry
-the window, never a claimed limit).
+all products of at most n generators, whose dimensions :func:`growth_series`
+counts as normal monomials where the diamond lemma allows.  Growth degrees
+come from iterated finite differences over the window (a desk-scale reading
+of Gelfand-Kirillov dimension: reports carry the window, never a limit).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
-from .algebra import AlgebraPresentation, Element, monomial_key
-from .errors import AlgebraError
+from .algebra import AlgebraPresentation, Element, check_overlaps, monomial_key
+from .errors import AlgebraError, NonTerminationError
 from .hopf import enveloping
 from .linalg import RowSpace, kernel_image_basis
 from .liesuper import LieSuperAlgebra, SubSuperSpace, as_standalone
@@ -120,22 +121,21 @@ class GrowthReport:
 
 
 def difference_table(dims):
-    """``dims`` and its finite differences up to order 6."""
+    """``dims`` and its finite differences, to the highest order the window has."""
     table = [list(dims)]
-    while len(table) <= 6 and len(table[-1]) > 1:
+    while len(table[-1]) > 1:
         prev = table[-1]
         table.append([prev[i + 1] - prev[i] for i in range(len(prev) - 1)])
     return table
 
 
-def detect_degree(dims):
-    """Smallest d whose d-th difference ends in a positive constant run.
+def detect_degree(table):
+    """Smallest d whose d-th difference in ``table`` ends in a positive constant run.
 
     Returns (degree, onset_n) or (None, None) when no difference order
     stabilizes for at least 3 consecutive values through the end of the
     window.
     """
-    table = difference_table(dims)
     for d, seq in enumerate(table):
         if len(seq) < 3:
             break
@@ -151,13 +151,37 @@ def detect_degree(dims):
 
 def growth_series(P: AlgebraPresentation, gens: Sequence[Element],
                   n_max: int) -> GrowthReport:
-    """Dimensions of the generator filtration for n = 0..n_max plus the
-    detected polynomial growth degree."""
-    closure = FiltrationClosure(P, gens).extend_to(n_max)
-    dims = list(closure.dims)
-    degree, onset = detect_degree(dims)
-    return GrowthReport([str(g) for g in gens], dims, difference_table(dims),
-                        degree, onset)
+    """Dimensions of the generator filtration for n = 0..n_max, counted by
+    :func:`_normal_monomial_dims` where it applies, plus the detected degree."""
+    dims = (_normal_monomial_dims(P, gens, n_max)
+            or FiltrationClosure(P, gens).extend_to(n_max).dims)
+    table = difference_table(dims)
+    return GrowthReport([str(g) for g in gens], dims, table, *detect_degree(table))
+
+
+def _normal_monomial_dims(P, gens, n_max):
+    """The counts of normal monomials of degree <= n on the generators' letters
+    S, or None unless every generator of P is a multiple of one letter, the
+    rules among S keep to S and the rules are confluent."""
+    if not all(g.alg is P and len(g.coeffs) == 1 and sum(next(iter(g.coeffs))) == 1
+               for g in gens):
+        return None
+    letters = {next(iter(g.coeffs)).index(1) for g in gens}
+    rhs = [r for (hi, lo), r in P.swap_rules.items() if {hi, lo} <= letters]
+    rhs += [r for i, r in P.power_rules.items() if i in letters]
+    if any(e and i not in letters for r in rhs for m in r for i, e in enumerate(m)):
+        return None
+    try:
+        if not check_overlaps(P).confluent:
+            return None
+    except NonTerminationError:  # a rewriting cycle, which a closure on S may never meet
+        return None
+    dims = [1] + [0] * n_max
+    for cap in [P.generators[i].exp_cap for i in letters] + [None]:
+        dims = list(accumulate(dims))  # times 1/(1 - t); the last pass sums the degrees
+        if cap:  # times 1 - t^cap
+            dims[cap:] = [a - b for a, b in zip(dims[cap:], dims)]
+    return dims
 
 
 def centralizer_degree_bounded(P: AlgebraPresentation,

@@ -20,7 +20,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .algebra import Generator, format_terms, polynomial_presentation
-from .errors import AlgebraError, ParseError, UnsupportedFieldError
+from .errors import AlgebraError, LineError, ParseError, UnsupportedFieldError
 from .exprs import parse_linear_combination
 from .linalg import RowSpace, accumulate, exact, kernel_basis
 
@@ -505,7 +505,7 @@ def load_algebra_file(path) -> LieSuperAlgebra:
     try:
         lines = io.StringIO(data.decode("utf-8"), newline=None)
     except UnicodeDecodeError as exc:
-        raise ParseError("not UTF-8 text", data.count(b"\n", 0, exc.start) + 1) from None
+        raise LineError("not UTF-8 text", data.count(b"\n", 0, exc.start) + 1) from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -513,37 +513,35 @@ def load_algebra_file(path) -> LieSuperAlgebra:
         if line.startswith("["):
             section = line.strip("[]").strip().lower()
             if section not in ("generators", "brackets"):
-                raise ParseError(f"unknown section {section!r}", lineno)
+                raise LineError(f"unknown section {section!r}", lineno)
             continue
         if section == "generators":
             parts = line.split()
             if len(parts) not in (2, 3):
-                raise ParseError(f"bad generator line {line!r}", lineno)
+                raise LineError(f"bad generator line {line!r}", lineno)
             name, parity = parts[0], parts[1]
             if parity not in ("0", "1"):
-                raise ParseError(f"parity must be 0 or 1, got {parity!r}", lineno)
+                raise LineError(f"parity must be 0 or 1, got {parity!r}", lineno)
             try:
                 z = int(parts[2]) if len(parts) == 3 else None
             except ValueError:
-                raise ParseError(f"z-degree must be an integer, got {parts[2]!r}",
-                                 lineno) from None
+                raise LineError(f"z-degree must be an integer, got {parts[2]!r}", lineno) from None
             basis.append(Generator(name, int(parity), len(basis), z_degree=z))
             variables = None
         elif section == "brackets":
             if "=" not in line:
-                raise ParseError(f"bracket line needs '=': {line!r}", lineno)
+                raise LineError(f"bracket line needs '=': {line!r}", lineno)
             lhs, rhs = line.split("=", 1)
             pair = lhs.split()
             if len(pair) != 2:
-                raise ParseError(f"bracket left side needs two names: {lhs!r}",
-                                 lineno)
+                raise LineError(f"bracket left side needs two names: {lhs!r}", lineno)
             if variables is None:
                 variables = polynomial_presentation([g.name for g in basis])
                 index = {g.name: g.pbw_index for g in basis}
             try:
                 i, j = index[pair[0]], index[pair[1]]
             except KeyError as exc:
-                raise ParseError(f"unknown basis name {exc.args[0]!r}", lineno)
+                raise LineError(f"unknown basis name {exc.args[0]!r}", lineno)
             try:
                 combo = parse_linear_combination(rhs.strip(), variables)
             except ParseError as exc:
@@ -554,7 +552,7 @@ def load_algebra_file(path) -> LieSuperAlgebra:
                                  exc.position) from None
             brackets[(i, j)] = {index[k]: v for k, v in combo.items()}
         else:
-            raise ParseError("content before any section header", lineno)
+            raise LineError("content before any section header", lineno)
     if not basis:
         raise ParseError("no generators defined", 0)
     return LieSuperAlgebra(basis, brackets, name="file-algebra")

@@ -34,14 +34,14 @@ def exact(c):
 class RowSpace:
     """Incrementally maintained row-echelon span of sparse vectors.
 
-    ``sort_key`` maps a coordinate key to something orderable; it defaults
-    to the key itself.  Each stored row is the unique primitive integral
-    multiple of its vector with a positive pivot, so ``rows`` holds no
-    ``Fraction``; :meth:`monic` divides a row by its pivot entry.
+    ``sort_key`` maps a coordinate key to something orderable, once per key;
+    it defaults to the key itself.  Each stored row is the unique primitive
+    integral multiple of its vector with a positive pivot, so ``rows`` holds
+    no ``Fraction``; :meth:`monic` divides a row by its pivot entry.
     """
 
     def __init__(self, sort_key=None):
-        self._key = sort_key if sort_key is not None else (lambda k: k)
+        self._key = None if sort_key is None else _SortKeys(sort_key).__getitem__
         self.rows = {}  # pivot key -> primitive int row, row[pivot] > 0
 
     @property
@@ -103,6 +103,17 @@ class RowSpace:
                     row = _eliminate(row, reduced[q], q, c)
             reduced[p] = _primitive(row, row[p])
         return [self.monic(reduced[p]) for p in pivots]
+
+
+class _SortKeys(dict):
+    """Coordinate -> sort key, each computed on its first lookup."""
+
+    def __init__(self, sort_key):
+        self.sort_key = sort_key
+
+    def __missing__(self, k):
+        key = self[k] = self.sort_key(k)
+        return key
 
 
 def _primitive(vec, lead):

@@ -45,7 +45,7 @@ def test_bad_integers_in_a_definition_file_are_parse_errors(tmp_path, capsys):
     path.write_text("[generators]\nh 0 zz\n", encoding="utf-8")
     code, _, err = run(capsys, "normalize", "h", "--algebra", str(path))
     assert code == 2
-    assert err.startswith("error: z-degree must be an integer") and "position 2" in err
+    assert err.startswith("error: z-degree must be an integer") and "(at line 2)" in err
     path.write_text("[generators]\nh 0\ne 1\n[brackets]\nh e = 1/0*e\n",
                     encoding="utf-8")
     code, _, err = run(capsys, "normalize", "h", "--algebra", str(path))
@@ -58,10 +58,10 @@ def test_a_definition_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
     path.write_bytes(b"\xff\xfe[generators]\nh 0\n")
     code, out, err = run(capsys, "check", "all", "--algebra", str(path))
     assert code == 2 and out == ""
-    assert err == "error: not UTF-8 text (at position 1)\n"
+    assert err == "error: not UTF-8 text (at line 1)\n"
     path.write_bytes(b"[generators]\r\nh 0\r\n# caf\xe9\r\n")
     code, _, err = run(capsys, "normalize", "h", "--algebra", str(path))
-    assert code == 2 and "position 3" in err
+    assert code == 2 and "(at line 3)" in err
     path.write_bytes("[generators]\r\nh 0 # café\r\n".encode("utf-8"))
     assert run(capsys, "normalize", "h*h", "--algebra", str(path))[:2] == (0, "h^2\n")
 

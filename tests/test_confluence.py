@@ -21,16 +21,20 @@ def test_bosonized_triangular_is_confluent(sess_bbar):
     assert check_overlaps(sess_bbar.pres).confluent
 
 
-def test_corrupted_relation_breaks_confluence(ubar):
-    # replace v*u -> x - u*v with v*u -> y - u*v; the overlap v*u*u then
-    # resolves to u one way and to 0 the other
+def corrupted_pl11_bosonized(ubar):
+    """pl11-bosonized with v*u -> y - u*v in place of v*u -> x - u*v; the
+    overlap v*u*u then resolves to u one way and to 0 the other."""
     swap = {k: dict(v) for k, v in ubar.swap_rules.items()}
     v_idx, u_idx = ubar.gen_index("v"), ubar.gen_index("u")
     y_mono = ubar.monomial(y=1)
     uv_mono = ubar.monomial(u=1, v=1)
     swap[(v_idx, u_idx)] = {y_mono: Fraction(1), uv_mono: Fraction(-1)}
-    corrupted = AlgebraPresentation(ubar.generators, swap, ubar.power_rules,
-                                    mode=ubar.mode, name="corrupted")
+    return AlgebraPresentation(ubar.generators, swap, ubar.power_rules,
+                               mode=ubar.mode, name="corrupted")
+
+
+def test_corrupted_relation_breaks_confluence(ubar):
+    corrupted = corrupted_pl11_bosonized(ubar)
     report = check_overlaps(corrupted)
     assert not report.confluent
     words = {d.word for d in report.discrepancies}

@@ -1,15 +1,20 @@
 """Filtration dimensions, growth degrees, module-finiteness, centralizers."""
 
 import itertools
+import random
 
 import pytest
 
-from superhopf import (centralizer_degree_bounded, enveloping_growth_bound,
-                       filtration_dim, growth_obstruction, growth_series,
-                       module_finite_check, parse, subalgebra_generated)
+from superhopf import (bosonize, centralizer_degree_bounded, enveloping,
+                       enveloping_growth_bound, filtration_dim, growth,
+                       growth_obstruction, growth_series, module_finite_check, parse,
+                       session_b_bosonized, session_pl11, subalgebra_generated)
 from superhopf.algebra import AlgebraPresentation, Generator, monomial_key
-from superhopf.errors import AlgebraError
+from superhopf.errors import AlgebraError, PresentationError
 from superhopf.linalg import RowSpace
+
+from test_confluence import corrupted_pl11_bosonized
+from test_products import gl, gl21, osp12
 
 
 def all_gens(P):
@@ -186,3 +191,94 @@ def test_enveloping_growth_bound(sess_u):
     assert enveloping_growth_bound(g, even, 12).detected_degree == 2
     odd_closure = subalgebra_generated(g, [g.basis_vector("u"), g.basis_vector("v")])
     assert enveloping_growth_bound(g, odd_closure, 12).detected_degree == 1
+
+
+# -- the normal-monomial count against the closure ------------------------------------
+
+LIE_ALGEBRAS = {"pl11": lambda: session_pl11().lie,
+                "b": lambda: session_b_bosonized().lie,
+                "osp(1|2)": osp12, "gl(2|1)": gl21}
+
+
+def letter_subsets(P, sample=32):
+    """Every subset of the letters, or a seeded sample plus all of them."""
+    subsets = [c for k in range(P.n + 1) for c in itertools.combinations(range(P.n), k)]
+    if len(subsets) > 64:
+        subsets = random.Random(P.n).sample(subsets[:-1], sample) + subsets[-1:]
+    return subsets
+
+
+@pytest.mark.parametrize("bosonized", [False, True])
+@pytest.mark.parametrize("name", sorted(LIE_ALGEBRAS))
+def test_the_count_matches_the_closure_on_every_letter_subset(name, bosonized):
+    U = enveloping(LIE_ALGEBRAS[name]())
+    P = bosonize(U).carrier if bosonized else U.carrier
+    n_max = 5 if P.n <= 6 else 4
+    for subset in letter_subsets(P):
+        gens = [P.gen(P.gen_name(i)) for i in subset]
+        by_closure = growth.FiltrationClosure(P, gens).extend_to(n_max).dims
+        assert growth_series(P, gens, n_max).dims == by_closure, subset
+
+
+class ClosureBuilt(Exception):
+    pass
+
+
+def refuse_closures(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise ClosureBuilt
+    monkeypatch.setattr(growth, "FiltrationClosure", refuse)
+
+
+def test_a_closed_letter_set_builds_no_closure(monkeypatch, ubar, sess_bbar):
+    refuse_closures(monkeypatch)
+    assert growth_series(ubar, all_gens(ubar), 12).dims[12] == 4 * 12 * 12 + 2
+    assert growth_series(sess_bbar.pres, all_gens(sess_bbar.pres), 12).dims[12] == 48
+    # multiples of letters count as the letters; {x, t} holds its rules
+    x_t = [parse("2*x", ubar), parse("-t", ubar)]
+    assert growth_series(ubar, x_t, 6).dims == [1, 3, 5, 7, 9, 11, 13]
+    # {u} on b-bosonized: u^2 = 0 caps the count
+    assert growth_series(sess_bbar.pres, [sess_bbar.pres.gen("u")], 3).dims == [1, 2, 2, 2]
+
+
+@pytest.mark.parametrize("gens", ["u,v", "x+y+u+v", "x,y,1"])
+def test_other_generators_fall_back_to_the_closure(monkeypatch, ubar, gens):
+    refuse_closures(monkeypatch)
+    with pytest.raises(ClosureBuilt):
+        growth_series(ubar, [parse(g, ubar) for g in gens.split(",")], 4)
+
+
+def test_a_non_confluent_presentation_falls_back_to_the_closure(monkeypatch, ubar):
+    corrupted = corrupted_pl11_bosonized(ubar)
+    by_closure = growth.FiltrationClosure(corrupted, all_gens(corrupted)).extend_to(4).dims
+    refuse_closures(monkeypatch)
+    with pytest.raises(ClosureBuilt):
+        growth_series(corrupted, all_gens(corrupted), 4)
+    monkeypatch.undo()
+    assert growth_series(corrupted, all_gens(corrupted), 4).dims == by_closure
+
+
+def test_rules_that_cycle_off_the_letters_fall_back_to_the_closure(monkeypatch):
+    # b*a -> b*c and c*a -> a^2 rewrite b*c*a back into itself, so the
+    # overlap check cannot finish; the closure of {a} never meets those rules
+    P = AlgebraPresentation([Generator(name, 0, i) for i, name in enumerate("abc")],
+                            {(1, 0): {(0, 1, 1): 1}, (2, 0): {(2, 0, 0): 1},
+                             (2, 1): {(0, 1, 1): 1}}, {}, name="cycling")
+    assert growth_series(P, [P.gen("a")], 4).dims == [1, 2, 3, 4, 5]
+    refuse_closures(monkeypatch)
+    with pytest.raises(ClosureBuilt):
+        growth_series(P, [P.gen("a")], 4)
+
+
+def test_growth_keeps_the_presentation_mismatch_error(ubar, kxy):
+    with pytest.raises(PresentationError, match="presentation mismatch"):
+        growth_series(ubar, [kxy.gen("x")], 3)
+
+
+@pytest.mark.parametrize("bosonized, top", [(False, 256), (True, 512)])
+def test_gl22_detects_degree_eight(bosonized, top):
+    U = enveloping(gl(2, 2))
+    P = bosonize(U).carrier if bosonized else U.carrier
+    report = growth_series(P, all_gens(P), 30)
+    assert report.detected_degree == 8
+    assert set(report.differences[8][8:]) == {top}

@@ -25,14 +25,18 @@ def osp12():
     ])
 
 
-def gl21():
-    """gl(2|1) on its matrix units, even units first."""
-    parity = [0, 0, 1]
-    units = sorted(((i, j) for i in range(3) for j in range(3)),
+def gl(m, n):
+    """gl(m|n) on its matrix units, even units first."""
+    parity = [0] * m + [1] * n
+    units = sorted(((i, j) for i in range(m + n) for j in range(m + n)),
                    key=lambda ij: (parity[ij[0]] ^ parity[ij[1]], ij))
-    return matrix_superalgebra("gl(2|1)", [
+    return matrix_superalgebra(f"gl({m}|{n})", [
         (f"e{i + 1}{j + 1}", parity[i] ^ parity[j], None, {(i, j): 1})
         for i, j in units])
+
+
+def gl21():
+    return gl(2, 1)
 
 
 PRESENTATIONS = {
