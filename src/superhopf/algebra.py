@@ -87,6 +87,7 @@ class AlgebraPresentation:
         self._swap_rhs = {k: self._expand_rhs(v) for k, v in self.swap_rules.items()}
         self._power_rhs = {k: self._expand_rhs(v) for k, v in self.power_rules.items()}
         self._mul_cache = {}  # (m1, m2) -> m1*m2, unsorted products only
+        self._confluent = None  # the verdict of is_confluent, found on first use
         self._letters = [self.monomial(**{g.name: 1}) for g in self.generators]
 
     # -- construction checks -------------------------------------------------
@@ -214,6 +215,16 @@ class AlgebraPresentation:
                 return False
         return all(sum(m) < self._caps[idx]
                    for idx, rhs in self.power_rules.items() for m in rhs)
+
+    def is_confluent(self) -> bool:
+        """Whether :func:`check_overlaps` finds the rules confluent, a rewriting
+        cycle counting as not.  Checked once: the rules never change."""
+        if self._confluent is None:
+            try:
+                self._confluent = check_overlaps(self).confluent
+            except NonTerminationError:
+                self._confluent = False
+        return self._confluent
 
     # -- element constructors --------------------------------------------------
 
@@ -593,26 +604,46 @@ class TensorElement(Combination):
 
         ``(a1 (x) a2)(b1 (x) b2) = (-1)^{p(a2) p(b1)} a1 b1 (x) a2 b2``, the
         sign only when the presentation's ``mode`` is ``"super"``: the right
-        operand's first leg passes the left operand's second.  Each term's
-        parity is computed once, and each leg product is one
-        :meth:`AlgebraPresentation.mul_monomials`.  Tensors with another
-        number of legs raise :class:`PresentationError`.
+        operand's first leg passes the left operand's second.
+
+        One in-place kernel: each term's parity and unit legs are found once,
+        the sign is taken once per pair of terms, and the pair's two leg
+        products are added straight into the result.  A unit leg calls no
+        product, its partner monomial is the product; any other leg product is
+        one memoized ``_mul`` with a fresh step budget, as in
+        :meth:`AlgebraPresentation.mul_monomials`.  The add is the one sum into
+        a sparse dict outside :func:`linalg.accumulate`; like it, it stores no
+        zero.  Tensors with another number of legs raise
+        :class:`PresentationError`.
         """
         alg = self.alg
         alg._require_same(other.alg)
         if self.legs != 2 or other.legs != 2:
             raise PresentationError("tensor_mul multiplies 2-leg tensors")
         parity = alg.monomial_parity if alg.mode == SUPER else lambda m: 0
-        left = [(k, c, parity(k[1])) for k, c in self.coeffs.items()]
-        right = [(k, c, parity(k[0])) for k, c in other.coeffs.items()]
-        mul = alg.mul_monomials
+        left = [(a1, a2, any(a1), any(a2), c, parity(a2))
+                for (a1, a2), c in self.coeffs.items()]
+        right = [(b1, b2, any(b1), any(b2), c, parity(b1))
+                 for (b1, b2), c in other.coeffs.items()]
+        mul = alg._mul
         out = {}
-        for (a1, a2), ca, pa in left:
-            for (b1, b2), cb, pb in right:
-                second = mul(a2, b2)
-                accumulate(out, {(m1, m2): c1 * c2 for m1, c1 in mul(a1, b1).items()
-                                 for m2, c2 in second.items()},
-                           -ca * cb if pa and pb else ca * cb)
+        get = out.get
+        for a1, a2, x1, x2, ca, pa in left:
+            for b1, b2, y1, y2, cb, pb in right:
+                c = -ca * cb if pa and pb else ca * cb
+                first = (mul(a1, b1, [DEFAULT_STEP_BUDGET]).items() if x1 and y1
+                         else ((a1 if x1 else b1, 1),))
+                second = (mul(a2, b2, [DEFAULT_STEP_BUDGET]).items() if x2 and y2
+                          else ((a2 if x2 else b2, 1),))
+                for m1, c1 in first:
+                    c1 *= c
+                    for m2, c2 in second:
+                        key = (m1, m2)
+                        new = get(key, 0) + c1 * c2
+                        if new:
+                            out[key] = new
+                        else:
+                            del out[key]
         return TensorElement(alg, 2, out)
 
     def apply_element_map(self, fn, leg: int) -> "TensorElement":

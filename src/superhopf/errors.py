@@ -22,11 +22,13 @@ class UnsupportedFieldError(AlgebraError):
 
 
 class ParseError(AlgebraError):
-    """Expression or definition-file syntax error, with a position."""
+    """Expression or definition-file syntax error, with a position if one
+    names the place."""
 
     unit = "position"
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at {self.unit} {position})")
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message if position is None
+                         else f"{message} (at {self.unit} {position})")
         self.message = message
         self.position = position
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Sequence
 
-from .algebra import AlgebraPresentation, Element, check_overlaps, monomial_key
-from .errors import AlgebraError, NonTerminationError
+from .algebra import AlgebraPresentation, Element, monomial_key
+from .errors import AlgebraError
 from .hopf import enveloping
 from .linalg import RowSpace, kernel_image_basis
 from .liesuper import LieSuperAlgebra, SubSuperSpace, as_standalone
@@ -171,10 +171,7 @@ def _normal_monomial_dims(P, gens, n_max):
     rhs += [r for i, r in P.power_rules.items() if i in letters]
     if any(e and i not in letters for r in rhs for m in r for i, e in enumerate(m)):
         return None
-    try:
-        if not check_overlaps(P).confluent:
-            return None
-    except NonTerminationError:  # a rewriting cycle, which a closure on S may never meet
+    if not P.is_confluent():  # even for a rewriting cycle that S may never meet
         return None
     dims = [1] + [0] * n_max
     for cap in [P.generators[i].exp_cap for i in letters] + [None]:

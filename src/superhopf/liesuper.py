@@ -554,5 +554,5 @@ def load_algebra_file(path) -> LieSuperAlgebra:
         else:
             raise LineError("content before any section header", lineno)
     if not basis:
-        raise ParseError("no generators defined", 0)
+        raise ParseError("no generators defined")
     return LieSuperAlgebra(basis, brackets, name="file-algebra")

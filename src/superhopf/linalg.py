@@ -151,7 +151,8 @@ def accumulate(out, coeffs, scale=None):
 
     ``scale`` and the coefficients are nonzero, so a new key needs no sum;
     an entry that cancels is deleted, so ``out`` never stores a zero.  A
-    plain sum passes no scale, so it forms no products.
+    plain sum passes no scale, so it forms no products.  The tensor product
+    kernel, ``TensorElement.tensor_mul``, adds by the same rule in place.
     """
     for k, c in coeffs.items():
         if scale is not None:

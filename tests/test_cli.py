@@ -66,6 +66,13 @@ def test_a_definition_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
     assert run(capsys, "normalize", "h*h", "--algebra", str(path))[:2] == (0, "h^2\n")
 
 
+def test_a_definition_file_without_generators_names_no_position(tmp_path, capsys):
+    path = tmp_path / "comment.alg"
+    path.write_text("# only a comment\n", encoding="utf-8")
+    assert run(capsys, "check", "all", "--algebra", str(path)) == (
+        2, "", "error: no generators defined\n")
+
+
 def test_a_bad_bracket_right_side_names_its_file_line(tmp_path, capsys):
     path = tmp_path / "bad.alg"
     path.write_text("[generators]\nh 0\ne 0\nf 0\n\n[brackets]\ne f = 2*q\n",

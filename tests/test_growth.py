@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from superhopf import (bosonize, centralizer_degree_bounded, enveloping,
-                       enveloping_growth_bound, filtration_dim, growth,
+from superhopf import (algebra, bosonize, centralizer_degree_bounded, check_overlaps,
+                       enveloping, enveloping_growth_bound, filtration_dim, growth,
                        growth_obstruction, growth_series, module_finite_check, parse,
                        session_b_bosonized, session_pl11, subalgebra_generated)
 from superhopf.algebra import AlgebraPresentation, Generator, monomial_key
@@ -137,6 +137,23 @@ def test_growth_obstruction_cases(ubar, sess_bbar):
     rep = growth_obstruction(Pb, [Pb.gen("y")], 12)
     assert rep.status == "fail"  # equal growth: no obstruction certificate
     assert rep.parameters["subDegree"] == 1
+
+
+def test_growth_obstruction_checks_the_overlaps_once(monkeypatch, sess_bbar):
+    Pb = sess_bbar.pres
+    P = AlgebraPresentation(Pb.generators, Pb.swap_rules, Pb.power_rules,
+                            mode=Pb.mode, name=Pb.name)  # no verdict yet
+    calls = []
+
+    def counted(pres):
+        calls.append(pres)
+        return check_overlaps(pres)
+
+    monkeypatch.setattr(algebra, "check_overlaps", counted)
+    assert growth_obstruction(P, [P.gen("y")], 12).status == "fail"
+    assert calls == [P]
+    growth_obstruction(P, [P.gen("u")], 12)
+    assert calls == [P]
 
 
 def test_growth_obstruction_inconclusive_window(ubar):

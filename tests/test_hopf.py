@@ -1,5 +1,6 @@
 """Structure maps of the enveloping algebra and its bosonization."""
 
+import random
 import sys
 from fractions import Fraction
 from math import comb
@@ -7,10 +8,11 @@ from math import comb
 import pytest
 
 from superhopf import (bosonize, enveloping, parse, session_b_bosonized,
-                       session_pl11)
-from superhopf.algebra import Generator, TensorElement
+                       session_pl11, session_pl11_bosonized)
+from superhopf.algebra import SUPER, Generator, TensorElement
 from superhopf.errors import AlgebraError
 from superhopf.liesuper import LieSuperAlgebra
+from superhopf.linalg import exact
 
 from test_products import gl21, osp12
 
@@ -284,3 +286,68 @@ def test_a_non_primitive_image_takes_the_letter_step(sess_u):
     assert corrupted.coproduct(x3) == x3.outer(x3)
     for m in reversed(list(P.enumerate_monomials(4))):
         assert corrupted.delta_monomial(m) == letter_by_letter(corrupted, m)
+
+
+# -- the tensor product kernel ---------------------------------------------------------
+
+
+def tensor_product_by_elements(A, B):
+    """The oracle for ``tensor_mul``: the sum of +-ca*cb (a1*b1) (x) (a2*b2) over
+    the pairs of terms, from Element products, with the sign (-1)^(p(a2) p(b1))
+    only in super mode."""
+    P = A.alg
+    out = TensorElement(P, 2, {})
+    for (a1, a2), ca in A.items():
+        for (b1, b2), cb in B.items():
+            odd = P.mode == SUPER and P.monomial_parity(a2) and P.monomial_parity(b1)
+            first = P.monomial_element(a1) * P.monomial_element(b1)
+            second = P.monomial_element(a2) * P.monomial_element(b2)
+            out = out + ((-1 if odd else 1) * ca * cb) * first.outer(second)
+    return out
+
+
+def random_tensor(P, rng, monomials):
+    """A 2-leg tensor with a unit leg on either side and Fraction coefficients."""
+    unit = P.unit_monomial()
+    keys = {(rng.choice(monomials), rng.choice(monomials))
+            for _ in range(rng.randint(1, 4))}
+    keys |= {(unit, rng.choice(monomials)), (rng.choice(monomials), unit)}
+    return TensorElement(P, 2, {k: exact(Fraction(rng.choice([-3, -1, 1, 2, 5]),
+                                                  rng.randint(1, 3)))
+                                for k in keys})
+
+
+@pytest.mark.parametrize("carrier", [lambda: session_pl11().pres,
+                                     lambda: session_pl11_bosonized().pres,
+                                     lambda: enveloping(osp12()).carrier],
+                         ids=["pl11", "pl11-bosonized", "osp(1|2)"])
+def test_tensor_mul_matches_the_sum_of_element_products(carrier, monkeypatch):
+    P = carrier()
+    rng = random.Random(15)
+    monomials = P.enumerate_monomials(3)
+    pairs = [(random_tensor(P, rng, monomials), random_tensor(P, rng, monomials))
+             for _ in range(40)]
+    wants = [tensor_product_by_elements(A, B) for A, B in pairs]
+    mul, calls = P._mul, []
+
+    def counted(m1, m2, budget):
+        calls.append((m1, m2))
+        return mul(m1, m2, budget)
+
+    monkeypatch.setattr(P, "_mul", counted)
+    gots = [A.tensor_mul(B) for A, B in pairs]
+    monkeypatch.undo()
+    assert gots == wants
+    assert any(isinstance(c, Fraction) for T in gots for c in T.coeffs.values())
+    # a unit leg calls no product; the others include multi-term leg products
+    assert calls and all(any(m1) and any(m2) for m1, m2 in calls)
+    assert any(len(P.mul_monomials(m1, m2)) > 1 for m1, m2 in calls)
+
+
+def test_tensor_mul_deletes_the_terms_that_cancel(sess_u):
+    # (u(x)1 + 1(x)u)^2 = u^2(x)1 + u(x)u - u(x)u + 1(x)u^2, and u^2 = 0 in U(pl11)
+    P = sess_u.pres
+    u, one = P.gen("u"), P.one()
+    du = u.outer(one) + one.outer(u)
+    assert du.tensor_mul(du).coeffs == {}
+    assert tensor_product_by_elements(du, du).coeffs == {}
