@@ -11,9 +11,8 @@ k[x,y] with the growth obstruction over k[x].
 
 import argparse
 
-from superhopf import (growth_obstruction, growth_series, module_finite_check,
-                       parse, polynomial_presentation, session_b_bosonized,
-                       session_pl11_bosonized)
+from superhopf import (growth_obstruction, growth_series, load_session,
+                       module_finite_check, parse, polynomial_presentation)
 
 
 def all_gens(P):
@@ -26,12 +25,12 @@ def main() -> int:
     args = parser.parse_args()
     n_max = args.n_max
 
-    sess = session_pl11_bosonized()
+    sess = load_session("pl11-bosonized")
     P = sess.pres
     print(f"== growth of {P.name} ==")
     print(growth_series(P, all_gens(P), n_max).to_text())
 
-    tri = session_b_bosonized().pres
+    tri = load_session("b-bosonized").pres
     print(f"== growth of {tri.name} ==")
     print(growth_series(tri, all_gens(tri), n_max).to_text())
 

@@ -409,8 +409,8 @@ class AlgebraPresentation:
             raise PresentationError(
                 f"presentation mismatch: {self.name} vs {other.name}")
 
-    def tensor_one(self, legs: int = 2) -> "TensorElement":
-        return TensorElement(self, legs, {(self.unit_monomial(),) * legs: 1})
+    def tensor_one(self) -> "TensorElement":
+        return TensorElement(self, 2, {(self.unit_monomial(),) * 2: 1})
 
 
 def polynomial_presentation(names) -> AlgebraPresentation:
@@ -528,18 +528,6 @@ class Element(Combination):
 
     def degree(self) -> int:
         return max((sum(m) for m in self.coeffs), default=0)
-
-    def parity(self) -> Optional[int]:
-        parities = {self.alg.monomial_parity(m) for m in self.coeffs}
-        if len(parities) == 1:
-            return parities.pop()
-        return None
-
-    def z_degree(self) -> Optional[int]:
-        degrees = {self.alg.monomial_z_degree(m) for m in self.coeffs}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
 
     def coefficient(self, m):
         return self.coeffs.get(tuple(m), 0)

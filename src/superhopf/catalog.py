@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .algebra import AlgebraPresentation, polynomial_presentation  # the latter re-exported
+from .algebra import AlgebraPresentation
 from .errors import AlgebraError
 from .exprs import parse
 from .hopf import BosonizedAlgebra, HopfStructureMaps, bosonize, enveloping
@@ -162,14 +162,3 @@ def load_session(source: str, bosonize_file: bool = False) -> Session:
                            f"relation table: {rep.witnesses[0]}")
     return sess
 
-
-def session_pl11() -> Session:
-    return load_session("pl11")
-
-
-def session_pl11_bosonized() -> Session:
-    return load_session("pl11-bosonized")
-
-
-def session_b_bosonized() -> Session:
-    return load_session("b-bosonized")

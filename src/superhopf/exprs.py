@@ -27,6 +27,12 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
                     r"|(?P<op>[-+*^()/]))")
 
 
+def is_name(text: str) -> bool:
+    """Whether ``text`` is one identifier token, so that expressions can name it."""
+    m = _TOKEN.fullmatch(text)
+    return m is not None and m.lastgroup == "name"
+
+
 def _tokenize(text: str):
     tokens = []
     pos = 0

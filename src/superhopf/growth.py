@@ -15,9 +15,7 @@ from typing import Optional, Sequence
 
 from .algebra import AlgebraPresentation, Element, monomial_key
 from .errors import AlgebraError
-from .hopf import enveloping
 from .linalg import RowSpace, kernel_image_basis
-from .liesuper import LieSuperAlgebra, SubSuperSpace, as_standalone
 
 
 class FiltrationClosure:
@@ -82,11 +80,6 @@ class FiltrationClosure:
     def contains(self, a: Element) -> bool:
         """Membership in the span of the levels built so far."""
         return self.space.contains(a.coeffs)
-
-
-def filtration_dim(P: AlgebraPresentation, gens: Sequence[Element], n: int) -> int:
-    """Exact dimension of the span of all products of <= n generators."""
-    return FiltrationClosure(P, gens).extend_to(n).dims[n]
 
 
 @dataclass
@@ -206,12 +199,3 @@ def centralizer_degree_bounded(P: AlgebraPresentation,
     basis = kernel_image_basis(columns, images, monomial_key)
     return [Element(P, row) for row in basis]
 
-
-def enveloping_growth_bound(g: LieSuperAlgebra, sub: SubSuperSpace,
-                            n_max: int) -> GrowthReport:
-    """Growth report of the enveloping algebra of a sub Lie superalgebra."""
-    standalone = as_standalone(sub)
-    maps = enveloping(standalone)
-    pres = maps.carrier
-    gens = [pres.gen(b.name) for b in pres.generators]
-    return growth_series(pres, gens, n_max)

@@ -57,7 +57,7 @@ class HopfStructureMaps:
                         + carrier.monomial_parity(key[1])) % 2 != gp:
                     raise PresentationError(
                         f"coproduct of {carrier.gen_name(idx)} is not parity-homogeneous")
-        self._delta_cache = {carrier.unit_monomial(): carrier.tensor_one(2)}
+        self._delta_cache = {carrier.unit_monomial(): carrier.tensor_one()}
         self._antipode_cache = {carrier.unit_monomial(): carrier.one()}
 
     def replace(self, **updates) -> "HopfStructureMaps":

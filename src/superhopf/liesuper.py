@@ -6,8 +6,10 @@ elements).  Vectors are dense tuples of exact rationals in basis coordinates:
 integral ones are ``int``, so integer structure constants stay integers.
 
 Structure constants are solved for from matrices under the super-commutator
-(:func:`matrix_superalgebra`; ``pl11`` is gl(1|1)) or read from a definition
-file with the expression parser of :mod:`exprs` (:func:`load_algebra_file`).
+(:func:`matrix_superalgebra`) or read from a definition file with the
+expression parser of :mod:`exprs` (:func:`load_algebra_file`).  Both built-ins
+come from matrices: ``pl11`` is gl(1|1), and b
+(:func:`upper_triangular_subalgebra`) is its upper triangular part.
 :class:`SubSuperSpace` reads coordinates off the pivots of its reduced basis.
 """
 
@@ -21,7 +23,7 @@ from typing import Optional, Sequence
 
 from .algebra import Generator, format_terms, polynomial_presentation
 from .errors import AlgebraError, LineError, ParseError, UnsupportedFieldError
-from .exprs import parse_linear_combination
+from .exprs import is_name, parse_linear_combination
 from .linalg import RowSpace, accumulate, exact, kernel_basis
 
 
@@ -85,21 +87,6 @@ class LieSuperAlgebra:
         if len(parities) == 1:
             return parities.pop()
         if not parities:
-            return 0
-        return None
-
-    def vector_z_degree(self, vec) -> Optional[int]:
-        degrees = set()
-        for i, c in enumerate(vec):
-            if not c:
-                continue
-            z = self.basis[i].z_degree
-            if z is None:
-                return None
-            degrees.add(z)
-        if len(degrees) == 1:
-            return degrees.pop()
-        if not degrees:
             return 0
         return None
 
@@ -230,6 +217,14 @@ def pl11() -> LieSuperAlgebra:
     ])
 
 
+def upper_triangular_subalgebra() -> LieSuperAlgebra:
+    """b: the subalgebra of pl11 spanned by y and u (upper triangular matrices)."""
+    return matrix_superalgebra("sub(pl11)", [
+        ("y", 0, 0, {(0, 0): 1}),
+        ("u", 1, 1, {(0, 1): 1}),
+    ])
+
+
 # -- subspaces ------------------------------------------------------------------------
 
 
@@ -291,23 +286,6 @@ def subalgebra_generated(g: LieSuperAlgebra, seeds) -> SubSuperSpace:
         if not extra:
             return sub
         sub = SubSuperSpace(g, list(sub.vectors) + extra)
-
-
-@dataclass
-class IdealCheck:
-    is_ideal: bool
-    witness: Optional[tuple] = None  # (basis vector, subspace vector, bracket)
-
-
-def is_ideal(g: LieSuperAlgebra, s: SubSuperSpace) -> IdealCheck:
-    """True iff [g, s] is contained in s; returns a witness pair otherwise."""
-    for i in range(g.n):
-        e = g.unit(i)
-        for v in s.vectors:
-            br = g.bracket(e, v)
-            if not s.contains(br):
-                return IdealCheck(False, (e, v, br))
-    return IdealCheck(True)
 
 
 def ad_eigen(g: LieSuperAlgebra, h, s: SubSuperSpace):
@@ -447,54 +425,19 @@ def _deflate(poly, root):
     return out
 
 
-def as_standalone(s: SubSuperSpace) -> LieSuperAlgebra:
-    """Reinterpret a bracket-closed subspace as a Lie superalgebra.
-
-    Basis vectors that coincide with parent basis vectors keep their names;
-    other vectors get the synthetic names ``e0``, ``e1``, ...
-    """
-    parent = s.parent
-    basis = []
-    for idx, vec in enumerate(s.vectors):
-        support = [i for i, c in enumerate(vec) if c]
-        if len(support) == 1 and vec[support[0]] == 1:
-            name = parent.basis[support[0]].name
-        else:
-            name = f"e{idx}"
-        parity = parent.vector_parity(vec)
-        z = parent.vector_z_degree(vec)
-        basis.append(Generator(name, parity, idx, z_degree=z))
-    brackets = {}
-    for i, v in enumerate(s.vectors):
-        for j, w in enumerate(s.vectors):
-            br = parent.bracket(v, w)
-            coords = s.express(br)
-            if coords is None:
-                raise AlgebraError("subspace is not closed under the bracket")
-            brackets[(i, j)] = {k: c for k, c in enumerate(coords) if c}
-    return LieSuperAlgebra(basis, brackets, name=f"sub({parent.name})")
-
-
-def upper_triangular_subalgebra(g: Optional[LieSuperAlgebra] = None) -> LieSuperAlgebra:
-    """The subalgebra of pl11 spanned by y and u (upper triangular matrices)."""
-    if g is None:
-        g = pl11()
-    sub = subalgebra_generated(g, [g.basis_vector("y"), g.basis_vector("u")])
-    return as_standalone(sub)
-
-
 # -- definition files ----------------------------------------------------------------
 
 
 def load_algebra_file(path) -> LieSuperAlgebra:
     """Read a structured-text algebra definition.
 
-    Format: a ``[generators]`` section with lines ``name parity [zdegree]``
-    followed by a ``[brackets]`` section with lines ``a b = <expr>`` where
-    the expression is in the ``normalize`` grammar (:mod:`exprs`) and of
-    degree exactly 1 in the basis names.  Omitted brackets default
-    to zero (the reversed orientation of a stated bracket is filled in by
-    super antisymmetry).  ``#`` starts a comment.
+    Format: a ``[generators]`` section with lines ``name parity [zdegree]``,
+    each name an identifier of the expression grammar, followed by a
+    ``[brackets]`` section with lines ``a b = <expr>`` where the expression
+    is in the ``normalize`` grammar (:mod:`exprs`) and of degree exactly 1 in
+    the basis names.  Each ordered pair is stated at most once.  Omitted
+    brackets default to zero (the reversed orientation of a stated bracket is
+    filled in by super antisymmetry).  ``#`` starts a comment.
     """
     basis = []
     brackets = {}
@@ -520,6 +463,9 @@ def load_algebra_file(path) -> LieSuperAlgebra:
             if len(parts) not in (2, 3):
                 raise LineError(f"bad generator line {line!r}", lineno)
             name, parity = parts[0], parts[1]
+            if not is_name(name):
+                raise LineError(f"generator name {name!r} is not an identifier "
+                                "(a letter or _, then letters, digits or _)", lineno)
             if parity not in ("0", "1"):
                 raise LineError(f"parity must be 0 or 1, got {parity!r}", lineno)
             try:
@@ -542,6 +488,8 @@ def load_algebra_file(path) -> LieSuperAlgebra:
                 i, j = index[pair[0]], index[pair[1]]
             except KeyError as exc:
                 raise LineError(f"unknown basis name {exc.args[0]!r}", lineno)
+            if (i, j) in brackets:
+                raise LineError(f"bracket {pair[0]} {pair[1]} is already stated", lineno)
             try:
                 combo = parse_linear_combination(rhs.strip(), variables)
             except ParseError as exc:

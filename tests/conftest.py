@@ -1,22 +1,21 @@
 import pytest
 
-from superhopf import (polynomial_presentation, session_b_bosonized,
-                       session_pl11, session_pl11_bosonized)
+from superhopf import load_session, polynomial_presentation
 
 
 @pytest.fixture(scope="session")
 def sess_u():
-    return session_pl11()
+    return load_session("pl11")
 
 
 @pytest.fixture(scope="session")
 def sess_ubar():
-    return session_pl11_bosonized()
+    return load_session("pl11-bosonized")
 
 
 @pytest.fixture(scope="session")
 def sess_bbar():
-    return session_b_bosonized()
+    return load_session("b-bosonized")
 
 
 @pytest.fixture(scope="session")

@@ -10,10 +10,9 @@ import itertools
 import time
 from contextlib import contextmanager
 
-from superhopf import (check_overlaps, growth_obstruction,
-                       growth_series, module_finite_check, parse,
-                       polynomial_presentation, session_b_bosonized,
-                       session_pl11, session_pl11_bosonized, verify)
+from superhopf import (check_overlaps, growth_obstruction, growth_series,
+                       load_session, module_finite_check, parse,
+                       polynomial_presentation, verify)
 from superhopf.algebra import monomial_key
 from superhopf.catalog import (PL11_BOSONIZED_RELATIONS,
                                check_defining_relations)
@@ -41,7 +40,7 @@ def criterion(number, name, budget_seconds):
 
 def test_criterion_1_presentation_fidelity():
     with criterion(1, "presentation-fidelity", 1.0):
-        sess = session_pl11_bosonized()
+        sess = load_session("pl11-bosonized")
         report = check_defining_relations(sess.pres, PL11_BOSONIZED_RELATIONS)
         assert report.passed
         assert report.parameters["relations"] == len(PL11_BOSONIZED_RELATIONS)
@@ -49,8 +48,8 @@ def test_criterion_1_presentation_fidelity():
 
 def test_criterion_2_confluence():
     with criterion(2, "confluence", 5.0):
-        for sess in (session_pl11(), session_pl11_bosonized(),
-                     session_b_bosonized()):
+        for sess in (load_session("pl11"), load_session("pl11-bosonized"),
+                     load_session("b-bosonized")):
             report = check_overlaps(sess.pres)
             assert report.confluent, sess.name
             assert report.overlaps_checked > 0
@@ -58,7 +57,7 @@ def test_criterion_2_confluence():
 
 def test_criterion_3_hopf_axiom_suite():
     with criterion(3, "hopf-axioms", 60.0):
-        for sess in (session_pl11(), session_pl11_bosonized()):
+        for sess in (load_session("pl11"), load_session("pl11-bosonized")):
             reports = hopf_axiom_suite(sess.hopf, n_random=100, seed=1)
             for rep in reports:
                 assert rep.passed, (sess.name, rep.check_name, rep.witnesses[:2])
@@ -66,7 +65,7 @@ def test_criterion_3_hopf_axiom_suite():
 
 def test_criterion_4_adjoint_identities():
     with criterion(4, "adjoint-identities", 5.0):
-        sess = session_pl11_bosonized()
+        sess = load_session("pl11-bosonized")
         B = sess.bos
         P = sess.pres
         rep = check_ad_equals_bracket(sess.lie, B)
@@ -80,7 +79,7 @@ def test_criterion_4_adjoint_identities():
 
 def test_criterion_5_normality():
     with criterion(5, "normality", 10.0):
-        sess = session_pl11_bosonized()
+        sess = load_session("pl11-bosonized")
         B, P = sess.bos, sess.pres
         assert is_normal(B, [P.gen("x")], 6).passed
         rep = is_normal(B, [P.gen("t")], 6)
@@ -92,7 +91,7 @@ def test_criterion_5_normality():
 
 def test_criterion_6_biproduct_decomposition():
     with criterion(6, "biproduct-decomposition", 30.0):
-        sess = session_pl11_bosonized()
+        sess = load_session("pl11-bosonized")
         B, P = sess.bos, sess.pres
         for names in (("y", "u", "t"), ("x", "t"),
                       tuple(g.name for g in P.generators)):
@@ -102,7 +101,7 @@ def test_criterion_6_biproduct_decomposition():
 
 def test_criterion_7_growth_values():
     with criterion(7, "growth-values", 60.0):
-        sess = session_pl11_bosonized()
+        sess = load_session("pl11-bosonized")
         P = sess.pres
         gens = [P.gen(g.name) for g in P.generators]
 
@@ -121,7 +120,7 @@ def test_criterion_7_growth_values():
             assert full.dims[n] == 4 * n * n + 2
         assert full.detected_degree == 2
 
-        tri_sess = session_b_bosonized()
+        tri_sess = load_session("b-bosonized")
         Pt = tri_sess.pres
         tri = growth_series(Pt, [Pt.gen(g.name) for g in Pt.generators], 12)
         for n in range(2, 13):
@@ -137,7 +136,7 @@ def test_criterion_7_growth_values():
 
 def test_criterion_8_module_finiteness():
     with criterion(8, "module-finiteness", 60.0):
-        sess = session_pl11_bosonized()
+        sess = load_session("pl11-bosonized")
         P = sess.pres
         pbw_gens = [parse(s, P)
                     for s in ("1", "u", "v", "u*v", "t", "u*t", "v*t", "u*v*t")]
@@ -152,10 +151,10 @@ def test_criterion_8_module_finiteness():
 
 def test_criterion_9_nilpotency_and_zero_divisor_contrast():
     with criterion(9, "nilpotency-and-semiprimality", 30.0):
-        tri = session_b_bosonized()
+        tri = load_session("b-bosonized")
         rep = check_nilpotent_ideal(tri.pres, [tri.pres.gen("u")], 2, 6)
         assert rep.passed
-        sess = session_pl11_bosonized()
+        sess = load_session("pl11-bosonized")
         scan = zero_divisor_scan(sess.pres, 3, 200, seed=1)
         assert scan.parameters["found"] == 0
         assert scan.status == verify.INCONCLUSIVE
@@ -164,7 +163,7 @@ def test_criterion_9_nilpotency_and_zero_divisor_contrast():
 def test_criterion_10_centralizer_window():
     with criterion(10, "centralizer-window", 30.0):
         from superhopf import centralizer_degree_bounded
-        sess = session_pl11_bosonized()
+        sess = load_session("pl11-bosonized")
         P = sess.pres
         gens = [P.gen(g.name) for g in P.generators]
         basis = centralizer_degree_bounded(P, gens, 4, z_degree=0)

@@ -112,9 +112,8 @@ def test_parity_is_multiplicative(sess_ubar, data):
     a = pres.monomial_element(m1)
     b = pres.monomial_element(m2)
     prod = a * b
-    if not prod.is_zero:
-        assert prod.parity() == (pres.monomial_parity(m1)
-                                 + pres.monomial_parity(m2)) % 2
+    expected = (pres.monomial_parity(m1) + pres.monomial_parity(m2)) % 2
+    assert {pres.monomial_parity(m) for m in prod.coeffs} <= {expected}
 
 
 @settings(max_examples=100, deadline=None)
@@ -125,9 +124,8 @@ def test_z_degree_is_additive(sess_ubar, data):
     m1 = data.draw(st.sampled_from(monomials))
     m2 = data.draw(st.sampled_from(monomials))
     prod = pres.monomial_element(m1) * pres.monomial_element(m2)
-    if not prod.is_zero:
-        assert prod.z_degree() == (pres.monomial_z_degree(m1)
-                                   + pres.monomial_z_degree(m2))
+    expected = pres.monomial_z_degree(m1) + pres.monomial_z_degree(m2)
+    assert {pres.monomial_z_degree(m) for m in prod.coeffs} <= {expected}
 
 
 @settings(max_examples=60, deadline=None)
@@ -212,7 +210,7 @@ def test_tensor_product_koszul_sign(sess_u, ubar):
         u, v, one = pres.gen("u"), pres.gen("v"), pres.one()
         assert one.outer(u).tensor_mul(v.outer(one)) == sign * v.outer(u)
         s = u.outer(v) + one.outer(one)
-        assert pres.tensor_one(2).tensor_mul(s) == s
+        assert pres.tensor_one().tensor_mul(s) == s
 
 
 def test_tensor_mul_associative(sess_u, ubar):
@@ -227,7 +225,7 @@ def test_tensor_mul_associative(sess_u, ubar):
 
 def test_tensor_mul_needs_two_legs(ubar):
     u, v = ubar.gen("u"), ubar.gen("v")
-    three = u.outer(v).apply_tensor_map(lambda m: ubar.tensor_one(2), 1)
+    three = u.outer(v).apply_tensor_map(lambda m: ubar.tensor_one(), 1)
     assert three.legs == 3
     for a, b in ((three, three), (three, u.outer(v)), (u.outer(v), three)):
         with pytest.raises(PresentationError):

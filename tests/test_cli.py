@@ -83,6 +83,28 @@ def test_a_bad_bracket_right_side_names_its_file_line(tmp_path, capsys):
     assert "line 7" in err and "position 2" in err
 
 
+@pytest.mark.parametrize("name", ["x'", "2h", "h-e", "é"])
+def test_a_generator_name_expressions_cannot_read_is_rejected(tmp_path, capsys, name):
+    path = tmp_path / "bad.alg"
+    path.write_text(f"[generators]\nh 0\n{name} 0\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", "all", "--algebra", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: generator name {name!r} is not an identifier")
+    assert err.endswith("(at line 3)\n") and "Traceback" not in err
+
+
+def test_a_bracket_stated_twice_is_rejected(tmp_path, capsys):
+    path = tmp_path / "bad.alg"
+    path.write_text("[generators]\nh 0\ne 0\n[brackets]\nh e = e\n\nh e = 2*e\n",
+                    encoding="utf-8")
+    assert run(capsys, "check", "all", "--algebra", str(path)) == (
+        2, "", "error: bracket h e is already stated (at line 7)\n")
+    # the reversed orientation is not a repeat: validation checks it agrees
+    path.write_text("[generators]\nh 0\ne 0\n[brackets]\nh e = e\ne h = -e\n",
+                    encoding="utf-8")
+    assert run(capsys, "normalize", "e*h", "--algebra", str(path)) == (0, "h*e - e\n", "")
+
+
 def test_check_all_passes_on_the_bosonized_algebra(tmp_path, capsys):
     out = tmp_path / "report.txt"
     code, _, _ = run(capsys, "check", "all", "--hopf-random", "25",

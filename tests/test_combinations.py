@@ -17,9 +17,9 @@ def test_tensors_print_unit_negative_and_fractional_coefficients(ubar):
     assert str(one.outer(one) - u.outer(v)) == "-u(x)v + 1(x)1"
     assert str(u.outer(v) - Fraction(3, 2) * one.outer(one)) == "u(x)v - 3/2*1(x)1"
     assert str(parse("y^2*u", ubar).outer(one) + one.outer(-u)) == "y^2*u(x)1 - 1(x)u"
-    three = u.outer(v).apply_tensor_map(lambda m: ubar.tensor_one(2), 1)
+    three = u.outer(v).apply_tensor_map(lambda m: ubar.tensor_one(), 1)
     assert str(three) == "u(x)1(x)1"
-    assert str(ubar.tensor_one(2) - ubar.tensor_one(2)) == "0"
+    assert str(ubar.tensor_one() - ubar.tensor_one()) == "0"
 
 
 def test_lie_vectors_print_like_elements():
@@ -51,7 +51,7 @@ def test_elements_and_tensors_never_mix(ubar):
 
 def test_tensor_leg_counts_are_part_of_the_value(ubar):
     u, v = ubar.gen("u"), ubar.gen("v")
-    three = u.outer(v).apply_tensor_map(lambda m: ubar.tensor_one(2), 1)
+    three = u.outer(v).apply_tensor_map(lambda m: ubar.tensor_one(), 1)
     with pytest.raises(PresentationError):
         three + u.outer(v)
     with pytest.raises(PresentationError):

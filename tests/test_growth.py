@@ -5,10 +5,9 @@ import random
 
 import pytest
 
-from superhopf import (algebra, bosonize, centralizer_degree_bounded, check_overlaps,
-                       enveloping, enveloping_growth_bound, filtration_dim, growth,
-                       growth_obstruction, growth_series, module_finite_check, parse,
-                       session_b_bosonized, session_pl11, subalgebra_generated)
+from superhopf import (FiltrationClosure, algebra, bosonize, centralizer_degree_bounded,
+                       check_overlaps, enveloping, growth, growth_obstruction,
+                       growth_series, load_session, module_finite_check, parse)
 from superhopf.algebra import AlgebraPresentation, Generator, monomial_key
 from superhopf.errors import AlgebraError, PresentationError
 from superhopf.linalg import RowSpace
@@ -35,18 +34,17 @@ def brute_force_word_rank(P, n):
 
 
 def test_filtration_dim_matches_brute_force_and_monomial_count(ubar):
-    gens = all_gens(ubar)
+    dims = FiltrationClosure(ubar, all_gens(ubar)).extend_to(5).dims
     for n in range(6):
-        by_closure = filtration_dim(ubar, gens, n)
         by_words = brute_force_word_rank(ubar, n)
         by_monomials = len(ubar.enumerate_monomials(n))
-        assert by_closure == by_words == by_monomials, n
-    assert filtration_dim(ubar, gens, 5) == 102
-    assert filtration_dim(ubar, gens, 3) == 38
+        assert dims[n] == by_words == by_monomials, n
+    assert dims[5] == 102
+    assert dims[3] == 38
 
 
 def test_filtration_dim_trivial(ubar):
-    assert filtration_dim(ubar, all_gens(ubar), 0) == 1
+    assert FiltrationClosure(ubar, all_gens(ubar)).extend_to(0).dims[0] == 1
 
 
 def test_growth_closed_forms(ubar, sess_bbar, kxy):
@@ -198,22 +196,18 @@ def test_centralizer_z_filter_needs_declared_degrees(kxy):
         centralizer_degree_bounded(kxy, [kxy.gen("x")], 2, z_degree=0)
 
 
-def test_enveloping_growth_bound(sess_u):
-    g = sess_u.lie
-    b = subalgebra_generated(g, [g.basis_vector("y"), g.basis_vector("u")])
-    assert enveloping_growth_bound(g, b, 12).detected_degree == 1
-    center = subalgebra_generated(g, [g.basis_vector("x")])
-    assert enveloping_growth_bound(g, center, 12).detected_degree == 1
-    even = subalgebra_generated(g, [g.basis_vector("x"), g.basis_vector("y")])
-    assert enveloping_growth_bound(g, even, 12).detected_degree == 2
-    odd_closure = subalgebra_generated(g, [g.basis_vector("u"), g.basis_vector("v")])
-    assert enveloping_growth_bound(g, odd_closure, 12).detected_degree == 1
+def test_enveloping_growth_of_sub_lie_superalgebras(sess_u):
+    # U(b), U(centre), U(even part) and U(closure of u, v) as letter subsets of U(pl11)
+    U = sess_u.pres
+    for letters, degree in (("yu", 1), ("x", 1), ("xy", 2), ("xuv", 1)):
+        report = growth_series(U, [U.gen(a) for a in letters], 12)
+        assert report.detected_degree == degree, letters
 
 
 # -- the normal-monomial count against the closure ------------------------------------
 
-LIE_ALGEBRAS = {"pl11": lambda: session_pl11().lie,
-                "b": lambda: session_b_bosonized().lie,
+LIE_ALGEBRAS = {"pl11": lambda: load_session("pl11").lie,
+                "b": lambda: load_session("b-bosonized").lie,
                 "osp(1|2)": osp12, "gl(2|1)": gl21}
 
 

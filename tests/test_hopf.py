@@ -7,8 +7,7 @@ from math import comb
 
 import pytest
 
-from superhopf import (bosonize, enveloping, parse, session_b_bosonized,
-                       session_pl11, session_pl11_bosonized)
+from superhopf import bosonize, enveloping, load_session, parse
 from superhopf.algebra import SUPER, Generator, TensorElement
 from superhopf.errors import AlgebraError
 from superhopf.liesuper import LieSuperAlgebra
@@ -234,7 +233,7 @@ def test_structure_maps_of_long_monomials_need_no_recursion(sess_u, sess_ubar):
 
 def letter_by_letter(H, m):
     """Delta(m) as the product of the generator images, one letter at a time."""
-    d = H.carrier.tensor_one(2)
+    d = H.carrier.tensor_one()
     for idx in H.carrier.monomial_letters(m):
         d = d.tensor_mul(H.delta_gen[idx])
     return d
@@ -262,8 +261,8 @@ def sum_formula_coproduct(bos, a):
     return out
 
 
-@pytest.mark.parametrize("lie", [lambda: session_pl11().lie,
-                                 lambda: session_b_bosonized().lie, osp12, gl21],
+@pytest.mark.parametrize("lie", [lambda: load_session("pl11").lie,
+                                 lambda: load_session("b-bosonized").lie, osp12, gl21],
                          ids=["pl11", "b", "osp(1|2)", "gl(2|1)"])
 def test_coproducts_by_powers_match_letter_by_letter_products(lie):
     U = enveloping(lie())  # fresh maps, so every image below is computed here
@@ -317,8 +316,8 @@ def random_tensor(P, rng, monomials):
                                 for k in keys})
 
 
-@pytest.mark.parametrize("carrier", [lambda: session_pl11().pres,
-                                     lambda: session_pl11_bosonized().pres,
+@pytest.mark.parametrize("carrier", [lambda: load_session("pl11").pres,
+                                     lambda: load_session("pl11-bosonized").pres,
                                      lambda: enveloping(osp12()).carrier],
                          ids=["pl11", "pl11-bosonized", "osp(1|2)"])
 def test_tensor_mul_matches_the_sum_of_element_products(carrier, monkeypatch):

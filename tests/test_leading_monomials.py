@@ -5,8 +5,7 @@ import random
 
 import pytest
 
-from superhopf import (bosonize, enveloping, session_b_bosonized, session_pl11,
-                       session_pl11_bosonized)
+from superhopf import bosonize, enveloping, load_session
 from superhopf.algebra import AlgebraPresentation, Element, Generator, monomial_key
 from superhopf.verify import (FAIL, INCONCLUSIVE, random_dense_element,
                               random_element, zero_divisor_scan)
@@ -15,8 +14,8 @@ from test_products import gl21, osp12
 
 
 def _carriers():
-    b = session_b_bosonized().bos
-    out = {"pl11": session_pl11().pres, "pl11-bosonized": session_pl11_bosonized().pres,
+    b = load_session("b-bosonized").bos
+    out = {"pl11": load_session("pl11").pres, "pl11-bosonized": load_session("pl11-bosonized").pres,
            "b-bosonized": b.carrier, "b": b.u_maps.carrier,
            "k[t]": AlgebraPresentation([Generator("t", 0, 0, exp_cap=2)], {},
                                        {0: {(0,): 1}}, name="k[t]")}

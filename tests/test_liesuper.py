@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from superhopf import (SubSuperSpace, ad_eigen, as_standalone, is_ideal,
-                       matrix_superalgebra, pl11, subalgebra_generated,
-                       upper_triangular_subalgebra)
+from superhopf import (SubSuperSpace, ad_eigen, matrix_superalgebra, pl11,
+                       subalgebra_generated, upper_triangular_subalgebra)
 from superhopf.algebra import Generator
 from superhopf.errors import AlgebraError, UnsupportedFieldError
 from superhopf.hopf import enveloping
@@ -100,17 +99,6 @@ def test_non_homogeneous_seed_rejected(g):
         subalgebra_generated(g, [mixed])
 
 
-def test_is_ideal(g):
-    assert is_ideal(g, SubSuperSpace(g, [vec(g, "x")])).is_ideal
-    whole = SubSuperSpace(g, [vec(g, n) for n in "xyuv"])
-    assert is_ideal(g, whole).is_ideal
-    check = is_ideal(g, SubSuperSpace(g, [vec(g, "y")]))
-    assert not check.is_ideal
-    _, _, bracket = check.witness
-    minus_u = tuple(-c for c in vec(g, "u"))
-    assert bracket in (vec(g, "u"), minus_u)
-
-
 def test_ad_eigen_on_odd_part(g):
     odd = SubSuperSpace(g, [vec(g, "u"), vec(g, "v")])
     pairs = ad_eigen(g, vec(g, "y"), odd)
@@ -174,24 +162,18 @@ def test_irrational_or_complex_roots_raise(coeffs):
         _rational_roots(coeffs)
 
 
-def test_standalone_triangular_subalgebra(g):
-    b = upper_triangular_subalgebra(g)
-    assert [x.name for x in b.basis] == ["y", "u"]
+def test_triangular_subalgebra_lie_data(g):
+    b = upper_triangular_subalgebra()
+    assert b.name == "sub(pl11)"
+    assert [(x.name, x.parity, x.z_degree) for x in b.basis] == [("y", 0, 0), ("u", 1, 1)]
+    # [y, y] = 0, [y, u] = u, [u, y] = -u, [u, u] = 0
+    assert b.table == (((0, 0), (0, 1)), ((0, -1), (0, 0)))
     assert b.validate().ok
-    br = b.bracket(b.basis_vector("y"), b.basis_vector("u"))
-    assert br == b.basis_vector("u")
-
-
-def test_standalone_of_bracket_closed_span(g):
-    sub = subalgebra_generated(g, [vec(g, "u"), vec(g, "v")])
-    alg = as_standalone(sub)
-    assert alg.validate().ok
-    assert {x.name for x in alg.basis} == {"x", "u", "v"}
-
-
-def test_standalone_of_a_span_not_closed_under_the_bracket(g):
-    with pytest.raises(AlgebraError):
-        as_standalone(SubSuperSpace(g, [vec(g, "u"), vec(g, "v")]))  # [u, v] = x
+    # the brackets of y and u inside pl11, in the coordinates of their span
+    span = subalgebra_generated(g, [vec(g, "y"), vec(g, "u")])
+    for i, a in enumerate("yu"):
+        for j, c in enumerate("yu"):
+            assert span.express(g.bracket(vec(g, a), vec(g, c))) == b.table[i][j], (a, c)
 
 
 def test_matrix_superalgebra_rejects_bad_bases():

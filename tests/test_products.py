@@ -6,8 +6,7 @@ from math import comb
 
 import pytest
 
-from superhopf import (check_overlaps, enveloping, matrix_superalgebra,
-                       session_b_bosonized, session_pl11, session_pl11_bosonized)
+from superhopf import check_overlaps, enveloping, load_session, matrix_superalgebra
 from superhopf.algebra import AlgebraPresentation, Generator
 from superhopf.errors import NonTerminationError
 
@@ -40,9 +39,9 @@ def gl21():
 
 
 PRESENTATIONS = {
-    "pl11": lambda: session_pl11().pres,
-    "pl11-bosonized": lambda: session_pl11_bosonized().pres,
-    "b-bosonized": lambda: session_b_bosonized().pres,
+    "pl11": lambda: load_session("pl11").pres,
+    "pl11-bosonized": lambda: load_session("pl11-bosonized").pres,
+    "b-bosonized": lambda: load_session("b-bosonized").pres,
     "osp(1|2)": lambda: enveloping(osp12()).carrier,
     "gl(2|1)": lambda: enveloping(gl21()).carrier,
 }
@@ -50,7 +49,7 @@ PRESENTATIONS = {
 
 def cold_pl11_bosonized():
     """pl11-bosonized with empty tables (building a session fills them)."""
-    pres = session_pl11_bosonized().pres
+    pres = load_session("pl11-bosonized").pres
     return AlgebraPresentation(pres.generators, pres.swap_rules, pres.power_rules,
                                mode=pres.mode, name=pres.name)
 
@@ -85,7 +84,7 @@ def test_products_match_the_word_rewriter(name):
 
 
 def test_u_times_a_high_power_of_y_is_binomial():
-    pres = session_pl11_bosonized().pres
+    pres = load_session("pl11-bosonized").pres
     n = 200
     got = pres.gen("u") * pres.monomial_element(pres.monomial(y=n))
     want = pres.element({pres.monomial(y=k, u=1): comb(n, k) * (-1) ** (n - k)

@@ -16,11 +16,9 @@ from superhopf.verify import (adjoint_left, adjoint_right,
                               check_antipode, check_bialgebra,
                               check_coassociativity, check_counit,
                               check_grouplike, check_nilpotent_ideal,
-                              check_shift_identity,
-                              check_sign_commuting_squares,
-                              find_skew_primitives, hopf_axiom_suite,
-                              is_normal, render_reports, render_summary,
-                              zero_divisor_scan)
+                              check_shift_identity, find_skew_primitives,
+                              hopf_axiom_suite, is_normal, render_reports,
+                              render_summary, zero_divisor_scan)
 
 F = Fraction
 
@@ -326,27 +324,6 @@ def test_shift_identity_rejects_non_eigenvectors(bos):
     P = bos.carrier
     with pytest.raises(AlgebraError):
         check_shift_identity(bos, P.gen("x"), 3, P.gen("y"))  # eigenvalue 0, not +-1
-
-
-# -- sign commutation ------------------------------------------------------------------------
-
-
-def test_sign_commuting_squares(bos):
-    P = bos.carrier
-    # u alone: u t = -t u holds, u^2 = 0 is central
-    rep = check_sign_commuting_squares(bos, [P.gen("u")], 4)
-    assert rep.passed
-    assert "(u,t):-" in rep.parameters["pairSigns"]
-    # u and v together: u v = -v u + x breaks strict sign commutation
-    rep = check_sign_commuting_squares(bos, [P.gen("u"), P.gen("v")], 4)
-    assert rep.status == verify.FAIL
-    assert any("(u,v)" in w[0] for w in rep.witnesses)
-
-
-def test_sign_commuting_needs_homogeneous_input(bos):
-    P = bos.carrier
-    with pytest.raises(AlgebraError):
-        check_sign_commuting_squares(bos, [P.gen("u") + P.gen("y")], 3)
 
 
 # -- nilpotency and zero divisors ----------------------------------------------------------------
