@@ -83,9 +83,10 @@ class AlgebraPresentation:
         self.swap_rules = {k: dict(v) for k, v in swap_rules.items()}
         self.power_rules = {k: dict(v) for k, v in power_rules.items()}
         self._validate_rules()
-        # rule right-hand sides pre-expanded to letter words for splicing
-        self._swap_rhs = {k: self._expand_rhs(v) for k, v in self.swap_rules.items()}
-        self._power_rhs = {k: self._expand_rhs(v) for k, v in self.power_rules.items()}
+        # rule right-hand sides pre-expanded to letter words for splicing, by
+        # the pair (j, i) of g_j*g_i; (i, i) is the power rule of g_i
+        self._rhs = {k: self._expand_rhs(v) for k, v in self.swap_rules.items()}
+        self._rhs.update({(k, k): self._expand_rhs(v) for k, v in self.power_rules.items()})
         self._mul_cache = {}  # (m1, m2) -> m1*m2, unsorted products only
         self._confluent = None  # the verdict of is_confluent, found on first use
         self._letters = [self.monomial(**{g.name: 1}) for g in self.generators]
@@ -305,7 +306,8 @@ class AlgebraPresentation:
     def _mul(self, m1, m2, budget):
         """``m1*m2`` as a raw dict: the letters of ``m2`` folded into ``m1``.
 
-        A single letter makes the product a table entry, shared as it is.
+        A single letter makes the product a table entry, filled by :meth:`_entry`
+        and shared as it is.
         """
         if not any(m1):
             return {m2: 1}
@@ -320,26 +322,24 @@ class AlgebraPresentation:
             cap = self._caps.get(j)
             if not any(m1[j + 1:]) and (cap is None or m1[j] + m2[j] < cap):
                 return {m1[:j] + (m1[j] + m2[j],) + m2[j + 1:]: 1}  # already sorted
-            value = self._run(self._fold(self.monomial_letters(m2), {m1: 1}), budget)
-            cached = self._mul_cache.setdefault(key, value)
-        self._charge(budget)  # the lookup of the pair itself
+            job = (self._entry(m1, m2) if m2[j] == 1 and not any(m2[j + 1:])
+                   else self._fold(self.monomial_letters(m2), {m1: 1}))
+            cached = self._mul_cache[key] = self._run(job, budget, key)
+        budget[0] -= 1  # the lookup of the pair itself
+        if budget[0] < 0:
+            raise NonTerminationError(f"rewrite step budget exhausted in {self.name}")
         return cached
 
     def _word_normal_form(self, letters, budget):
         """Normal form of a word of pbw indices, as a raw dict."""
         return self._run(self._fold(letters, {self.unit_monomial(): 1}), budget)
 
-    def _charge(self, budget):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise NonTerminationError(f"rewrite step budget exhausted in {self.name}")
-
     def _fold(self, letters, terms):
         """Multiply the combination ``terms`` on the right by ``letters``.
 
         A generator: it yields the memo key ``(m, g_i)`` of each unsorted
-        product ``m*g_i``, first letter first, is sent that product back,
-        and returns the collected combination.
+        product ``m*g_i``, first letter first, is sent that product back, and
+        returns the collected combination; sorted joins are added in place.
         """
         caps, units = self._caps, self._letters
         for i in letters:
@@ -348,7 +348,11 @@ class AlgebraPresentation:
             for m, c in terms.items():
                 e = m[i] + 1
                 if (cap is None or e < cap) and not any(m[i + 1:]):
-                    accumulate(out, {m[:i] + (e,) + m[i + 1:]: 1}, c)
+                    joined = m[:i] + (e,) + m[i + 1:]
+                    if new := out.get(joined, 0) + c:
+                        out[joined] = new
+                    else:
+                        del out[joined]
                 else:
                     accumulate(out, (yield m, units[i]), c)
             terms = out
@@ -359,28 +363,40 @@ class AlgebraPresentation:
 
         ``g_i`` is swapped with the last letter of ``m`` if that comes later
         in the order; if it is ``g_i``'s own power, the power rule applies.
-        Each right-hand side term is folded into the rest of ``m``.
+        Each right-hand side term is folded into the rest of ``m``, a
+        one-letter one in place: a sorted join or one lookup.
         """
         i = g.index(1)
-        j = next((j for j in range(self.n - 1, i, -1) if m[j]), None)
-        if j is None:
-            rhs, base = self._power_rhs[i], m[:i] + (0,) + m[i + 1:]
-        else:
-            rhs, base = self._swap_rhs[(j, i)], m[:j] + (m[j] - 1,) + m[j + 1:]
+        j = self.n - 1
+        while j > i and not m[j]:
+            j -= 1
+        base = m[:j] + (0 if j == i else m[j] - 1,) + m[j + 1:]
         out = {}
-        for rc, letters in rhs:
-            accumulate(out, (yield from self._fold(letters, {base: 1})), rc)
+        for rc, letters in self._rhs[(j, i)]:
+            if len(letters) != 1:
+                accumulate(out, (yield from self._fold(letters, {base: 1})), rc)
+                continue
+            k, e = letters[0], base[letters[0]] + 1
+            cap = self._caps.get(k)
+            if (cap is None or e < cap) and not any(base[k + 1:]):
+                joined = base[:k] + (e,) + base[k + 1:]
+                if new := out.get(joined, 0) + rc:
+                    out[joined] = new
+                else:
+                    del out[joined]
+            else:
+                accumulate(out, (yield base, self._letters[k]), rc)
         return out
 
-    def _run(self, job, budget):
-        """Drive the :meth:`_fold` ``job`` to its result.
+    def _run(self, job, budget, key=None):
+        """Drive ``job``, a :meth:`_fold` or the :meth:`_entry` of ``key``, to its result.
 
         Missing table entries go into the memo from a stack of :meth:`_entry`
         tasks.  Every lookup costs one step of ``budget``; looking up an entry
-        still being filled means the rules rewrite a word back into itself.
+        still being filled, ``key`` among them, means a rewriting cycle.
         """
         cache = self._mul_cache
-        stack, keys, pending = [job], [], set()
+        stack, keys, pending = [job], [], {key}
         value = None
         while True:
             try:
@@ -394,7 +410,9 @@ class AlgebraPresentation:
                 pending.discard(key)
                 cache[key] = value
                 continue
-            self._charge(budget)
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise NonTerminationError(f"rewrite step budget exhausted in {self.name}")
             value = cache.get(key)
             if value is None:
                 if key in pending:
@@ -535,10 +553,10 @@ class Element(Combination):
     def __mul__(self, other):
         if isinstance(other, Element):
             self.alg._require_same(other.alg)
-            out = {}
+            mul, out = self.alg._mul, {}
             for m1, c1 in self.coeffs.items():
                 for m2, c2 in other.coeffs.items():
-                    accumulate(out, self.alg.mul_monomials(m1, m2), c1 * c2)
+                    accumulate(out, mul(m1, m2, [DEFAULT_STEP_BUDGET]), c1 * c2)
             return Element(self.alg, out)
         return self.__rmul__(other)
 
@@ -675,11 +693,11 @@ class TensorElement(Combination):
         out = {}
         budget = [DEFAULT_STEP_BUDGET]
         for k, c in self.coeffs.items():
-            terms = {alg.unit_monomial(): 1}
-            for m in reversed(k):
+            terms = {k[-1] if k else alg.unit_monomial(): 1}  # from the last leg on
+            for m in filter(any, reversed(k[:-1])):  # a unit factor calls no product
                 new_terms = {}
                 for t, ct in terms.items():
-                    accumulate(new_terms, alg._mul(m, t, budget), ct)
+                    accumulate(new_terms, alg._mul(m, t, budget) if any(t) else {m: 1}, ct)
                 terms = new_terms
             accumulate(out, terms, c)
         return Element(alg, out)
@@ -717,10 +735,10 @@ def check_overlaps(pres: AlgebraPresentation) -> ConfluenceReport:
     """
     lhs = []
     for (hi, lo), _ in sorted(pres.swap_rules.items()):
-        lhs.append(((hi, lo), pres._swap_rhs[(hi, lo)]))
+        lhs.append(((hi, lo), pres._rhs[(hi, lo)]))
     for idx in sorted(pres.power_rules):
         cap = pres._caps[idx]
-        lhs.append(((idx,) * cap, pres._power_rhs[idx]))
+        lhs.append(((idx,) * cap, pres._rhs[(idx, idx)]))
 
     def reduce_with_first(word, pos, span, rhs):
         out = {}

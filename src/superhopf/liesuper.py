@@ -439,7 +439,7 @@ def load_algebra_file(path) -> LieSuperAlgebra:
     brackets default to zero (the reversed orientation of a stated bracket is
     filled in by super antisymmetry).  ``#`` starts a comment.
     """
-    basis = []
+    basis = {}  # name -> Generator, in file order
     brackets = {}
     section = None
     variables = None  # the basis names as commuting variables, built once per file
@@ -472,7 +472,9 @@ def load_algebra_file(path) -> LieSuperAlgebra:
                 z = int(parts[2]) if len(parts) == 3 else None
             except ValueError:
                 raise LineError(f"z-degree must be an integer, got {parts[2]!r}", lineno) from None
-            basis.append(Generator(name, int(parity), len(basis), z_degree=z))
+            if name in basis:
+                raise LineError(f"generator {name} is defined twice", lineno)
+            basis[name] = Generator(name, int(parity), len(basis), z_degree=z)
             variables = None
         elif section == "brackets":
             if "=" not in line:
@@ -482,8 +484,8 @@ def load_algebra_file(path) -> LieSuperAlgebra:
             if len(pair) != 2:
                 raise LineError(f"bracket left side needs two names: {lhs!r}", lineno)
             if variables is None:
-                variables = polynomial_presentation([g.name for g in basis])
-                index = {g.name: g.pbw_index for g in basis}
+                variables = polynomial_presentation(list(basis))
+                index = {name: g.pbw_index for name, g in basis.items()}
             try:
                 i, j = index[pair[0]], index[pair[1]]
             except KeyError as exc:
@@ -503,4 +505,4 @@ def load_algebra_file(path) -> LieSuperAlgebra:
             raise LineError("content before any section header", lineno)
     if not basis:
         raise ParseError("no generators defined")
-    return LieSuperAlgebra(basis, brackets, name="file-algebra")
+    return LieSuperAlgebra(list(basis.values()), brackets, name="file-algebra")

@@ -105,6 +105,13 @@ def test_a_bracket_stated_twice_is_rejected(tmp_path, capsys):
     assert run(capsys, "normalize", "e*h", "--algebra", str(path)) == (0, "h*e - e\n", "")
 
 
+def test_a_generator_defined_twice_names_its_line(tmp_path, capsys):
+    path = tmp_path / "bad.alg"
+    path.write_text("[generators]\nx 0\n\nx 1\n", encoding="utf-8")
+    assert run(capsys, "check", "all", "--algebra", str(path)) == (
+        2, "", "error: generator x is defined twice (at line 4)\n")
+
+
 def test_check_all_passes_on_the_bosonized_algebra(tmp_path, capsys):
     out = tmp_path / "report.txt"
     code, _, _ = run(capsys, "check", "all", "--hopf-random", "25",

@@ -343,6 +343,40 @@ def test_tensor_mul_matches_the_sum_of_element_products(carrier, monkeypatch):
     assert any(len(P.mul_monomials(m1, m2)) > 1 for m1, m2 in calls)
 
 
+@pytest.mark.parametrize("carrier", [lambda: load_session("pl11").pres,
+                                     lambda: load_session("pl11-bosonized").pres,
+                                     lambda: enveloping(osp12()).carrier],
+                         ids=["pl11", "pl11-bosonized", "osp(1|2)"])
+def test_fold_mul_matches_element_products(carrier, monkeypatch):
+    P = carrier()
+    rng = random.Random(16)
+    monomials = P.enumerate_monomials(3)
+    tensors = [random_tensor(P, rng, monomials) for _ in range(30)]
+    tensors += [TensorElement(P, 3, {(rng.choice(monomials),) + k: c for k, c in T.items()})
+                for T in tensors[:10]]
+    wants = []
+    for T in tensors:
+        want = P.zero()
+        for k, c in T.items():
+            product = P.one()
+            for m in k:
+                product = product * P.monomial_element(m)
+            want = want + c * product
+        wants.append(want)
+    mul, calls = P._mul, []
+
+    def counted(m1, m2, budget):
+        calls.append((m1, m2))
+        return mul(m1, m2, budget)
+
+    monkeypatch.setattr(P, "_mul", counted)
+    gots = [T.fold_mul() for T in tensors]
+    monkeypatch.undo()
+    assert gots == wants
+    # a unit factor calls no product
+    assert calls and all(any(m1) and any(m2) for m1, m2 in calls)
+
+
 def test_tensor_mul_deletes_the_terms_that_cancel(sess_u):
     # (u(x)1 + 1(x)u)^2 = u^2(x)1 + u(x)u - u(x)u + 1(x)u^2, and u^2 = 0 in U(pl11)
     P = sess_u.pres

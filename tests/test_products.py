@@ -47,11 +47,15 @@ PRESENTATIONS = {
 }
 
 
-def cold_pl11_bosonized():
-    """pl11-bosonized with empty tables (building a session fills them)."""
-    pres = load_session("pl11-bosonized").pres
+def cold_copy(pres):
+    """``pres`` with an empty product memo."""
     return AlgebraPresentation(pres.generators, pres.swap_rules, pres.power_rules,
                                mode=pres.mode, name=pres.name)
+
+
+def cold_pl11_bosonized():
+    """pl11-bosonized with empty tables (building a session fills them)."""
+    return cold_copy(load_session("pl11-bosonized").pres)
 
 
 def test_osp12_has_nonzero_odd_squares():
@@ -81,6 +85,39 @@ def test_products_match_the_word_rewriter(name):
                 power = pres.normalize([h] * k)
                 assert (letter * power).coeffs == rewrite(pres, [g] + [h] * k), (g, h, k)
                 assert (power * letter).coeffs == rewrite(pres, [h] * k + [g]), (h, k, g)
+
+
+@pytest.mark.parametrize("name", ["gl(2|1)", "osp(1|2)"])
+def test_cold_products_match_the_word_rewriter(name):
+    # every product on an empty memo: single-letter and multi-letter misses
+    pres = PRESENTATIONS[name]()
+    monomials = pres.enumerate_monomials(3)
+    letters = [m for m in monomials if sum(m) == 1]
+    rng = random.Random(17)
+    missed = set()
+    for _ in range(150):
+        m1 = rng.choice(monomials)
+        m2 = rng.choice(letters if rng.random() < 0.5 else monomials)
+        cold = cold_copy(pres)
+        want = rewrite(pres, pres.monomial_letters(m1) + pres.monomial_letters(m2))
+        assert cold.mul_monomials(m1, m2) == want, (m1, m2)
+        if (m1, m2) in cold._mul_cache:
+            missed.add(sum(m2) == 1)
+    assert missed == {True, False}
+
+
+@pytest.mark.parametrize("name, m1, m2, steps", [
+    ("gl(2|1)", {"e23": 1, "e32": 1}, {"e13": 1}, 3),  # a single-letter miss
+    ("gl(2|1)", {"e31": 1, "e32": 1}, {"e12": 1, "e23": 1}, 8),  # a multi-letter one
+    ("pl11-bosonized", {"u": 1}, {"y": 20}, 211),
+])
+def test_the_smallest_step_budget_of_a_cold_product(name, m1, m2, steps):
+    # one step per memo lookup; a single-letter miss looks its entry up once
+    pres = PRESENTATIONS[name]()
+    m1, m2 = pres.monomial(**m1), pres.monomial(**m2)
+    with pytest.raises(NonTerminationError, match="budget exhausted"):
+        cold_copy(pres).mul_monomials(m1, m2, max_steps=steps - 1)
+    assert cold_copy(pres).mul_monomials(m1, m2, max_steps=steps) == pres.mul_monomials(m1, m2)
 
 
 def test_u_times_a_high_power_of_y_is_binomial():
@@ -139,6 +176,11 @@ def test_rewriting_cycle_raises():
                                {}, name="looping")
     with pytest.raises(NonTerminationError):
         pres.normalize(["b", "a", "a"])
+    # b^2*a reaches the cycle through its own table entry, not the step budget
+    cold = cold_copy(pres)
+    with pytest.raises(NonTerminationError, match="rewriting cycle"):
+        cold.mul_monomials((0, 2), (1, 0))
+    assert ((0, 2), (1, 0)) not in cold._mul_cache
 
 
 def test_a_cap_of_one_rewrites_a_single_letter():
