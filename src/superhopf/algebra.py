@@ -1,7 +1,8 @@
 """Finitely presented graded algebras with products in PBW normal form.
 
-A presentation fixes an ordered generator alphabet, swap rules for
-descending adjacent pairs and power rules for capped exponents.  Products
+A presentation fixes an ordered generator alphabet and one table of rules,
+keyed by left-hand word: swap rules for descending adjacent pairs and power
+rules ``g_i^cap``, whose words give the exponent caps.  Products
 run through one memo keyed by the pair of normal monomials ``(m1, m2)``.
 A product whose joined word is already sorted and under its caps is returned
 directly and never stored; any other folds the letters of its right factor,
@@ -41,16 +42,15 @@ DEFAULT_STEP_BUDGET = 10**7
 class Generator:
     """One letter of the alphabet.
 
-    ``pbw_index`` is the position in the normal order, ``exp_cap`` the
-    exponent at which a power rule fires (2 for odd generators and for
-    involutive grouplikes), ``z_degree`` an optional integer grading.
+    ``pbw_index`` is the position in the normal order, ``z_degree`` an
+    optional integer grading.  Exponent caps are not a property of the letter:
+    they are read off the power rules of a presentation.
     """
 
     name: str
     parity: int
     pbw_index: int
     z_degree: Optional[int] = None
-    exp_cap: Optional[int] = None
 
 
 def monomial_key(m):
@@ -59,17 +59,19 @@ def monomial_key(m):
 
 
 class AlgebraPresentation:
-    """Ordered generators plus straightening rules.
+    """Ordered generators plus straightening rules: a reduction system.
 
-    ``swap_rules`` maps a descending pair ``(hi, lo)`` (``hi > lo`` in PBW
-    position) to the normal form of ``g_hi * g_lo`` given as a mapping
-    ``monomial -> coefficient``.  ``power_rules`` maps a capped generator
-    index to the normal form of ``g ** cap``.  ``mode`` selects Koszul
-    signs (``"super"``) or none (``"ordinary"``) in tensor arithmetic and in
-    the structure maps built on the presentation.
+    ``rules`` maps each left-hand word, a tuple of pbw indices, to its normal
+    form given as a mapping ``monomial -> coefficient``.  A descending pair
+    ``(hi, lo)`` (``hi > lo`` in PBW position) is the swap rule of
+    ``g_hi * g_lo``; every descending pair needs one.  The word ``(i,) * cap``
+    is the power rule of ``g_i``, and ``cap`` is the exponent at which it fires
+    (at most one per generator).  ``mode`` selects Koszul signs (``"super"``)
+    or none (``"ordinary"``) in tensor arithmetic and in the structure maps
+    built on the presentation.
     """
 
-    def __init__(self, generators: Sequence[Generator], swap_rules, power_rules,
+    def __init__(self, generators: Sequence[Generator], rules,
                  mode: str = SUPER, name: str = ""):
         self.generators = tuple(generators)
         self.mode = mode
@@ -78,15 +80,11 @@ class AlgebraPresentation:
         self._validate_generators()
         self._by_name = {g.name: g.pbw_index for g in self.generators}
         self._parities = tuple(g.parity for g in self.generators)
-        self._caps = {g.pbw_index: g.exp_cap for g in self.generators
-                      if g.exp_cap is not None}
-        self.swap_rules = {k: dict(v) for k, v in swap_rules.items()}
-        self.power_rules = {k: dict(v) for k, v in power_rules.items()}
+        self.rules = {w: dict(rhs) for w, rhs in rules.items()}
         self._validate_rules()
         # rule right-hand sides pre-expanded to letter words for splicing, by
         # the pair (j, i) of g_j*g_i; (i, i) is the power rule of g_i
-        self._rhs = {k: self._expand_rhs(v) for k, v in self.swap_rules.items()}
-        self._rhs.update({(k, k): self._expand_rhs(v) for k, v in self.power_rules.items()})
+        self._rhs = {(w[0], w[-1]): self._expand_rhs(rhs) for w, rhs in self.rules.items()}
         self._mul_cache = {}  # (m1, m2) -> m1*m2, unsorted products only
         self._confluent = None  # the verdict of is_confluent, found on first use
         self._letters = [self.monomial(**{g.name: 1}) for g in self.generators]
@@ -99,52 +97,45 @@ class AlgebraPresentation:
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
             raise PresentationError("generator names must be unique")
-        if sorted(g.pbw_index for g in self.generators) != list(range(self.n)):
-            raise PresentationError("pbw indices must be a permutation of 0..n-1")
         if [g.pbw_index for g in self.generators] != list(range(self.n)):
             raise PresentationError("generators must be listed in pbw order")
         for g in self.generators:
             if g.parity not in (0, 1):
                 raise PresentationError(f"bad parity for {g.name}")
-            if g.exp_cap is not None and g.exp_cap < 1:
-                raise PresentationError(f"bad exponent cap for {g.name}")
 
     def _validate_rules(self):
+        """Check every rule, filling ``_caps`` (``index -> cap``) from the power
+        words before the right-hand sides are checked against it."""
+        caps = self._caps = {}
+        for w in self.rules:
+            if not w or not all(0 <= i < self.n for i in w):
+                raise PresentationError(f"bad rule word {w}")
+            if w.count(w[0]) == len(w):
+                if w[0] in caps:
+                    raise PresentationError(
+                        f"two power rules for {self.gen_name(w[0])}")
+                caps[w[0]] = len(w)
+            elif len(w) != 2 or w[0] < w[1]:
+                raise PresentationError(
+                    f"rule word {w} is neither a descending pair nor a power")
         for hi in range(self.n):
             for lo in range(hi):
-                if (hi, lo) not in self.swap_rules:
+                if (hi, lo) not in self.rules:
                     raise PresentationError(
                         f"missing swap rule for {self.gen_name(hi)}*{self.gen_name(lo)}")
-        for (hi, lo), rhs in self.swap_rules.items():
-            if not (0 <= lo < hi < self.n):
-                raise PresentationError(f"bad swap rule key {(hi, lo)}")
-            self._validate_rhs(rhs, lhs_degree=2,
-                               lhs_parity=(self._parities[hi] + self._parities[lo]) % 2,
-                               what=f"{self.gen_name(hi)}*{self.gen_name(lo)}")
-        for idx, cap in self._caps.items():
-            if idx not in self.power_rules:
-                raise PresentationError(
-                    f"capped generator {self.gen_name(idx)} lacks a power rule")
-        for idx, rhs in self.power_rules.items():
-            cap = self._caps.get(idx)
-            if cap is None:
-                raise PresentationError(
-                    f"power rule for uncapped generator {self.gen_name(idx)}")
-            self._validate_rhs(rhs, lhs_degree=cap,
-                               lhs_parity=(cap * self._parities[idx]) % 2,
-                               what=f"{self.gen_name(idx)}^{cap}")
-
-    def _validate_rhs(self, rhs, lhs_degree, lhs_parity, what):
-        for m, c in rhs.items():
-            if not c:
-                raise PresentationError(f"zero coefficient stored in rule {what}")
-            if not self.is_normal_monomial(m):
-                raise PresentationError(f"rule {what} has a non-normal monomial")
-            if sum(m) > lhs_degree:
-                raise PresentationError(
-                    f"rule {what} raises filtration degree; rewriting may not terminate")
-            if self.monomial_parity(m) != lhs_parity:
-                raise PresentationError(f"rule {what} is not parity-homogeneous")
+        for w, rhs in self.rules.items():
+            what = "*".join(self.gen_name(i) for i in w)
+            parity = sum(self._parities[i] for i in w) % 2
+            for m, c in rhs.items():
+                if not c:
+                    raise PresentationError(f"zero coefficient stored in rule {what}")
+                if not self.is_normal_monomial(m):
+                    raise PresentationError(f"rule {what} has a non-normal monomial")
+                if sum(m) > len(w):
+                    raise PresentationError(
+                        f"rule {what} raises filtration degree; rewriting may not terminate")
+                if self.monomial_parity(m) != parity:
+                    raise PresentationError(f"rule {what} is not parity-homogeneous")
 
     def _expand_rhs(self, rhs):
         """(coefficient, letters) pairs with exact coefficients."""
@@ -203,19 +194,18 @@ class AlgebraPresentation:
     def leading_monomials_multiply(self) -> bool:
         """Whether LM(a*b) = LM(a) + LM(b) whenever that sum is normal.
 
-        True when the degree-2 part of every swap rule is one nonzero multiple
-        of the sorted pair ``g_lo*g_hi`` and every power rule lowers degree.
-        Then the top-degree part of ``m1*m2`` is a nonzero product of swap
-        factors times the sorted join, or 0 when the join passes a cap, and in
-        ``a*b`` only the leading monomials under the term order
-        :func:`monomial_key` reach LM(a) + LM(b).
+        True when the top-degree part of every rule is one nonzero multiple of
+        the sorted word ``g_lo*g_hi`` for a swap and empty for a power, which
+        then lowers degree.  Then the top-degree part of ``m1*m2`` is a nonzero
+        product of swap factors times the sorted join, or 0 when the join
+        passes a cap, and in ``a*b`` only the leading monomials under the term
+        order :func:`monomial_key` reach LM(a) + LM(b).
         """
-        for (hi, lo), rhs in self.swap_rules.items():
-            pair = tuple(int(k in (lo, hi)) for k in range(self.n))
-            if [m for m in rhs if sum(m) == 2] != [pair]:
+        for w, rhs in self.rules.items():
+            top = [m for m in rhs if sum(m) == len(w)]
+            if top != ([] if w[0] == w[-1] else [tuple(w.count(k) for k in range(self.n))]):
                 return False
-        return all(sum(m) < self._caps[idx]
-                   for idx, rhs in self.power_rules.items() for m in rhs)
+        return True
 
     def is_confluent(self) -> bool:
         """Whether :func:`check_overlaps` finds the rules confluent, a rewriting
@@ -438,7 +428,7 @@ def polynomial_presentation(names) -> AlgebraPresentation:
     swaps = {(hi, lo): {tuple(int(k in (lo, hi)) for k in range(n)): 1}
              for hi in range(n) for lo in range(hi)}
     return AlgebraPresentation([Generator(name, 0, idx) for idx, name in enumerate(names)],
-                               swaps, {}, mode=SUPER, name="U(abelian)")
+                               swaps, mode=SUPER, name="U(abelian)")
 
 
 def format_terms(terms) -> str:
@@ -727,18 +717,15 @@ class ConfluenceReport:
 def check_overlaps(pres: AlgebraPresentation) -> ConfluenceReport:
     """Resolve every overlap ambiguity of the rule system both ways.
 
-    Overlap words are built from pairs of rule left-hand sides sharing a
-    boundary (descending triples, and cap overlaps such as g^cap*g and
-    g*g^cap), whatever their length; each word is reduced within the default
-    step budget.  An empty discrepancy list certifies local confluence, hence
-    unique normal forms and a PBW basis for a terminating system.
+    Overlap words are built from pairs of left-hand words of ``pres.rules``,
+    swaps first, that share a boundary (descending triples, and cap overlaps
+    such as g^cap*g and g*g^cap), whatever their length; each word is reduced
+    within the default step budget.  An empty discrepancy list certifies local
+    confluence, hence unique normal forms and a PBW basis for a terminating
+    system.
     """
-    lhs = []
-    for (hi, lo), _ in sorted(pres.swap_rules.items()):
-        lhs.append(((hi, lo), pres._rhs[(hi, lo)]))
-    for idx in sorted(pres.power_rules):
-        cap = pres._caps[idx]
-        lhs.append(((idx,) * cap, pres._rhs[(idx, idx)]))
+    lhs = [(w, pres._rhs[(w[0], w[-1])])
+           for w in sorted(pres.rules, key=lambda w: (w[0] == w[-1], w))]
 
     def reduce_with_first(word, pos, span, rhs):
         out = {}

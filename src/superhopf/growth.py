@@ -154,20 +154,21 @@ def growth_series(P: AlgebraPresentation, gens: Sequence[Element],
 
 def _normal_monomial_dims(P, gens, n_max):
     """The counts of normal monomials of degree <= n on the generators' letters
-    S, or None unless every generator of P is a multiple of one letter, the
-    rules among S keep to S and the rules are confluent."""
+    S, or None unless every given generator is a multiple of one letter, the
+    rules among S keep to S and the rules are confluent.  The caps of S are
+    read off the power rules among S."""
     if not all(g.alg is P and len(g.coeffs) == 1 and sum(next(iter(g.coeffs))) == 1
                for g in gens):
         return None
     letters = {next(iter(g.coeffs)).index(1) for g in gens}
-    rhs = [r for (hi, lo), r in P.swap_rules.items() if {hi, lo} <= letters]
-    rhs += [r for i, r in P.power_rules.items() if i in letters]
-    if any(e and i not in letters for r in rhs for m in r for i, e in enumerate(m)):
+    rules = {w: rhs for w, rhs in P.rules.items() if set(w) <= letters}
+    if any(e and i not in letters for r in rules.values() for m in r for i, e in enumerate(m)):
         return None
     if not P.is_confluent():  # even for a rewriting cycle that S may never meet
         return None
+    caps = {w[0]: len(w) for w in rules if w[0] == w[-1]}
     dims = [1] + [0] * n_max
-    for cap in [P.generators[i].exp_cap for i in letters] + [None]:
+    for cap in [caps.get(i) for i in letters] + [None]:
         dims = list(accumulate(dims))  # times 1/(1 - t); the last pass sums the degrees
         if cap:  # times 1 - t^cap
             dims[cap:] = [a - b for a, b in zip(dims[cap:], dims)]

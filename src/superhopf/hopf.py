@@ -173,46 +173,29 @@ class HopfStructureMaps:
 def enveloping(g: LieSuperAlgebra) -> HopfStructureMaps:
     """The enveloping algebra of ``g`` as a super Hopf algebra.
 
-    Swap rules straighten ``g_j g_i`` (j > i) to
-    ``(-1)^{p_i p_j} g_i g_j + [g_j, g_i]``; odd generators get the power
-    rule ``g^2 -> [g,g]/2``.  Generators are primitive, with counit zero
+    The rule table is read off ``g.table`` in one pass, on ``g``'s own basis:
+    the swap rule of ``(j, i)`` (j > i) straightens ``g_j g_i`` to
+    ``(-1)^{p_i p_j} g_i g_j + [g_j, g_i]``, and each odd generator gets the
+    power rule ``g^2 -> [g,g]/2``.  Generators are primitive, with counit zero
     and antipode ``-g``.
     """
     report = g.validate()
     if not report.ok:
         raise AlgebraError(
             f"invalid Lie superalgebra {g.name}: {report.violations[0]}")
-    gens = [Generator(b.name, b.parity, b.pbw_index, z_degree=b.z_degree,
-                      exp_cap=2 if b.parity else None)
-            for b in g.basis]
-    n = len(gens)
-
-    def linear(vec):
-        out = {}
-        for k, c in enumerate(vec):
-            if c:
-                m = [0] * n
-                m[k] = 1
-                out[tuple(m)] = c
-        return out
-
-    swap_rules = {}
-    for hi in range(n):
-        for lo in range(hi):
-            rhs = linear(g.table[hi][lo])
-            sign = -1 if (gens[hi].parity * gens[lo].parity) % 2 else 1
-            m = [0] * n
-            m[lo] = 1
-            m[hi] = 1
-            accumulate(rhs, {tuple(m): sign})
-            swap_rules[(hi, lo)] = rhs
-    power_rules = {}
-    for idx in range(n):
-        if gens[idx].parity:
-            power_rules[idx] = {k: exact(Fraction(v, 2))
-                                for k, v in linear(g.table[idx][idx]).items()}
-    pres = AlgebraPresentation(gens, swap_rules, power_rules, mode=SUPER,
-                               name=f"U({g.name})")
+    n = g.n
+    letters = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    rules = {}
+    for hi, row in enumerate(g.table):
+        for lo in range(hi + 1):
+            rhs = {letters[k]: c for k, c in enumerate(row[lo]) if c}
+            if lo < hi:
+                sign = -1 if g.parity(hi) * g.parity(lo) else 1
+                accumulate(rhs, {tuple(a + b for a, b in zip(letters[hi], letters[lo])): sign})
+                rules[(hi, lo)] = rhs
+            elif g.parity(hi):
+                rules[(hi, hi)] = {m: exact(Fraction(c, 2)) for m, c in rhs.items()}
+    pres = AlgebraPresentation(g.basis, rules, mode=SUPER, name=f"U({g.name})")
     return HopfStructureMaps(pres, *_lie_generator_images(pres, [pres.one()] * n))
 
 
@@ -290,8 +273,10 @@ class BosonizedAlgebra:
 def bosonize(U: HopfStructureMaps) -> BosonizedAlgebra:
     """Adjoin the parity automorphism as a grouplike of order two.
 
-    Requires a primitively generated super Hopf algebra.  The result is an
-    ordinary Hopf algebra: for a Lie generator g,
+    Requires a primitively generated super Hopf algebra.  The carrier's rule
+    table is ``U``'s, lifted once by a zero t-exponent, plus the swap rules
+    ``t g -> (-1)^{p(g)} g t`` and the power rule ``t^2 -> 1``.  The result is
+    an ordinary Hopf algebra: for a Lie generator g,
     ``Delta(g) = g (x) 1 + t^{p(g)} (x) g`` and ``S(g) = -t^{p(g)} g``,
     while ``Delta(t) = t (x) t``, ``S(t) = t``, ``eps(t) = 1``.
     """
@@ -308,22 +293,12 @@ def bosonize(U: HopfStructureMaps) -> BosonizedAlgebra:
     if T_NAME in [g.name for g in pres.generators]:
         raise AlgebraError(f"carrier already has a generator named {T_NAME!r}")
     n = pres.n
-    gens = list(pres.generators) + [Generator(T_NAME, 0, n, z_degree=0, exp_cap=2)]
-
-    def lift(rhs):
-        return {m + (0,): c for m, c in rhs.items()}
-
-    swap_rules = {k: lift(v) for k, v in pres.swap_rules.items()}
-    for lo in range(n):
-        m = [0] * (n + 1)
-        m[lo] = 1
-        m[n] = 1
-        sign = -1 if pres.generators[lo].parity else 1
-        swap_rules[(n, lo)] = {tuple(m): sign}
-    power_rules = {k: lift(v) for k, v in pres.power_rules.items()}
-    power_rules[n] = {(0,) * (n + 1): 1}
-    big = AlgebraPresentation(gens, swap_rules, power_rules, mode=ORDINARY,
-                              name=f"{pres.name}#k[t]")
+    rules = {w: {m + (0,): c for m, c in rhs.items()} for w, rhs in pres.rules.items()}
+    for lo, g in enumerate(pres.generators):
+        rules[(n, lo)] = {pres.monomial(**{g.name: 1}) + (1,): -1 if g.parity else 1}
+    rules[(n, n)] = {(0,) * (n + 1): 1}
+    big = AlgebraPresentation(list(pres.generators) + [Generator(T_NAME, 0, n, z_degree=0)],
+                              rules, mode=ORDINARY, name=f"{pres.name}#k[t]")
 
     t = big.gen(T_NAME)
     delta, eps, antipode = _lie_generator_images(

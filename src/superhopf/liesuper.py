@@ -79,9 +79,6 @@ class LieSuperAlgebra:
         except KeyError:
             raise AlgebraError(f"unknown basis name {name!r} in {self.name}") from None
 
-    def basis_vector(self, name: str):
-        return self.unit(self.index(name))
-
     def vector_parity(self, vec) -> Optional[int]:
         parities = {self.parity(i) for i, c in enumerate(vec) if c}
         if len(parities) == 1:

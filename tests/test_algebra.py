@@ -242,20 +242,24 @@ def test_presentation_mismatch_raises(ubar, kxy):
             kxy.gen("x").outer(kxy.gen("y")))
 
 
-def test_presentation_validation():
-    gens = [Generator("a", 0, 0), Generator("b", 0, 1)]
-    # a degree-raising rule is rejected (termination guard)
+SORT_BA = {(1, 0): {(1, 1): 1}}  # b*a -> a*b
+
+
+@pytest.mark.parametrize("parities, rules", [
+    pytest.param((0, 0), {**SORT_BA, (): {}}, id="empty-word"),
+    pytest.param((0, 0), {**SORT_BA, (0, 1): {(1, 1): 1}}, id="ascending-pair"),
+    pytest.param((0, 0), {**SORT_BA, (1, 0, 0): {}}, id="mixed-word"),
+    pytest.param((0, 0), {**SORT_BA, (0, 0): {}, (0, 0, 0): {}}, id="two-power-words"),
+    pytest.param((0, 0), {**SORT_BA, (2, 0): {}}, id="index-out-of-range"),
+    pytest.param((0, 0), {}, id="missing-swap"),
+    # the termination guard
+    pytest.param((0, 0), {(1, 0): {(2, 1): Fraction(1)}}, id="degree-raising"),
+    pytest.param((1, 0), {(1, 0): {(1, 1): 1, (0, 1): 1}}, id="mixed-parity"),
+])
+def test_bad_rules_raise_a_presentation_error(parities, rules):
+    gens = [Generator(name, p, i) for i, (name, p) in enumerate(zip("ab", parities))]
     with pytest.raises(PresentationError):
-        AlgebraPresentation(gens, {(1, 0): {(2, 1): Fraction(1)}}, {})
-    # missing swap rule
-    with pytest.raises(PresentationError):
-        AlgebraPresentation(gens, {}, {})
-    # parity-inhomogeneous right-hand side
-    odd = [Generator("a", 1, 0), Generator("b", 0, 1)]
-    with pytest.raises(PresentationError):
-        AlgebraPresentation(
-            odd, {(1, 0): {(0, 1): Fraction(1)}},
-            {0: {(0, 1): Fraction(1)}})
+        AlgebraPresentation(gens, rules)
 
 
 def test_element_degree_and_printing(ubar):

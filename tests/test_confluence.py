@@ -24,13 +24,12 @@ def test_bosonized_triangular_is_confluent(sess_bbar):
 def corrupted_pl11_bosonized(ubar):
     """pl11-bosonized with v*u -> y - u*v in place of v*u -> x - u*v; the
     overlap v*u*u then resolves to u one way and to 0 the other."""
-    swap = {k: dict(v) for k, v in ubar.swap_rules.items()}
+    rules = {k: dict(v) for k, v in ubar.rules.items()}
     v_idx, u_idx = ubar.gen_index("v"), ubar.gen_index("u")
     y_mono = ubar.monomial(y=1)
     uv_mono = ubar.monomial(u=1, v=1)
-    swap[(v_idx, u_idx)] = {y_mono: Fraction(1), uv_mono: Fraction(-1)}
-    return AlgebraPresentation(ubar.generators, swap, ubar.power_rules,
-                               mode=ubar.mode, name="corrupted")
+    rules[(v_idx, u_idx)] = {y_mono: Fraction(1), uv_mono: Fraction(-1)}
+    return AlgebraPresentation(ubar.generators, rules, mode=ubar.mode, name="corrupted")
 
 
 def test_corrupted_relation_breaks_confluence(ubar):
@@ -53,7 +52,7 @@ def test_overlap_count_includes_cap_overlaps(ubar):
 def test_long_cap_overlaps_are_all_checked():
     # a^7 -> 1 overlaps itself in the words a^(14-k), k = 1..6; the longest
     # has 13 letters, and a length cut would skip it
-    pres = AlgebraPresentation([Generator("a", 0, 0, exp_cap=7)], {}, {0: {(0,): 1}},
+    pres = AlgebraPresentation([Generator("a", 0, 0)], {(0,) * 7: {(0,): 1}},
                                name="k[a]/(a^7-1)")
     report = check_overlaps(pres)
     assert report.overlaps_checked == 6 and report.confluent

@@ -88,8 +88,7 @@ def test_growth_report_serialization(kxy):
 
 
 def test_growth_of_the_group_algebra_is_degree_zero():
-    K = AlgebraPresentation([Generator("t", 0, 0, exp_cap=2)], {}, {0: {(0,): 1}},
-                            name="k[t]")
+    K = AlgebraPresentation([Generator("t", 0, 0)], {(0, 0): {(0,): 1}}, name="k[t]")
     report = growth_series(K, [K.gen("t")], 8)
     assert report.dims == [1, 2, 2, 2, 2, 2, 2, 2, 2]
     assert report.detected_degree == 0
@@ -139,8 +138,8 @@ def test_growth_obstruction_cases(ubar, sess_bbar):
 
 def test_growth_obstruction_checks_the_overlaps_once(monkeypatch, sess_bbar):
     Pb = sess_bbar.pres
-    P = AlgebraPresentation(Pb.generators, Pb.swap_rules, Pb.power_rules,
-                            mode=Pb.mode, name=Pb.name)  # no verdict yet
+    P = AlgebraPresentation(Pb.generators, Pb.rules, mode=Pb.mode,
+                            name=Pb.name)  # no verdict yet
     calls = []
 
     def counted(pres):
@@ -274,7 +273,7 @@ def test_rules_that_cycle_off_the_letters_fall_back_to_the_closure(monkeypatch):
     # overlap check cannot finish; the closure of {a} never meets those rules
     P = AlgebraPresentation([Generator(name, 0, i) for i, name in enumerate("abc")],
                             {(1, 0): {(0, 1, 1): 1}, (2, 0): {(2, 0, 0): 1},
-                             (2, 1): {(0, 1, 1): 1}}, {}, name="cycling")
+                             (2, 1): {(0, 1, 1): 1}}, name="cycling")
     assert growth_series(P, [P.gen("a")], 4).dims == [1, 2, 3, 4, 5]
     refuse_closures(monkeypatch)
     with pytest.raises(ClosureBuilt):

@@ -17,8 +17,8 @@ def _carriers():
     b = load_session("b-bosonized").bos
     out = {"pl11": load_session("pl11").pres, "pl11-bosonized": load_session("pl11-bosonized").pres,
            "b-bosonized": b.carrier, "b": b.u_maps.carrier,
-           "k[t]": AlgebraPresentation([Generator("t", 0, 0, exp_cap=2)], {},
-                                       {0: {(0,): 1}}, name="k[t]")}
+           "k[t]": AlgebraPresentation([Generator("t", 0, 0)], {(0, 0): {(0,): 1}},
+                                       name="k[t]")}
     for g in (osp12(), gl21()):
         U = enveloping(g)
         out[g.name] = U.carrier
@@ -34,21 +34,23 @@ def test_the_predicate_holds_on_every_carrier(name):
     assert CARRIERS[name].leading_monomials_multiply()
 
 
-def _two_generators(swap, power_rules, cap=None):
-    gens = [Generator("x", 0, 0, exp_cap=cap), Generator("y", 0, 1)]
-    return AlgebraPresentation(gens, {(1, 0): swap}, power_rules)
+def _two_generators(swap, x_squared=None):
+    """x < y with the swap rule y*x -> swap, and the power rule x^2 -> x_squared if given."""
+    gens = [Generator("x", 0, 0), Generator("y", 0, 1)]
+    power = {} if x_squared is None else {(0, 0): x_squared}
+    return AlgebraPresentation(gens, {(1, 0): swap, **power})
 
 
 def test_the_predicate_fails_on_other_degree_two_terms_or_a_flat_power_rule():
-    assert _two_generators({(1, 1): 1}, {}).leading_monomials_multiply()
+    assert _two_generators({(1, 1): 1}).leading_monomials_multiply()
     # y*x = x*y + x^2: two terms of degree 2
-    assert not _two_generators({(1, 1): 1, (2, 0): 1}, {}).leading_monomials_multiply()
+    assert not _two_generators({(1, 1): 1, (2, 0): 1}).leading_monomials_multiply()
     # y*x = x: the swapped pair is missing
-    assert not _two_generators({(1, 0): 1}, {}).leading_monomials_multiply()
+    assert not _two_generators({(1, 0): 1}).leading_monomials_multiply()
     # x^2 = x*y keeps the degree of x^2
-    flat = _two_generators({(1, 1): 1}, {0: {(1, 1): 1}}, cap=2)
+    flat = _two_generators({(1, 1): 1}, {(1, 1): 1})
     assert not flat.leading_monomials_multiply()
-    assert _two_generators({(1, 1): 1}, {0: {(0, 1): 1}}, cap=2).leading_monomials_multiply()
+    assert _two_generators({(1, 1): 1}, {(0, 1): 1}).leading_monomials_multiply()
 
 
 @pytest.mark.parametrize("name", sorted(CARRIERS))

@@ -20,7 +20,7 @@ def g():
 
 
 def vec(g, name):
-    return g.basis_vector(name)
+    return g.unit(g.index(name))
 
 
 def test_matrix_brackets_match_the_table(g):
@@ -138,9 +138,9 @@ def test_irrational_spectrum_is_rejected():
     alg = LieSuperAlgebra(basis, {(0, 1): {2: F(1)}, (0, 2): {1: F(2)}},
                           name="irrational")
     assert alg.validate().ok
-    sub = SubSuperSpace(alg, [alg.basis_vector("a"), alg.basis_vector("b")])
+    sub = SubSuperSpace(alg, [alg.unit(alg.index("a")), alg.unit(alg.index("b"))])
     with pytest.raises(UnsupportedFieldError):
-        ad_eigen(alg, alg.basis_vector("h"), sub)
+        ad_eigen(alg, alg.unit(alg.index("h")), sub)
 
 
 @pytest.mark.parametrize("coeffs, roots", [
@@ -195,14 +195,14 @@ def test_odd_squares_are_exact_halves():
     a, b = pres.gen_index("a"), pres.gen_index("b")
     e, f = pres.monomial(e=1), pres.monomial(f=1)
     # [a, a] = 2e and [b, b] = -2f halve to integers
-    assert pres.power_rules[a] == {e: 1} and pres.power_rules[b] == {f: -1}
-    assert all(type(c) is int for rule in pres.power_rules.values()
+    assert pres.rules[(a, a)] == {e: 1} and pres.rules[(b, b)] == {f: -1}
+    assert all(type(c) is int for rule in pres.rules.values()
                for c in rule.values())
     # [a, a] = e halves to a Fraction
     basis = [Generator("e", 0, 0), Generator("a", 1, 1)]
     half = enveloping(LieSuperAlgebra(basis, {(1, 1): {0: 1}})).carrier
-    assert half.power_rules[1] == {(1, 0): Fraction(1, 2)}
-    assert type(half.power_rules[1][(1, 0)]) is Fraction
+    assert half.rules[(1, 1)] == {(1, 0): Fraction(1, 2)}
+    assert type(half.rules[(1, 1)][(1, 0)]) is Fraction
 
 
 def test_char_poly_of_an_integer_matrix_is_exact():

@@ -1,9 +1,10 @@
 """The word rewriter that computed normal forms before the product tables.
 
-Kept as a test oracle.  It rewrites the leftmost redex of a word (a
-descending adjacent pair, or a capped generator repeated to its cap) by its
-rule and never collects terms, so ``u*y^n`` costs 2^n steps: use it on
-short words only.  It reads nothing but the public rules of a presentation.
+Kept as a test oracle.  It treats ``pres.rules`` as a generic reduction
+system: it rewrites the leftmost occurrence of any left-hand word by that
+rule's right-hand side, the shortest word first at one position, and never
+collects terms, so ``u*y^n`` costs 2^n steps: use it on short words only.
+It reads nothing but the public rule table of a presentation.
 """
 
 from fractions import Fraction
@@ -13,30 +14,19 @@ class WordBudgetExhausted(Exception):
     pass
 
 
-def _expand(pres, rules):
-    return {k: tuple((Fraction(c), pres.monomial_letters(m))
-                     for m, c in sorted(rhs.items()))
-            for k, rhs in rules.items()}
-
-
-def _first_redex(w, swap_rhs, power_rhs, caps):
-    for p in range(len(w) - 1):
-        a, b = w[p], w[p + 1]
-        if a > b:
-            return p, 2, swap_rhs[(a, b)]
-        if a == b:
-            cap = caps.get(a)
-            if cap is not None and p + cap <= len(w) \
-                    and all(w[p + k] == a for k in range(cap)):
-                return p, cap, power_rhs[a]
+def _first_redex(w, rules):
+    for p in range(len(w)):
+        for lhs, rhs in rules:
+            if w[p:p + len(lhs)] == lhs:
+                return p, len(lhs), rhs
     return None
 
 
 def rewrite(pres, word, max_steps=10**6):
     """Normal form of a word of pbw indices, as a dict monomial -> Fraction."""
-    swap_rhs = _expand(pres, pres.swap_rules)
-    power_rhs = _expand(pres, pres.power_rules)
-    caps = {g.pbw_index: g.exp_cap for g in pres.generators if g.exp_cap is not None}
+    rules = [(lhs, tuple((Fraction(c), pres.monomial_letters(m))
+                         for m, c in sorted(rhs.items())))
+             for lhs, rhs in sorted(pres.rules.items(), key=lambda r: (len(r[0]), r[0]))]
     out = {}
     stack = [(Fraction(1), tuple(word))]
     steps = 0
@@ -45,7 +35,7 @@ def rewrite(pres, word, max_steps=10**6):
         steps += 1
         if steps > max_steps:
             raise WordBudgetExhausted(f"{max_steps} rewrite steps in {pres.name}")
-        redex = _first_redex(w, swap_rhs, power_rhs, caps)
+        redex = _first_redex(w, rules)
         if redex is None:
             m = [0] * pres.n
             for idx in w:
