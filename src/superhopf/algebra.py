@@ -8,8 +8,9 @@ A product whose joined word is already sorted and under its caps is returned
 directly and never stored; any other folds the letters of its right factor,
 one at a time, into its left one.  The memo's entries with a one-letter right
 factor ``g_i`` are the table of ``m * g_i``, filled from the rules on an
-explicit stack.  Every memo lookup costs one step of a budget, so a rule system
-that does not terminate raises :class:`NonTerminationError`.  When the rules are
+explicit stack.  No rule raises degree, so filling one entry meets finitely
+many others, each filled once; meeting one still being filled is a rewriting
+cycle and raises :class:`NonTerminationError`.  When the rules are
 locally confluent (every overlap resolves, see :func:`check_overlaps`) normal
 forms do not depend on the order of reductions and the normal monomials are
 a linear basis.  The presentation's ``mode`` alone decides Koszul signs.
@@ -34,8 +35,6 @@ from .linalg import accumulate, exact
 
 SUPER = "super"
 ORDINARY = "ordinary"
-
-DEFAULT_STEP_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -208,8 +207,10 @@ class AlgebraPresentation:
         return True
 
     def is_confluent(self) -> bool:
-        """Whether :func:`check_overlaps` finds the rules confluent, a rewriting
-        cycle counting as not.  Checked once: the rules never change."""
+        """Whether :func:`check_overlaps` resolves every overlap.  A rewriting
+        cycle counts as not confluent only when an overlap's reduction meets it:
+        ``b*a -> 2*a^2 - b^2`` alone has no overlaps and reads confluent.
+        Checked once: the rules never change."""
         if self._confluent is None:
             try:
                 self._confluent = check_overlaps(self).confluent
@@ -271,33 +272,26 @@ class AlgebraPresentation:
 
     # -- the product engine ------------------------------------------------------
 
-    def normalize(self, word: Iterable,
-                  max_steps: int = DEFAULT_STEP_BUDGET) -> "Element":
+    def normalize(self, word: Iterable) -> "Element":
         """Normal form of the product of the listed generators.
 
         ``word`` may contain generator names or pbw indices; the empty word
-        is the identity.  Raises :class:`NonTerminationError` if the step
-        budget is exhausted.
+        is the identity.  Raises :class:`NonTerminationError` if the rules
+        rewrite a word back into itself.
         """
         letters = tuple(self.gen_index(w) if isinstance(w, str) else int(w)
                         for w in word)
         for idx in letters:
             if not 0 <= idx < self.n:
                 raise PresentationError(f"generator index {idx} out of range")
-        return Element(self, dict(self._word_normal_form(letters, [max_steps])))
+        return Element(self, dict(self._word_normal_form(letters)))
 
-    def mul_monomials(self, m1, m2, max_steps: int = DEFAULT_STEP_BUDGET):
-        """Normal form of the product of two normal monomials, as a raw dict.
+    def mul_monomials(self, m1, m2):
+        """Normal form of the product of two normal monomials, as a raw dict:
+        the letters of ``m2`` folded into ``m1``.
 
+        A single letter makes the product a table entry, filled by :meth:`_entry`.
         The dict may be shared with the memo table: do not modify it.
-        """
-        return self._mul(m1, m2, [max_steps])
-
-    def _mul(self, m1, m2, budget):
-        """``m1*m2`` as a raw dict: the letters of ``m2`` folded into ``m1``.
-
-        A single letter makes the product a table entry, filled by :meth:`_entry`
-        and shared as it is.
         """
         if not any(m1):
             return {m2: 1}
@@ -314,15 +308,12 @@ class AlgebraPresentation:
                 return {m1[:j] + (m1[j] + m2[j],) + m2[j + 1:]: 1}  # already sorted
             job = (self._entry(m1, m2) if m2[j] == 1 and not any(m2[j + 1:])
                    else self._fold(self.monomial_letters(m2), {m1: 1}))
-            cached = self._mul_cache[key] = self._run(job, budget, key)
-        budget[0] -= 1  # the lookup of the pair itself
-        if budget[0] < 0:
-            raise NonTerminationError(f"rewrite step budget exhausted in {self.name}")
+            cached = self._mul_cache[key] = self._run(job, key)
         return cached
 
-    def _word_normal_form(self, letters, budget):
+    def _word_normal_form(self, letters):
         """Normal form of a word of pbw indices, as a raw dict."""
-        return self._run(self._fold(letters, {self.unit_monomial(): 1}), budget)
+        return self._run(self._fold(letters, {self.unit_monomial(): 1}))
 
     def _fold(self, letters, terms):
         """Multiply the combination ``terms`` on the right by ``letters``.
@@ -378,12 +369,16 @@ class AlgebraPresentation:
                 accumulate(out, (yield base, self._letters[k]), rc)
         return out
 
-    def _run(self, job, budget, key=None):
+    def _run(self, job, key=None):
         """Drive ``job``, a :meth:`_fold` or the :meth:`_entry` of ``key``, to its result.
 
         Missing table entries go into the memo from a stack of :meth:`_entry`
-        tasks.  Every lookup costs one step of ``budget``; looking up an entry
-        still being filled, ``key`` among them, means a rewriting cycle.
+        tasks.  This ends without a step count: validation rejects any rule
+        whose right-hand side has a degree above its word's length, so every
+        key ``(m, g_i)`` met while filling ``(m0, g)`` has ``deg m <= deg m0``,
+        and there are finitely many such keys.  Each is filled at most once,
+        and looking up one still being filled, ``key`` among them, is a
+        rewriting cycle: :class:`NonTerminationError`.
         """
         cache = self._mul_cache
         stack, keys, pending = [job], [], {key}
@@ -400,9 +395,6 @@ class AlgebraPresentation:
                 pending.discard(key)
                 cache[key] = value
                 continue
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise NonTerminationError(f"rewrite step budget exhausted in {self.name}")
             value = cache.get(key)
             if value is None:
                 if key in pending:
@@ -543,10 +535,10 @@ class Element(Combination):
     def __mul__(self, other):
         if isinstance(other, Element):
             self.alg._require_same(other.alg)
-            mul, out = self.alg._mul, {}
+            mul, out = self.alg.mul_monomials, {}
             for m1, c1 in self.coeffs.items():
                 for m2, c2 in other.coeffs.items():
-                    accumulate(out, mul(m1, m2, [DEFAULT_STEP_BUDGET]), c1 * c2)
+                    accumulate(out, mul(m1, m2), c1 * c2)
             return Element(self.alg, out)
         return self.__rmul__(other)
 
@@ -606,10 +598,9 @@ class TensorElement(Combination):
         the sign is taken once per pair of terms, and the pair's two leg
         products are added straight into the result.  A unit leg calls no
         product, its partner monomial is the product; any other leg product is
-        one memoized ``_mul`` with a fresh step budget, as in
-        :meth:`AlgebraPresentation.mul_monomials`.  The add is the one sum into
-        a sparse dict outside :func:`linalg.accumulate`; like it, it stores no
-        zero.  Tensors with another number of legs raise
+        one memoized :meth:`AlgebraPresentation.mul_monomials`.  The add is the
+        one sum into a sparse dict outside :func:`linalg.accumulate`; like it,
+        it stores no zero.  Tensors with another number of legs raise
         :class:`PresentationError`.
         """
         alg = self.alg
@@ -621,16 +612,14 @@ class TensorElement(Combination):
                 for (a1, a2), c in self.coeffs.items()]
         right = [(b1, b2, any(b1), any(b2), c, parity(b1))
                  for (b1, b2), c in other.coeffs.items()]
-        mul = alg._mul
+        mul = alg.mul_monomials
         out = {}
         get = out.get
         for a1, a2, x1, x2, ca, pa in left:
             for b1, b2, y1, y2, cb, pb in right:
                 c = -ca * cb if pa and pb else ca * cb
-                first = (mul(a1, b1, [DEFAULT_STEP_BUDGET]).items() if x1 and y1
-                         else ((a1 if x1 else b1, 1),))
-                second = (mul(a2, b2, [DEFAULT_STEP_BUDGET]).items() if x2 and y2
-                          else ((a2 if x2 else b2, 1),))
+                first = mul(a1, b1).items() if x1 and y1 else ((a1 if x1 else b1, 1),)
+                second = mul(a2, b2).items() if x2 and y2 else ((a2 if x2 else b2, 1),)
                 for m1, c1 in first:
                     c1 *= c
                     for m2, c2 in second:
@@ -681,13 +670,12 @@ class TensorElement(Combination):
         """Multiply all legs together (the multiplication map of the algebra)."""
         alg = self.alg
         out = {}
-        budget = [DEFAULT_STEP_BUDGET]
         for k, c in self.coeffs.items():
             terms = {k[-1] if k else alg.unit_monomial(): 1}  # from the last leg on
             for m in filter(any, reversed(k[:-1])):  # a unit factor calls no product
                 new_terms = {}
                 for t, ct in terms.items():
-                    accumulate(new_terms, alg._mul(m, t, budget) if any(t) else {m: 1}, ct)
+                    accumulate(new_terms, alg.mul_monomials(m, t) if any(t) else {m: 1}, ct)
                 terms = new_terms
             accumulate(out, terms, c)
         return Element(alg, out)
@@ -719,21 +707,19 @@ def check_overlaps(pres: AlgebraPresentation) -> ConfluenceReport:
 
     Overlap words are built from pairs of left-hand words of ``pres.rules``,
     swaps first, that share a boundary (descending triples, and cap overlaps
-    such as g^cap*g and g*g^cap), whatever their length; each word is reduced
-    within the default step budget.  An empty discrepancy list certifies local
-    confluence, hence unique normal forms and a PBW basis for a terminating
-    system.
+    such as g^cap*g and g*g^cap), whatever their length.  Reducing a word
+    raises :class:`NonTerminationError` at a rewriting cycle.  An empty
+    discrepancy list certifies local confluence, hence unique normal forms and
+    a PBW basis for a terminating system.
     """
     lhs = [(w, pres._rhs[(w[0], w[-1])])
            for w in sorted(pres.rules, key=lambda w: (w[0] == w[-1], w))]
 
     def reduce_with_first(word, pos, span, rhs):
         out = {}
-        budget = [DEFAULT_STEP_BUDGET]
         prefix, suffix = word[:pos], word[pos + span:]
         for rc, letters in rhs:
-            accumulate(out, pres._word_normal_form(prefix + letters + suffix, budget),
-                       rc)
+            accumulate(out, pres._word_normal_form(prefix + letters + suffix), rc)
         return Element(pres, out)
 
     report = ConfluenceReport(pres.name, 0)

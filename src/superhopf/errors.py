@@ -10,7 +10,7 @@ class PresentationError(AlgebraError):
 
 
 class NonTerminationError(AlgebraError):
-    """The rewrite step budget was exhausted; the rule system is suspect."""
+    """The rules rewrite a product back into itself: a rewriting cycle."""
 
 
 class DegreeBudgetError(AlgebraError):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from superhopf import parse
 from superhopf.algebra import AlgebraPresentation, Generator
-from superhopf.errors import NonTerminationError, PresentationError
+from superhopf.errors import PresentationError
 from superhopf.linalg import RowSpace
 from superhopf.verify import random_element
 
@@ -53,16 +53,11 @@ def test_normalize_rejects_unknown_generator(ubar):
         ubar.gen("q")
 
 
-def test_step_budget_not_hit_at_degree_twelve(ubar):
+def test_random_words_of_degree_twelve_normalize(ubar):
     rng = random.Random(3)
     for _ in range(50):
         word = [rng.randrange(ubar.n) for _ in range(12)]
         ubar.normalize(word)  # must not raise NonTerminationError
-
-
-def test_tiny_budget_raises(ubar):
-    with pytest.raises(NonTerminationError):
-        ubar.normalize(["v", "u"] * 6, max_steps=3)
 
 
 def test_mul_matches_relations(ubar):
