@@ -131,7 +131,8 @@ def test_sorted_products_store_no_table_entries():
     assert not pres._mul_cache
 
 
-def test_every_product_goes_through_mul_monomials(monkeypatch):
+@pytest.mark.parametrize("path", ["Element.__mul__", "tensor_mul", "fold_mul"])
+def test_every_product_goes_through_mul_monomials(path, monkeypatch):
     # a counter on the class attribute, as a tracer installs it, sees them all
     pres = load_session("pl11").pres
     mul, calls = AlgebraPresentation.mul_monomials, []
@@ -144,13 +145,37 @@ def test_every_product_goes_through_mul_monomials(monkeypatch):
     um, ym = pres.monomial(u=1), pres.monomial(y=1)
     u, y = pres.monomial_element(um), pres.monomial_element(ym)
     uy = pres.normalize(["u", "y"])
-    products = [(lambda: u * y, uy, 1),
-                (lambda: u.outer(u).tensor_mul(y.outer(y)), uy.outer(uy), 2),
-                (lambda: u.outer(y).fold_mul(), uy, 1)]
-    for product, want, n in products:
-        calls.clear()
-        assert product() == want
-        assert calls == [(um, ym)] * n
+    product, want, n = {
+        "Element.__mul__": (lambda: u * y, uy, 1),
+        "tensor_mul": (lambda: u.outer(u).tensor_mul(y.outer(y)), uy.outer(uy), 2),
+        "fold_mul": (lambda: u.outer(y).fold_mul(), uy, 1),
+    }[path]
+    calls.clear()
+    assert product() == want
+    assert calls == [(um, ym)] * n
+
+
+@pytest.mark.parametrize("name, m1, m2", [
+    ("gl(2|1)", {"e23": 1, "e32": 1}, {"e13": 1}),  # a single-letter miss
+    ("gl(2|1)", {"e31": 1, "e32": 1}, {"e12": 1, "e23": 1}),  # a multi-letter one
+    ("pl11-bosonized", {"u": 1}, {"y": 20}),
+])
+def test_a_cold_product_fills_each_entry_once_below_its_degree(name, m1, m2):
+    # why rewriting ends: no key is filled twice, none has a higher degree
+    pres = PRESENTATIONS[name]()
+    m1, m2 = pres.monomial(**m1), pres.monomial(**m2)
+    cold = cold_copy(pres)
+    entry, filled = cold._entry, []
+
+    def counted(m, g):
+        filled.append((m, g))
+        return entry(m, g)
+
+    cold._entry = counted
+    assert cold.mul_monomials(m1, m2) == pres.mul_monomials(m1, m2)
+    assert filled and len(set(filled)) == len(filled)
+    assert all(key in cold._mul_cache for key in filled)
+    assert all(sum(m) + sum(g) <= sum(m1) + sum(m2) for m, g in filled)
 
 
 def test_a_single_letter_product_is_stored_once():
