@@ -320,7 +320,8 @@ class AlgebraPresentation:
 
         A generator: it yields the memo key ``(m, g_i)`` of each unsorted
         product ``m*g_i``, first letter first, is sent that product back, and
-        returns the collected combination; sorted joins are added in place.
+        returns the collected combination.  A sorted join is added in place,
+        with no dict for its one term, as :func:`linalg.accumulate` would.
         """
         caps, units = self._caps, self._letters
         for i in letters:
@@ -345,7 +346,8 @@ class AlgebraPresentation:
         ``g_i`` is swapped with the last letter of ``m`` if that comes later
         in the order; if it is ``g_i``'s own power, the power rule applies.
         Each right-hand side term is folded into the rest of ``m``, a
-        one-letter one in place: a sorted join or one lookup.
+        one-letter one in place: a sorted join, added with no dict for its one
+        term as in :meth:`_fold`, or one lookup.
         """
         i = g.index(1)
         j = self.n - 1
@@ -598,10 +600,10 @@ class TensorElement(Combination):
         the sign is taken once per pair of terms, and the pair's two leg
         products are added straight into the result.  A unit leg calls no
         product, its partner monomial is the product; any other leg product is
-        one memoized :meth:`AlgebraPresentation.mul_monomials`.  The add is the
-        one sum into a sparse dict outside :func:`linalg.accumulate`; like it,
-        it stores no zero.  Tensors with another number of legs raise
-        :class:`PresentationError`.
+        one memoized :meth:`AlgebraPresentation.mul_monomials`.  The add is
+        one of the in-place adds the :mod:`linalg` docstring lists: no dict
+        per term and, as in :func:`linalg.accumulate`, no zero stored.
+        Tensors with another number of legs raise :class:`PresentationError`.
         """
         alg = self.alg
         alg._require_same(other.alg)

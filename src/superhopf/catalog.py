@@ -141,8 +141,9 @@ class Session:
         return self.bos
 
 
-def load_session(source: str, bosonize_file: bool = False) -> Session:
-    """Resolve a built-in name (a ``BUILTINS`` entry) or a definition-file path."""
+def load_session(source: str, bosonized: bool = False) -> Session:
+    """Resolve a built-in name (a ``BUILTINS`` entry) or a definition-file path,
+    bosonized when ``bosonized`` is set or the built-in is a bosonized one."""
     builtin = BUILTINS.get(source)
     if builtin is None:
         g = load_algebra_file(source)
@@ -150,15 +151,15 @@ def load_session(source: str, bosonize_file: bool = False) -> Session:
             U = enveloping(g)  # validates g
         except AlgebraError as exc:
             raise AlgebraError(f"algebra file {source}: {exc}") from None
-        return Session(f"file:{source}" + ("#k[t]" if bosonize_file else ""), g, U,
-                       bosonize(U) if bosonize_file else None, CheckDefaults())
-    g = builtin.lie()
-    U = enveloping(g)
-    sess = Session(source, g, U, bosonize(U) if builtin.bosonized else None,
-                   builtin.defaults)
-    rep = check_defining_relations(sess.pres, builtin.relations)
+        name, relations, defaults = f"file:{source}", [], CheckDefaults()
+    else:
+        g = builtin.lie()
+        U = enveloping(g)
+        name, relations, defaults = source, builtin.relations, builtin.defaults
+        bosonized = bosonized or builtin.bosonized
+    sess = Session(name, g, U, bosonize(U) if bosonized else None, defaults)
+    rep = check_defining_relations(sess.pres, relations)
     if rep.status == FAIL:
         raise AlgebraError(f"generated presentation {sess.pres.name} violates its "
                            f"relation table: {rep.witnesses[0]}")
     return sess
-

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``normalize``, ``check``, ``growth``, ``module-finite``,
-``centralizer``, ``eigen``.  All take ``--algebra`` (a built-in name or a
-definition-file path), ``--max-degree``, ``--seed``, and ``--out``.  Reports
+``centralizer``, ``eigen``.  Each takes ``--algebra`` (a built-in name or a
+definition-file path), ``--out``, and those ``SHARED_OPTIONS`` it reads.  Reports
 are deterministic: two runs with the same configuration produce
 byte-identical files, and the exit status is 0 exactly when no emitted
 report contains a FAIL line.  The ``check`` suites name no algebra or
@@ -40,13 +40,13 @@ def _write_output(text: str, out: Optional[Path]):
             fh.write(text)
 
 
-def _emit_reports(reports, args) -> int:
+def _emit_reports(reports, args, **extra) -> int:
+    """Write the report, and next to ``--out`` its ``.kv`` summary with the
+    algebra and the ``extra`` options the command read."""
     text = render_reports(reports)
     _write_output(text, args.out)
     if args.out is not None:
-        summary = render_summary(reports, extra={
-            "algebra": args.algebra, "seed": args.seed,
-            "maxDegree": args.max_degree})
+        summary = render_summary(reports, {"algebra": args.algebra, **extra})
         _write_output(summary, args.out.with_name(args.out.name + ".kv"))
     return 1 if "FAIL" in text else 0
 
@@ -172,16 +172,17 @@ UNBOSONIZED_SUITES = ("hopf-axioms", "zero-divisors")  # what `all` runs without
 
 def cmd_check(sess: Session, args) -> int:
     if args.suite != "all":
-        return _emit_reports(SUITE_RUNNERS[args.suite](sess, args), args)
-    reports = []
-    for suite, run in SUITE_RUNNERS.items():
-        if sess.bos is None and suite not in UNBOSONIZED_SUITES:
-            continue
-        try:
-            reports.extend(run(sess, args))
-        except _NoCase:
-            continue  # `all` runs a suite only where it has a case to run
-    return _emit_reports(reports, args)
+        reports = SUITE_RUNNERS[args.suite](sess, args)
+    else:
+        reports = []
+        for suite, run in SUITE_RUNNERS.items():
+            if sess.bos is None and suite not in UNBOSONIZED_SUITES:
+                continue
+            try:
+                reports.extend(run(sess, args))
+            except _NoCase:
+                continue  # `all` runs a suite only where it has a case to run
+    return _emit_reports(reports, args, seed=args.seed, maxDegree=args.max_degree)
 
 
 # -- other commands ---------------------------------------------------------------------
@@ -270,14 +271,21 @@ def _int_at_least(low: int):
 NON_NEGATIVE, POSITIVE = _int_at_least(0), _int_at_least(1)
 
 
-def _add_common(sub):
+SHARED_OPTIONS = {
+    "--bosonize": dict(action="store_true",
+                       help="adjoin the grouplike t, as the -bosonized built-ins do"),
+    "--max-degree": dict(type=NON_NEGATIVE, default=6),
+    "--seed": dict(type=int, default=1),
+}
+
+
+def _add_common(sub, *options):
+    """``--algebra``, the named ``SHARED_OPTIONS`` and ``--out``."""
     sub.add_argument("--algebra", default=DEFAULT_ALGEBRA,
                      help=f"built-in name ({', '.join(BUILTINS)}) "
                           "or a definition-file path")
-    sub.add_argument("--bosonize", action="store_true",
-                     help="bosonize a file-defined algebra")
-    sub.add_argument("--max-degree", type=NON_NEGATIVE, default=6)
-    sub.add_argument("--seed", type=int, default=1)
+    for option in options:
+        sub.add_argument(option, **SHARED_OPTIONS[option])
     sub.add_argument("--out", type=Path, default=None)
 
 
@@ -290,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("normalize", help="print the normal form of an expression")
     p.add_argument("expression")
-    _add_common(p)
+    _add_common(p, "--bosonize")
 
     p = commands.add_parser("check", help="run a verification suite")
     p.add_argument("suite", choices=SUITES)
@@ -302,25 +310,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=POSITIVE, default=200)
     p.add_argument("--hopf-random", type=NON_NEGATIVE, default=100)
     p.add_argument("--shift-n", type=POSITIVE, default=6)
-    _add_common(p)
+    _add_common(p, "--bosonize", "--max-degree", "--seed")
 
     p = commands.add_parser("growth", help="filtration growth report")
     p.add_argument("--gens", default=None,
                    help="comma-separated generator expressions (default: all)")
     p.add_argument("--n-max", type=NON_NEGATIVE, default=12)
-    _add_common(p)
+    _add_common(p, "--bosonize")
 
     p = commands.add_parser("module-finite", help="module-finiteness certificate")
     p.add_argument("--sub", required=True)
     p.add_argument("--module-gens", required=True)
     p.add_argument("--side", choices=("left", "right", "both"), default="both")
     p.add_argument("--n-max", type=NON_NEGATIVE, default=8)
-    _add_common(p)
+    _add_common(p, "--bosonize")
 
     p = commands.add_parser("centralizer", help="degree-bounded centralizer basis")
     p.add_argument("--gens", default=None)
     p.add_argument("--z-degree", type=int, default=None)
-    _add_common(p)
+    _add_common(p, "--bosonize", "--max-degree")
 
     p = commands.add_parser("eigen", help="exact adjoint eigenpairs on a subspace")
     p.add_argument("--h", required=True, help="the acting vector, e.g. 'y'")
@@ -334,7 +342,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        sess = load_session(args.algebra, bosonize_file=args.bosonize)
+        sess = load_session(args.algebra, getattr(args, "bosonize", False))
         return COMMANDS[args.command](sess, args)
     except (AlgebraError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

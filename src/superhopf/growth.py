@@ -155,8 +155,9 @@ def growth_series(P: AlgebraPresentation, gens: Sequence[Element],
 def _normal_monomial_dims(P, gens, n_max):
     """The counts of normal monomials of degree <= n on the generators' letters
     S, or None unless every given generator is a multiple of one letter, the
-    rules among S keep to S and the rules are confluent.  The caps of S are
-    read off the power rules among S."""
+    rules among S keep to S and the rules are confluent.  A letter's power rule
+    lies among S exactly when the letter does, so the caps of S are the
+    presentation's."""
     if not all(g.alg is P and len(g.coeffs) == 1 and sum(next(iter(g.coeffs))) == 1
                for g in gens):
         return None
@@ -166,9 +167,8 @@ def _normal_monomial_dims(P, gens, n_max):
         return None
     if not P.is_confluent():  # even for a rewriting cycle that S may never meet
         return None
-    caps = {w[0]: len(w) for w in rules if w[0] == w[-1]}
     dims = [1] + [0] * n_max
-    for cap in [caps.get(i) for i in letters] + [None]:
+    for cap in [P._caps.get(i) for i in letters] + [None]:
         dims = list(accumulate(dims))  # times 1/(1 - t); the last pass sums the degrees
         if cap:  # times 1 - t^cap
             dims[cap:] = [a - b for a, b in zip(dims[cap:], dims)]

@@ -60,21 +60,6 @@ class HopfStructureMaps:
         self._delta_cache = {carrier.unit_monomial(): carrier.tensor_one()}
         self._antipode_cache = {carrier.unit_monomial(): carrier.one()}
 
-    def replace(self, **updates) -> "HopfStructureMaps":
-        """Copy with some generator images overridden (used to corrupt maps in tests)."""
-        delta = dict(self.delta_gen)
-        eps = dict(self.eps_gen)
-        antipode = dict(self.antipode_gen)
-        for name, value in updates.pop("delta", {}).items():
-            delta[self.carrier.gen_index(name)] = value
-        for name, value in updates.pop("eps", {}).items():
-            eps[self.carrier.gen_index(name)] = value
-        for name, value in updates.pop("antipode", {}).items():
-            antipode[self.carrier.gen_index(name)] = value
-        if updates:
-            raise TypeError(f"unknown arguments {sorted(updates)}")
-        return HopfStructureMaps(self.carrier, delta, eps, antipode)
-
     # -- monomial-level maps --------------------------------------------------
 
     def _power(self, idx, a):

@@ -133,17 +133,16 @@ class LieSuperAlgebra:
                 if br != mirrored:
                     report.violations.append(
                         f"antisymmetry fails on ({self.basis[i].name},{self.basis[j].name})")
+        units, table = [self.unit(i) for i in range(n)], self.table
         for i in range(n):
             for j in range(n):
+                sign = -1 if (self.parity(i) * self.parity(j)) % 2 else 1
                 for k in range(n):
-                    # graded Leibniz: [a,[b,c]] = [[a,b],c] + (-1)^{p(a)p(b)} [b,[a,c]]
-                    a = self.unit(i)
-                    b = self.unit(j)
-                    c = self.unit(k)
-                    lhs = self.bracket(a, self.bracket(b, c))
-                    rhs1 = self.bracket(self.bracket(a, b), c)
-                    rhs2 = self.bracket(b, self.bracket(a, c))
-                    sign = -1 if (self.parity(i) * self.parity(j)) % 2 else 1
+                    # graded Leibniz: [a,[b,c]] = [[a,b],c] + (-1)^{p(a)p(b)} [b,[a,c]],
+                    # the inner brackets of basis vectors read from the table
+                    lhs = self.bracket(units[i], table[j][k])
+                    rhs1 = self.bracket(table[i][j], units[k])
+                    rhs2 = self.bracket(units[j], table[i][k])
                     rhs = tuple(x + sign * y for x, y in zip(rhs1, rhs2))
                     if lhs != rhs:
                         report.violations.append(

@@ -4,8 +4,11 @@ Vectors are dicts mapping hashable keys to nonzero exact scalars: ``int``
 or ``Fraction``, never a float.  Int arithmetic stays int and :func:`exact`
 demotes an integral quotient to an ``int``, but an integral sum or product
 of ``Fraction`` values stays ``Fraction(n, 1)``, which equals, hashes and
-prints like the ``int``.  :func:`accumulate` is the one sparse sum that
-keeps the values nonzero; every linear combination goes through it.
+prints like the ``int``.  :func:`accumulate` is the general sparse sum that
+keeps the values nonzero.  Four hot loops add by the same rule in place
+instead: ``TensorElement.tensor_mul`` and the sorted joins of
+``AlgebraPresentation._fold`` and ``_entry`` add one term at a time with no
+dict built for it, and :func:`_eliminate` subtracts a row, skipping its pivot.
 
 :class:`RowSpace` stores rows fraction-free: all ``int``, primitive (gcd 1)
 and with a positive pivot entry, eliminated by cross-multiplication (compare
@@ -151,8 +154,8 @@ def accumulate(out, coeffs, scale=None):
 
     ``scale`` and the coefficients are nonzero, so a new key needs no sum;
     an entry that cancels is deleted, so ``out`` never stores a zero.  A
-    plain sum passes no scale, so it forms no products.  The tensor product
-    kernel, ``TensorElement.tensor_mul``, adds by the same rule in place.
+    plain sum passes no scale, so it forms no products.  The in-place adds of
+    the module docstring follow the same rule without a dict per term.
     """
     for k, c in coeffs.items():
         if scale is not None:

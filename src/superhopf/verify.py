@@ -57,11 +57,10 @@ def render_reports(reports: Sequence[CertificateReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_summary(reports: Sequence[CertificateReport], extra=None) -> str:
-    """Machine-readable key-value summary, merged by check name."""
-    lines = []
-    for k in sorted((extra or {})):
-        lines.append(f"{k}={(extra or {})[k]}")
+def render_summary(reports: Sequence[CertificateReport], extra: dict) -> str:
+    """Machine-readable key-value summary: the ``extra`` pairs, then one status
+    line per report, sorted by check name."""
+    lines = [f"{k}={extra[k]}" for k in sorted(extra)]
     for rep in sorted(reports, key=lambda r: r.check_name):
         lines.append(f"check.{rep.check_name}={rep.status.upper()}")
     return "\n".join(lines) + "\n"
@@ -621,13 +620,10 @@ def zero_divisor_scan(P: AlgebraPresentation, degree_bound: int, samples: int,
 # -- expectation wrappers (used by the CLI suites) ---------------------------------------
 
 
-def expect(report: CertificateReport, expected_status: str,
-           name: Optional[str] = None) -> CertificateReport:
-    """Meta-certificate: the wrapped check finished with the expected status."""
+def expect(report: CertificateReport, expected_status: str, name: str) -> CertificateReport:
+    """Meta-certificate ``name``: the wrapped check finished with the expected status."""
     ok = report.status == expected_status
-    meta = CertificateReport(name or f"{report.check_name}.expected-{expected_status}",
-                             PASS if ok else FAIL,
-                             inputs=report.inputs,
+    meta = CertificateReport(name, PASS if ok else FAIL, inputs=report.inputs,
                              parameters=dict(report.parameters))
     meta.parameters["innerStatus"] = report.status
     meta.parameters["expectedStatus"] = expected_status

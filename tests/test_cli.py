@@ -197,6 +197,16 @@ def test_module_finite_command(capsys):
     assert "FAIL" in out
 
 
+def test_module_finite_summary_names_only_what_the_command_read(tmp_path, capsys):
+    code, _, _ = run(capsys, "module-finite", "--sub", "x,y",
+                     "--module-gens", "1,u,v,u*v,t,u*t,v*t,u*v*t",
+                     "--out", str(tmp_path / "report"))
+    assert code == 0
+    assert (tmp_path / "report.kv").read_text(encoding="utf-8") == (
+        "algebra=pl11-bosonized\ncheck.module-finite.left=PASS\n"
+        "check.module-finite.right=PASS\n")
+
+
 def test_centralizer_command(capsys):
     code, out, _ = run(capsys, "centralizer", "--max-degree", "4",
                        "--z-degree", "0")
@@ -256,6 +266,34 @@ def test_bounds_that_would_check_nothing_are_rejected(capsys, argv):
     assert exc.value.code == 2
     assert "error:" in captured.err
     assert "CHECK" not in captured.out
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in {
+        "normalize": ("--max-degree", "--seed"),
+        "growth": ("--max-degree", "--seed"),
+        "module-finite": ("--max-degree", "--seed"),
+        "centralizer": ("--seed",),
+        "eigen": ("--max-degree", "--seed", "--bosonize"),
+    }.items() for flag in flags])
+def test_an_option_a_command_does_not_read_is_rejected(capsys, command, flag):
+    required = {"normalize": ["u"], "module-finite": ["--sub", "x", "--module-gens", "1"],
+                "eigen": ["--h", "y"]}.get(command, [])
+    argv = [command, *required, flag] + ([] if flag == "--bosonize" else ["3"])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_bosonize_adjoins_t_to_a_builtin(capsys):
+    assert run(capsys, "normalize", "t", "--algebra", "pl11", "--bosonize") == (0, "t\n", "")
+    argv = ["check", "all", "--max-degree", "2", "--samples", "10", "--hopf-random", "4"]
+    plain = run(capsys, *argv, "--algebra", "pl11")
+    bosonized = run(capsys, *argv, "--algebra", "pl11-bosonized")
+    assert run(capsys, *argv, "--algebra", "pl11", "--bosonize") == bosonized != plain
 
 
 @pytest.mark.parametrize("argv", [
@@ -415,7 +453,7 @@ def test_a_definition_file_is_validated_once(tmp_path, monkeypatch):
         return validate(self)
 
     monkeypatch.setattr(LieSuperAlgebra, "validate", counting)
-    load_session(str(path), bosonize_file=True)
+    load_session(str(path), bosonized=True)
     assert calls == ["file-algebra"]
 
 

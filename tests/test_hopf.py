@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from superhopf import bosonize, enveloping, load_session, parse
+from superhopf import HopfStructureMaps, bosonize, enveloping, load_session, parse
 from superhopf.algebra import SUPER, Generator, TensorElement
 from superhopf.errors import AlgebraError
 from superhopf.liesuper import LieSuperAlgebra
@@ -63,7 +63,8 @@ def test_bosonize_requires_primitive_generators(sess_u):
     U = sess_u.u_maps
     P = U.carrier
     x = P.gen("x")
-    corrupted = U.replace(delta={"x": x.outer(x)})
+    corrupted = HopfStructureMaps(P, {**U.delta_gen, P.gen_index("x"): x.outer(x)},
+                                  U.eps_gen, U.antipode_gen)
     with pytest.raises(AlgebraError):
         bosonize(corrupted)
     with pytest.raises(AlgebraError):
@@ -280,7 +281,8 @@ def test_a_non_primitive_image_takes_the_letter_step(sess_u):
     U = sess_u.u_maps
     P = U.carrier
     x = P.gen("x")
-    corrupted = U.replace(delta={"x": x.outer(x)})
+    corrupted = HopfStructureMaps(P, {**U.delta_gen, P.gen_index("x"): x.outer(x)},
+                                  U.eps_gen, U.antipode_gen)
     x3 = P.monomial_element(P.monomial(x=3))
     assert corrupted.coproduct(x3) == x3.outer(x3)
     for m in reversed(list(P.enumerate_monomials(4))):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from superhopf import FiltrationClosure, parse, verify
+from superhopf import FiltrationClosure, HopfStructureMaps, parse, verify
 from superhopf.algebra import Element, monomial_key
 from superhopf.errors import AlgebraError, DegreeBudgetError
 from superhopf.linalg import kernel_image_basis
@@ -47,8 +47,10 @@ def test_corrupted_coproduct_fails_coassociativity(bos):
     # the corruption surfaces on u, whose expansions disagree in the middle
     # slot (t (x) 1 (x) u versus t (x) t (x) u)
     P = bos.carrier
+    H = bos.hopf
     t, u, one = P.gen("t"), P.gen("u"), P.one()
-    corrupted = bos.hopf.replace(delta={"t": t.outer(one)})
+    corrupted = HopfStructureMaps(P, {**H.delta_gen, P.gen_index("t"): t.outer(one)},
+                                  H.eps_gen, H.antipode_gen)
     assert check_coassociativity(corrupted, [t]).passed
     rep = check_coassociativity(corrupted, [t, u])
     assert rep.status == verify.FAIL
@@ -71,17 +73,21 @@ def test_full_axiom_suite_on_all_three_algebras(sess_u, sess_ubar, sess_bbar):
 
 
 def test_corrupted_counit_fails_at_u(bos):
-    P = bos.carrier
+    P, H = bos.carrier, bos.hopf
     gens = [P.gen(g.name) for g in P.generators]
-    rep = check_counit(bos.hopf.replace(eps={"t": 0}), gens)
+    corrupted = HopfStructureMaps(P, H.delta_gen, {**H.eps_gen, P.gen_index("t"): 0},
+                                  H.antipode_gen)
+    rep = check_counit(corrupted, gens)
     assert rep.status == verify.FAIL
     assert rep.witnesses[0] == ("u", "u", "0")  # (eps (x) id)Delta(u) = eps(t)*u
 
 
 def test_corrupted_antipode_fails_at_u(bos):
-    P = bos.carrier
+    P, H = bos.carrier, bos.hopf
     u = P.gen("u")
-    rep = check_antipode(bos.hopf.replace(antipode={"u": u}), [P.one(), u])
+    corrupted = HopfStructureMaps(P, H.delta_gen, H.eps_gen,
+                                  {**H.antipode_gen, P.gen_index("u"): u})
+    rep = check_antipode(corrupted, [P.one(), u])
     assert rep.status == verify.FAIL
     assert [w[0] for w in rep.witnesses] == ["u", "u"]
     assert all(w[1] == "0" for w in rep.witnesses)
@@ -91,10 +97,12 @@ def test_corrupted_coproduct_fails_the_bialgebra_check_at_u_u(bos):
     # u(x)1 + 1(x)u drops the t of the bosonized coproduct; the tensor product
     # of the bosonization carries no Koszul sign, so the cross terms of Delta(u)^2
     # add up instead of cancelling, while u^2 = 0
-    P = bos.carrier
+    P, H = bos.carrier, bos.hopf
     u, one = P.gen("u"), P.one()
-    rep = check_bialgebra(bos.hopf.replace(delta={"u": u.outer(one) + one.outer(u)}),
-                          [(u, u)])
+    corrupted = HopfStructureMaps(
+        P, {**H.delta_gen, P.gen_index("u"): u.outer(one) + one.outer(u)},
+        H.eps_gen, H.antipode_gen)
+    rep = check_bialgebra(corrupted, [(u, u)])
     assert rep.status == verify.FAIL
     assert rep.witnesses == [("(u, u)", "0", "2*u(x)u")]
 
@@ -274,13 +282,18 @@ def test_biproduct_triangular_inner_part_is_the_y_u_span(bos):
     assert len(inner) == 13
 
 
-def corrupted_u_maps(B, **updates):
-    return dataclasses.replace(B, u_maps=B.u_maps.replace(**updates))
+def corrupted_u_maps(B, delta=(), antipode=()):
+    """``B`` with the generator images of ``U`` in ``delta`` and ``antipode``
+    (index -> image) put in place of its own."""
+    U = B.u_maps
+    maps = HopfStructureMaps(U.carrier, {**U.delta_gen, **dict(delta)}, U.eps_gen,
+                             {**U.antipode_gen, **dict(antipode)})
+    return dataclasses.replace(B, u_maps=maps)
 
 
 def test_biproduct_flags_an_antipode_that_leaves_the_t_free_part(bos):
     P, Q = bos.carrier, bos.u_maps.carrier
-    broken = corrupted_u_maps(bos, antipode={"u": -Q.gen("v")})
+    broken = corrupted_u_maps(bos, antipode={Q.gen_index("u"): -Q.gen("v")})
     rep = biproduct_decomposition(broken, [P.gen(n) for n in ("y", "u", "t")], 2)
     assert rep.status == verify.FAIL
     assert rep.witnesses[0] == ("S_U(u)", "in A cap U", "-v")
@@ -289,7 +302,8 @@ def test_biproduct_flags_an_antipode_that_leaves_the_t_free_part(bos):
 def test_biproduct_flags_a_coproduct_marginal_outside_the_t_free_part(bos):
     P, Q = bos.carrier, bos.u_maps.carrier
     one = Q.one()
-    broken = corrupted_u_maps(bos, delta={"u": Q.gen("v").outer(one) + one.outer(Q.gen("u"))})
+    broken = corrupted_u_maps(
+        bos, delta={Q.gen_index("u"): Q.gen("v").outer(one) + one.outer(Q.gen("u"))})
     rep = biproduct_decomposition(broken, [P.gen(n) for n in ("y", "u", "t")], 2)
     assert rep.status == verify.FAIL
     item, expected, actual = rep.witnesses[0]
