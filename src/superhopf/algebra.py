@@ -293,13 +293,13 @@ class AlgebraPresentation:
         A single letter makes the product a table entry, filled by :meth:`_entry`.
         The dict may be shared with the memo table: do not modify it.
         """
-        if not any(m1):
-            return {m2: 1}
-        if not any(m2):
-            return {m1: 1}
         key = (m1, m2)
         cached = self._mul_cache.get(key)
         if cached is None:
+            if not any(m1):
+                return {m2: 1}
+            if not any(m2):
+                return {m1: 1}
             j = 0
             while not m2[j]:
                 j += 1
@@ -538,9 +538,15 @@ class Element(Combination):
         if isinstance(other, Element):
             self.alg._require_same(other.alg)
             mul, out = self.alg.mul_monomials, {}
+            get, right = out.get, other.coeffs.items()
             for m1, c1 in self.coeffs.items():
-                for m2, c2 in other.coeffs.items():
-                    accumulate(out, mul(m1, m2), c1 * c2)
+                for m2, c2 in right:
+                    c = c1 * c2
+                    for m, cm in mul(m1, m2).items():  # the in-place add of tensor_mul
+                        if new := get(m, 0) + c * cm:
+                            out[m] = new
+                        else:
+                            del out[m]
             return Element(self.alg, out)
         return self.__rmul__(other)
 

@@ -5,17 +5,18 @@ or ``Fraction``, never a float.  Int arithmetic stays int and :func:`exact`
 demotes an integral quotient to an ``int``, but an integral sum or product
 of ``Fraction`` values stays ``Fraction(n, 1)``, which equals, hashes and
 prints like the ``int``.  :func:`accumulate` is the general sparse sum that
-keeps the values nonzero.  Four hot loops add by the same rule in place
-instead: ``TensorElement.tensor_mul`` and the sorted joins of
-``AlgebraPresentation._fold`` and ``_entry`` add one term at a time with no
-dict built for it, and :func:`_eliminate` subtracts a row, skipping its pivot.
+keeps the values nonzero.  Five hot loops add by the same rule in place
+instead: ``Element.__mul__``, ``TensorElement.tensor_mul`` and the sorted
+joins of ``AlgebraPresentation._fold`` and ``_entry`` add one term at a time
+with no dict built for it, and :func:`_eliminate` subtracts a row.
 
 :class:`RowSpace` stores rows fraction-free: all ``int``, primitive (gcd 1)
 and with a positive pivot entry, eliminated by cross-multiplication (compare
 Bareiss 1968).  A row is divided by its pivot entry only where a caller sees
 it: :meth:`RowSpace.monic`, :meth:`RowSpace.reduced_basis`,
 :func:`kernel_basis`.  Pivots are chosen by minimal sort key, so results are
-reproducible bit-for-bit.  The kernel vectors of :func:`kernel_basis` do not
+reproducible bit-for-bit; :meth:`RowSpace.reduce` takes each one off a heap
+of the vector's keys.  The kernel vectors of :func:`kernel_basis` do not
 depend on the order of the coordinates, and :func:`kernel_image_basis` turns
 a kernel into the fully reduced basis of its image.
 """
@@ -23,6 +24,7 @@ a kernel into the fully reduced basis of its image.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 
@@ -37,14 +39,14 @@ def exact(c):
 class RowSpace:
     """Incrementally maintained row-echelon span of sparse vectors.
 
-    ``sort_key`` maps a coordinate key to something orderable, once per key;
-    it defaults to the key itself.  Each stored row is the unique primitive
-    integral multiple of its vector with a positive pivot, so ``rows`` holds
-    no ``Fraction``; :meth:`monic` divides a row by its pivot entry.
+    ``sort_key`` maps coordinate keys one-to-one to orderable values, once
+    per key; it defaults to the key itself.  Each stored row is the unique
+    primitive integral multiple of its vector with a positive pivot, so
+    ``rows`` holds no ``Fraction``; :meth:`monic` divides a row by its pivot.
     """
 
     def __init__(self, sort_key=None):
-        self._key = None if sort_key is None else _SortKeys(sort_key).__getitem__
+        self._key = _SortKeys(sort_key or (lambda k: k)).__getitem__
         self.rows = {}  # pivot key -> primitive int row, row[pivot] > 0
 
     @property
@@ -55,38 +57,45 @@ class RowSpace:
         """Eliminate stored pivots from ``vec`` until its leading key is free.
 
         Returns an integral residual, a positive multiple of ``vec`` minus a
-        combination of the rows; an empty residual means membership.
+        combination of the rows, and its pivot key; an empty residual, with
+        pivot None, means membership.  Each pivot is the least live key on a
+        heap: :func:`_eliminate` pushes the keys it fills in, and a popped key
+        that has cancelled since is skipped.
         """
-        out, mixed = {}, False  # one copy: drop zeros, note non-int entries
+        rows, key = self.rows, self._key
+        out, heap, mixed = {}, [], False  # one copy: drop zeros, note non-int entries
         for k, v in vec.items():
             if v:
-                out[k] = v
+                heap.append(entry := key(k))
+                out[entry[1]] = v  # the one key object: probes match on identity
                 if type(v) is not int:
                     mixed = True
         if mixed:  # clear the denominators; Fraction(n, 1) becomes an int
             den = lcm(*(v.denominator for v in out.values()))
             out = {k: v.numerator * (den // v.denominator) for k, v in out.items()}
-        rows, key, vec = self.rows, self._key, out
-        while vec:
-            pivot = min(vec, key=key)
+        heapify(heap)
+        while out:  # every live key is on the heap
+            pivot = heappop(heap)[1]
+            a = out.get(pivot)
+            if a is None:
+                continue  # cancelled after it was pushed
             row = rows.get(pivot)
             if row is None:
-                return vec
-            vec = _eliminate(vec, row, pivot, vec.pop(pivot))
-        return vec
+                return out, pivot
+            out = _eliminate(out, row, pivot, a, heap, key)
+        return out, None
 
     def insert(self, vec):
         """Add ``vec`` to the span.  Returns the stored row, or None if dependent."""
-        res = self.reduce(vec)
+        res, pivot = self.reduce(vec)
         if not res:
             return None
-        pivot = min(res, key=self._key)
         c = res[pivot]  # a pivot entry 1 leaves the gcd 1 already
         row = self.rows[pivot] = res if c == 1 else _primitive(res, c)
         return row
 
     def contains(self, vec) -> bool:
-        return not self.reduce(vec)
+        return not self.reduce(vec)[0]
 
     def monic(self, row):
         """``row`` divided by its pivot entry, ints where integral."""
@@ -101,22 +110,23 @@ class RowSpace:
             row = dict(self.rows[p])
             hits = [q for q in row if q != p and q in self.rows]
             for q in sorted(hits, key=self._key):
-                c = row.pop(q, 0)
+                c = row.get(q)
                 if c:
-                    row = _eliminate(row, reduced[q], q, c)
+                    row = _eliminate(row, reduced[q], q, c, [], self._key)
             reduced[p] = _primitive(row, row[p])
         return [self.monic(reduced[p]) for p in pivots]
 
 
 class _SortKeys(dict):
-    """Coordinate -> sort key, each computed on its first lookup."""
+    """Coordinate -> ``(sort key, coordinate)``, made on the first lookup: a
+    heap entry, and the one key object a :class:`RowSpace` stores."""
 
     def __init__(self, sort_key):
         self.sort_key = sort_key
 
     def __missing__(self, k):
-        key = self[k] = self.sort_key(k)
-        return key
+        entry = self[k] = (self.sort_key(k), k)
+        return entry
 
 
 def _primitive(vec, lead):
@@ -125,11 +135,11 @@ def _primitive(vec, lead):
     return vec if g == 1 else {k: v // g for k, v in vec.items()}
 
 
-def _eliminate(vec, row, pivot, a):
-    """``(b/g)*vec - (a/g)*row``, where ``a`` was ``vec[pivot]`` (popped
-    already), ``b = row[pivot]`` and ``g = gcd(a, b)``; ``vec`` is updated in
-    place unless ``b/g`` scales it.  Not :func:`accumulate`, which would
-    recompute the pivot entry only to delete it.
+def _eliminate(vec, row, pivot, a, heap, key):
+    """``(b/g)*vec - (a/g)*row``, where ``a = vec[pivot]``, ``b = row[pivot]``
+    and ``g = gcd(a, b)``, in place unless ``b/g`` scales ``vec``; each key
+    filled in goes on ``heap`` as ``key(k)``.  The pivot entry cancels with
+    the rest: one product per call, where a skip costs a test per entry.
     """
     b = row[pivot]
     if b != 1:
@@ -139,13 +149,14 @@ def _eliminate(vec, row, pivot, a):
             vec = {k: m * v for k, v in vec.items()}
         a //= g
     for k, v in row.items():
-        if k == pivot:
-            continue
-        new = vec.get(k, 0) - a * v
-        if new:
+        old = vec.get(k)
+        if old is None:
+            vec[k] = -a * v
+            heappush(heap, key(k))
+        elif new := old - a * v:
             vec[k] = new
         else:
-            vec.pop(k, None)
+            del vec[k]
     return vec
 
 

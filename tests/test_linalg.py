@@ -2,16 +2,23 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superhopf import linalg
 from superhopf.linalg import RowSpace, kernel_basis
 
 
 def _sort_key(k):
     return (k % 3, -k)  # not the natural order, so pivots are not the least keys
+
+
+def _t_first(m):
+    return (not m[1], sum(m), m)  # the biproduct split's order, t the second letter
 
 
 class _Oracle:
@@ -134,3 +141,34 @@ def test_row_space_agrees_with_a_fraction_oracle(seed):
             for k, v in vectors[i].items():
                 total[k] = total.get(k, 0) + c * v
         assert not any(total.values())
+
+
+@pytest.mark.parametrize("sort_key, coords", [
+    (None, list(range(6))),
+    (_sort_key, sorted(range(12), key=_sort_key)[:6]),
+    (_t_first, sorted(product(range(3), repeat=2), key=_t_first)[:6]),
+], ids=["natural", "mod-3", "t-first"])
+def test_a_key_that_cancels_and_fills_in_again(sort_key, coords, monkeypatch):
+    # coords are in pivot order.  Reducing vec, the row at k0 fills in k3, the
+    # row at k1 cancels it and the row at k2 fills it in again; so k3 is on
+    # the heap twice, and its second copy is met after k3 was eliminated.
+    k0, k1, k2, k3, k4, k5 = coords
+    space, oracle = RowSpace(sort_key), _Oracle(sort_key or (lambda k: k))
+    rows = [{k3: 2, k5: 1}, {k2: 1, k3: 3}, {k1: 2, k3: -1}, {k0: 3, k3: 1}]
+    for row in rows:  # each pivot free when it comes: stored as given
+        assert space.insert(row) == row
+        oracle.insert(row)
+    push, pushed = linalg.heappush, []
+    monkeypatch.setattr(linalg, "heappush",
+                        lambda heap, entry: (pushed.append(entry[1]), push(heap, entry)))
+    vec = {k0: 3, k1: 2, k2: Fraction(5, 2), k4: Fraction(1, 2)}
+    residual, pivot = space.reduce(vec)
+    assert pushed == [k3, k3, k5]
+    want = oracle.reduce(vec)
+    assert pivot == min(residual, key=oracle.key) == k4
+    assert {k: Fraction(v, residual[k4]) for k, v in residual.items()} \
+        == {k: v / want[k4] for k, v in want.items()}
+    stored = space.insert(vec)
+    assert space.monic(stored) == oracle.insert(vec)
+    assert space.reduced_basis() == oracle.rref()
+    assert space.contains({k: 2 * v for k, v in vec.items()} | {k3: 4, k5: 2})

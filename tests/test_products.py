@@ -155,6 +155,14 @@ def test_every_product_goes_through_mul_monomials(path, monkeypatch):
     assert calls == [(um, ym)] * n
 
 
+def test_a_product_whose_terms_cancel_stores_no_zero():
+    pres = load_session("pl11-bosonized").pres
+    one, x, u, t = pres.one(), pres.gen("x"), pres.gen("u"), pres.gen("t")
+    square = (x + u) * (x - u)  # x*u and u*x cancel
+    assert square.coeffs == {pres.monomial(x=2): 1}
+    assert ((one + t) * (one - t)).coeffs == {}  # t^2 = 1: every term cancels
+
+
 @pytest.mark.parametrize("name, m1, m2", [
     ("gl(2|1)", {"e23": 1, "e32": 1}, {"e13": 1}),  # a single-letter miss
     ("gl(2|1)", {"e31": 1, "e32": 1}, {"e12": 1, "e23": 1}),  # a multi-letter one
