@@ -21,9 +21,10 @@ def run(out_dir: Path, seed: int) -> int:
         out = out_dir / f"checks-{algebra}.txt"
         code = cli_main(["check", "all", "--algebra", algebra,
                          "--seed", str(seed), "--out", str(out)])
-        text = out.read_text(encoding="utf-8")
-        n_checks = text.count("CHECK ")
-        n_fail = text.count(" FAIL")
+        statuses = [line.rsplit(" ", 1)[1]
+                    for line in out.read_text(encoding="utf-8").splitlines()
+                    if line.startswith("CHECK ")]
+        n_checks, n_fail = len(statuses), statuses.count("FAIL")
         print(f"{algebra}: {n_checks} checks, {n_fail} failures -> {out}")
         worst = max(worst, code)
     return worst

@@ -1,10 +1,11 @@
 """Built-in algebras: one table of everything specific to each of them.
 
 ``BUILTINS`` maps a built-in name to its Lie constructor, whether it is
-bosonized, the relation table its generated presentation is asserted
-against at load time (so the two cannot drift), and the ``CheckDefaults``
-of its ``check`` cases.  A definition file gets the empty ``CheckDefaults``,
-so the CLI suites run only their generic cases on it.
+bosonized, and the ``CheckDefaults`` of its ``check`` cases.  The
+presentation is generated from the Lie structure constants alone; the
+paper's relation tables are the tests' oracle for it.  A definition file
+gets the empty ``CheckDefaults``, so the CLI suites run only their generic
+cases on it.
 """
 
 from __future__ import annotations
@@ -14,40 +15,10 @@ from typing import Callable, Optional
 
 from .algebra import AlgebraPresentation
 from .errors import AlgebraError
-from .exprs import parse
 from .hopf import BosonizedAlgebra, HopfStructureMaps, bosonize, enveloping
 from .liesuper import (LieSuperAlgebra, load_algebra_file, pl11,
                        upper_triangular_subalgebra)
-from .verify import FAIL, INCONCLUSIVE, PASS, CertificateReport
-
-# the relation table of the bosonized enveloping algebra of pl11
-PL11_BOSONIZED_RELATIONS = [
-    ("x*y", "y*x"),
-    ("x*u", "u*x"),
-    ("x*v", "v*x"),
-    ("x*t", "t*x"),
-    ("y*u - u*y", "u"),
-    ("y*v - v*y", "-v"),
-    ("u*v + v*u", "x"),
-    ("u^2", "0"),
-    ("v^2", "0"),
-    ("t*x - x*t", "0"),
-    ("t*y - y*t", "0"),
-    ("t*u", "-u*t"),
-    ("t*v", "-v*t"),
-    ("t^2", "1"),
-]
-
-PL11_RELATIONS = [pair for pair in PL11_BOSONIZED_RELATIONS
-                  if "t" not in pair[0] + pair[1]]
-
-TRIANGULAR_BOSONIZED_RELATIONS = [
-    ("y*u - u*y", "u"),
-    ("u^2", "0"),
-    ("t*y - y*t", "0"),
-    ("t*u", "-u*t"),
-    ("t^2", "1"),
-]
+from .verify import FAIL, INCONCLUSIVE, PASS
 
 
 @dataclass(frozen=True)
@@ -89,30 +60,16 @@ class Builtin:
 
     lie: Callable[[], LieSuperAlgebra]
     bosonized: bool
-    relations: list  # (lhs, rhs) pairs that must normalize to the same element
     defaults: CheckDefaults
 
 
 BUILTINS = {
-    "pl11": Builtin(pl11, False, PL11_RELATIONS, PL11_CASES),
-    "pl11-bosonized": Builtin(pl11, True, PL11_BOSONIZED_RELATIONS, PL11_CASES),
-    "b-bosonized": Builtin(upper_triangular_subalgebra, True,
-                           TRIANGULAR_BOSONIZED_RELATIONS, TRIANGULAR_CASES),
+    "pl11": Builtin(pl11, False, PL11_CASES),
+    "pl11-bosonized": Builtin(pl11, True, PL11_CASES),
+    "b-bosonized": Builtin(upper_triangular_subalgebra, True, TRIANGULAR_CASES),
 }
 
 DEFAULT_ALGEBRA = "pl11-bosonized"  # the CLI's --algebra when none is given
-
-
-def check_defining_relations(pres: AlgebraPresentation, relations) -> CertificateReport:
-    """Each relation pair must normalize to the same element."""
-    rep = CertificateReport("defining-relations", PASS,
-                            parameters={"algebra": pres.name, "relations": len(relations)})
-    for lhs, rhs in relations:
-        left = parse(lhs, pres)
-        right = parse(rhs, pres)
-        if left != right:
-            rep.add_witness(f"{lhs} = {rhs}", right, left)
-    return rep
 
 
 @dataclass
@@ -151,15 +108,10 @@ def load_session(source: str, bosonized: bool = False) -> Session:
             U = enveloping(g)  # validates g
         except AlgebraError as exc:
             raise AlgebraError(f"algebra file {source}: {exc}") from None
-        name, relations, defaults = f"file:{source}", [], CheckDefaults()
+        name, defaults = f"file:{source}", CheckDefaults()
     else:
         g = builtin.lie()
         U = enveloping(g)
-        name, relations, defaults = source, builtin.relations, builtin.defaults
+        name, defaults = source, builtin.defaults
         bosonized = bosonized or builtin.bosonized
-    sess = Session(name, g, U, bosonize(U) if bosonized else None, defaults)
-    rep = check_defining_relations(sess.pres, relations)
-    if rep.status == FAIL:
-        raise AlgebraError(f"generated presentation {sess.pres.name} violates its "
-                           f"relation table: {rep.witnesses[0]}")
-    return sess
+    return Session(name, g, U, bosonize(U) if bosonized else None, defaults)

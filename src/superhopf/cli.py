@@ -5,7 +5,7 @@ Subcommands: ``normalize``, ``check``, ``growth``, ``module-finite``,
 definition-file path), ``--out``, and those ``SHARED_OPTIONS`` it reads.  Reports
 are deterministic: two runs with the same configuration produce
 byte-identical files, and the exit status is 0 exactly when no emitted
-report contains a FAIL line.  The ``check`` suites name no algebra or
+report has the status FAIL.  The ``check`` suites name no algebra or
 generator: their algebra-specific cases come from ``catalog.BUILTINS``.
 """
 
@@ -40,15 +40,15 @@ def _write_output(text: str, out: Optional[Path]):
             fh.write(text)
 
 
-def _emit_reports(reports, args, **extra) -> int:
+def _emit_reports(reports, sess: Session, args, **extra) -> int:
     """Write the report, and next to ``--out`` its ``.kv`` summary with the
-    algebra and the ``extra`` options the command read."""
-    text = render_reports(reports)
-    _write_output(text, args.out)
+    checked presentation's name and the ``extra`` options the command read.
+    1 exactly when some report's status is FAIL."""
+    _write_output(render_reports(reports), args.out)
     if args.out is not None:
-        summary = render_summary(reports, {"algebra": args.algebra, **extra})
+        summary = render_summary(reports, {"algebra": sess.pres.name, **extra})
         _write_output(summary, args.out.with_name(args.out.name + ".kv"))
-    return 1 if "FAIL" in text else 0
+    return 1 if any(rep.status == verify.FAIL for rep in reports) else 0
 
 
 def _generators(pres):
@@ -182,7 +182,7 @@ def cmd_check(sess: Session, args) -> int:
                 reports.extend(run(sess, args))
             except _NoCase:
                 continue  # `all` runs a suite only where it has a case to run
-    return _emit_reports(reports, args, seed=args.seed, maxDegree=args.max_degree)
+    return _emit_reports(reports, sess, args, seed=args.seed, maxDegree=args.max_degree)
 
 
 # -- other commands ---------------------------------------------------------------------
@@ -209,7 +209,7 @@ def cmd_module_finite(sess: Session, args) -> int:
     sides = ("left", "right") if args.side == "both" else (args.side,)
     reports = [verify.module_finite_check(pres, sub_gens, module_gens, side, args.n_max)
                for side in sides]
-    return _emit_reports(reports, args)
+    return _emit_reports(reports, sess, args)
 
 
 def cmd_centralizer(sess: Session, args) -> int:

@@ -499,11 +499,12 @@ def check_shift_identity(B: BosonizedAlgebra, w: Element, n_max: int,
                             inputs=f"w={w} eigenvalue={eigenvalue}",
                             parameters={"nMax": n_max, "algebra": pres.name})
     shifted = h + eigenvalue * pres.one()
+    left = right = w  # h^n w and w (h +- 1)^n, one factor more per step
     for n in range(n_max + 1):
-        left = h ** n * w
-        right = w * shifted ** n
         if left != right:
             rep.add_witness(f"n={n}", right, left)
+        if n < n_max:
+            left, right = h * left, right * shifted
     return rep
 
 

@@ -14,13 +14,13 @@ from superhopf import (check_overlaps, growth_obstruction, growth_series,
                        load_session, module_finite_check, parse,
                        polynomial_presentation, verify)
 from superhopf.algebra import monomial_key
-from superhopf.catalog import (PL11_BOSONIZED_RELATIONS,
-                               check_defining_relations)
 from superhopf.linalg import RowSpace
 from superhopf.verify import (adjoint_left, biproduct_decomposition,
                               check_ad_equals_bracket,
                               check_nilpotent_ideal, check_shift_identity,
                               hopf_axiom_suite, is_normal, zero_divisor_scan)
+
+from relations import PL11_BOSONIZED_RELATIONS, check_defining_relations
 
 
 @contextmanager

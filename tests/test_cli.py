@@ -1,5 +1,6 @@
 """The command-line interface: outputs, exit codes, determinism."""
 
+import dataclasses
 import random
 import time
 
@@ -7,7 +8,8 @@ import pytest
 
 from superhopf import parse
 from superhopf.catalog import BUILTINS
-from superhopf.cli import main
+from superhopf.cli import main, suite_adjoint
+from superhopf.verify import FAIL
 
 
 def run(capsys, *argv):
@@ -169,6 +171,32 @@ def test_exit_status_matches_fail_lines(tmp_path, capsys):
     assert (code == 1) == ("FAIL" in text)
 
 
+def test_exit_status_reads_statuses_not_generator_names(tmp_path, capsys):
+    # a generator named FAIL puts the word into a passing report
+    path = tmp_path / "fail.alg"
+    path.write_text("[generators]\nFAIL 0\nh 0\n[brackets]\nh FAIL = FAIL\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "check", "normality", "--algebra", str(path),
+                         "--bosonize", "--sub", "FAIL", "--max-degree", "2")
+    assert out.startswith("CHECK normality PASS\n") and "sub=<FAIL>" in out
+    assert code == 0 and err == ""
+
+
+def test_the_summary_names_the_checked_presentation(tmp_path, capsys):
+    def summary(name, *flags):
+        out = tmp_path / name / "report"
+        code, _, _ = run(capsys, "check", "hopf-axioms", *flags, "--hopf-random", "3",
+                         "--max-degree", "2", "--out", str(out))
+        assert code == 0
+        return (tmp_path / name / "report.kv").read_text(encoding="utf-8")
+
+    plain = summary("plain", "--algebra", "pl11")
+    flagged = summary("flagged", "--algebra", "pl11", "--bosonize")
+    assert plain.splitlines()[0] == "algebra=U(pl11)"
+    assert flagged.splitlines()[0] == "algebra=U(pl11)#k[t]"
+    assert summary("builtin", "--algebra", "pl11-bosonized") == flagged
+
+
 def test_growth_command(tmp_path, capsys):
     out = tmp_path / "growth.txt"
     code, _, _ = run(capsys, "growth", "--n-max", "12", "--out", str(out))
@@ -203,7 +231,7 @@ def test_module_finite_summary_names_only_what_the_command_read(tmp_path, capsys
                      "--out", str(tmp_path / "report"))
     assert code == 0
     assert (tmp_path / "report.kv").read_text(encoding="utf-8") == (
-        "algebra=pl11-bosonized\ncheck.module-finite.left=PASS\n"
+        "algebra=U(pl11)#k[t]\ncheck.module-finite.left=PASS\n"
         "check.module-finite.right=PASS\n")
 
 
@@ -221,6 +249,15 @@ def test_eigen_command(capsys):
     assert code == 0
     assert "eigenvalue 1: u" in out
     assert "eigenvalue -1: v" in out
+
+
+def test_a_wrong_default_eigenvalue_fails_with_its_witness(sess_ubar):
+    defaults = dataclasses.replace(sess_ubar.defaults,
+                                   eigenvalues=(("y", "u", -1), ("y", "v", -1)))
+    sess = dataclasses.replace(sess_ubar, defaults=defaults)
+    eigen = suite_adjoint(sess, None)[-1]
+    assert (eigen.check_name, eigen.status) == ("adjoint-eigenvalues", FAIL)
+    assert eigen.witnesses == [("ad_l(y)(u)", "-u", "u")]
 
 
 def test_check_report_is_byte_identical_across_runs(tmp_path, capsys):

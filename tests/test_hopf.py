@@ -9,10 +9,13 @@ import pytest
 
 from superhopf import HopfStructureMaps, bosonize, enveloping, load_session, parse
 from superhopf.algebra import SUPER, Generator, TensorElement
+from superhopf.catalog import BUILTINS
 from superhopf.errors import AlgebraError
 from superhopf.liesuper import LieSuperAlgebra
 from superhopf.linalg import exact
+from superhopf.verify import FAIL
 
+from relations import PL11_BOSONIZED_RELATIONS, RELATIONS, check_defining_relations
 from test_products import gl21, osp12
 
 F = Fraction
@@ -27,6 +30,22 @@ def test_enveloping_relations_and_maps(sess_u):
     assert U.antipode(x) == -x
     assert U.counit(x) == 0
     assert U.counit(P.one()) == 1
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_each_builtin_presentation_satisfies_its_relation_table(name):
+    # the presentation generated from the Lie structure constants against
+    # the relations the paper writes out by hand
+    report = check_defining_relations(load_session(name).pres, RELATIONS[name])
+    assert report.passed, report.witnesses
+
+
+def test_a_corrupted_relation_table_fails(sess_ubar):
+    table = [("u*v + v*u", "-x") if pair == ("u*v + v*u", "x") else pair
+             for pair in PL11_BOSONIZED_RELATIONS]
+    report = check_defining_relations(sess_ubar.pres, table)
+    assert report.status == FAIL
+    assert report.witnesses == [("u*v + v*u = -x", "-x", "x")]
 
 
 def test_enveloping_super_coproduct_of_uv(sess_u):

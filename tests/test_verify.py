@@ -153,6 +153,20 @@ def test_ad_equals_bracket_on_triangular(sess_bbar):
     assert check_ad_equals_bracket(sess_bbar.lie, sess_bbar.bos).passed
 
 
+def test_a_corrupted_antipode_breaks_ad_equals_bracket_at_u(sess_ubar):
+    # S(u) := u in place of -t*u: ad_l(u)(b) = u*b + t*b*u is no bracket
+    B = sess_ubar.bos
+    P, H = B.carrier, B.hopf
+    u = P.gen("u")
+    corrupted = HopfStructureMaps(P, H.delta_gen, H.eps_gen,
+                                  {**H.antipode_gen, P.gen_index("u"): u})
+    rep = check_ad_equals_bracket(sess_ubar.lie, dataclasses.replace(B, hopf=corrupted))
+    assert rep.status == verify.FAIL
+    assert rep.witnesses == [("(u,x)", "0", "-x*u*t + x*u"),
+                             ("(u,y)", "-u", "-y*u*t + y*u - u"),
+                             ("(u,v)", "x", "x*t - u*v*t + u*v")]
+
+
 # -- normality -----------------------------------------------------------------------
 
 
@@ -311,6 +325,21 @@ def test_biproduct_flags_a_coproduct_marginal_outside_the_t_free_part(bos):
     assert (expected, actual) == ("in A cap U", "v")
 
 
+def test_biproduct_flags_an_inner_element_that_is_not_coinvariant(bos):
+    # Delta(u) := u (x) t + t (x) u on the smash product: (id (x) proj) Delta(u)
+    # keeps u (x) t, so u and every product with it stop being coinvariants
+    P, H = bos.carrier, bos.hopf
+    u, t = P.gen("u"), P.gen("t")
+    corrupted = HopfStructureMaps(
+        P, {**H.delta_gen, P.gen_index("u"): u.outer(t) + t.outer(u)},
+        H.eps_gen, H.antipode_gen)
+    broken = dataclasses.replace(bos, hopf=corrupted)
+    rep = biproduct_decomposition(broken, [P.gen(n) for n in ("y", "u", "t")], 2)
+    assert rep.status == verify.FAIL
+    assert rep.witnesses == [("u", "coinvariant", "not coinvariant"),
+                             ("y*u", "coinvariant", "not coinvariant")]
+
+
 def test_biproduct_requires_t(bos):
     P = bos.carrier
     with pytest.raises(AlgebraError):
@@ -425,3 +454,15 @@ def test_report_rendering_and_summary(bos):
     summary = render_summary([rep], extra={"seed": 1})
     assert "seed=1" in summary
     assert "check.normality=FAIL" in summary
+
+
+def test_an_unexpected_status_fails_the_meta_certificate_and_names_it(bos):
+    P = bos.carrier
+    inner = is_normal(bos, [P.gen("x")], 2)
+    assert inner.passed
+    meta = verify.expect(inner, verify.FAIL, name="normality.k[x]")
+    assert meta.status == verify.FAIL
+    assert meta.witnesses == [("normality", "fail", "pass")]
+    assert render_reports([meta]).splitlines()[:3] == [
+        "CHECK normality.k[x] FAIL", "    inputs: sub=<x>",
+        "    witness: normality expected fail got pass"]
