@@ -26,11 +26,12 @@ after construction and all operations are pure.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import NonTerminationError, PresentationError
+from .errors import AlgebraError, NonTerminationError, PresentationError
 from .linalg import accumulate, exact
 
 SUPER = "super"
@@ -428,14 +429,19 @@ def polynomial_presentation(names) -> AlgebraPresentation:
 def format_terms(terms) -> str:
     """Print ``(body, coefficient)`` pairs as ``c*body`` joined by `` + ``
     and `` - ``: a coefficient 1 is left out, -1 is a bare sign, an empty
-    body is a scalar term, and no terms at all is ``0``."""
+    body is a scalar term, and no terms at all is ``0``.  A coefficient
+    past Python's limit on printed digits is an :class:`AlgebraError`."""
     pieces = []
     for body, c in terms:
         if pieces:
             pieces.append(" - " if c < 0 else " + ")
             c = abs(c)
-        pieces.append(str(c) if not body else body if c == 1
-                      else f"-{body}" if c == -1 else f"{c}*{body}")
+        try:
+            pieces.append(str(c) if not body else body if c == 1
+                          else f"-{body}" if c == -1 else f"{c}*{body}")
+        except ValueError:  # past sys.get_int_max_str_digits(), kept: no print runs for hours
+            raise AlgebraError(f"a coefficient has more than {sys.get_int_max_str_digits()} "
+                               "digits, Python's limit for printing an integer") from None
     return "".join(pieces) or "0"
 
 
@@ -701,7 +707,6 @@ class Discrepancy:
 
 @dataclass
 class ConfluenceReport:
-    presentation_name: str
     overlaps_checked: int
     discrepancies: list = field(default_factory=list)
 
@@ -730,7 +735,7 @@ def check_overlaps(pres: AlgebraPresentation) -> ConfluenceReport:
             accumulate(out, pres._word_normal_form(prefix + letters + suffix), rc)
         return Element(pres, out)
 
-    report = ConfluenceReport(pres.name, 0)
+    report = ConfluenceReport(0)
     for w1, rhs1 in lhs:
         for w2, rhs2 in lhs:
             for k in range(1, min(len(w1), len(w2))):

@@ -17,6 +17,7 @@ with the same grammar into a polynomial presentation of the names.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .algebra import AlgebraPresentation, Element
@@ -31,6 +32,14 @@ def is_name(text: str) -> bool:
     """Whether ``text`` is one identifier token, so that expressions can name it."""
     m = _TOKEN.fullmatch(text)
     return m is not None and m.lastgroup == "name"
+
+
+def _int(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past sys.get_int_max_str_digits(), kept: no print runs for hours
+        raise ParseError(f"integer has more than {sys.get_int_max_str_digits()} digits",
+                         pos) from None
 
 
 def _tokenize(text: str):
@@ -119,23 +128,24 @@ class _Parser:
                 kind, val, pos = self.next()
                 if kind != "num":
                     raise ParseError("exponent must be a non-negative integer", pos)
-                value = value ** int(val)
+                value = value ** _int(val, pos)
             else:
                 return value
 
     def primary(self) -> Element:
         kind, val, pos = self.next()
         if kind == "num":
-            num = int(val)
+            num = _int(val, pos)
             k, v, _ = self.peek()
             if k == "op" and v == "/":
                 self.next()
                 k, v, p = self.next()
                 if k != "num":
                     raise ParseError("denominator must be an integer", p)
-                if not int(v):
+                den = _int(v, p)
+                if not den:
                     raise ParseError("division by zero", p)
-                return self.alg.scalar(Fraction(num, int(v)))
+                return self.alg.scalar(Fraction(num, den))
             return self.alg.scalar(num)
         if kind == "name":
             return self.alg.gen(val)

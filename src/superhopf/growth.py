@@ -3,14 +3,15 @@
 ``FiltrationClosure`` maintains exact degree-by-degree bases of the span of
 all products of at most n generators, whose dimensions :func:`growth_series`
 counts as normal monomials where the diamond lemma allows.  Growth degrees
-come from iterated finite differences over the window (a desk-scale reading
-of Gelfand-Kirillov dimension: reports carry the window, never a limit).
+come from finite differences over the window, taken order by order up to
+the detected one (a desk-scale reading of Gelfand-Kirillov dimension:
+reports carry the window, never a limit).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from typing import Optional, Sequence
 
 from .algebra import AlgebraPresentation, Element, monomial_key
@@ -86,7 +87,6 @@ class FiltrationClosure:
 class GrowthReport:
     generator_names: list
     dims: list
-    differences: list  # differences[d][i] = d-th difference at n = i + d
     detected_degree: Optional[int]
     stabilization_onset: Optional[int]
 
@@ -95,50 +95,35 @@ class GrowthReport:
         return self.detected_degree is not None
 
     def to_text(self) -> str:
-        lines = [f"generators: {' '.join(self.generator_names)}"]
-        for n, dim in enumerate(self.dims):
-            cells = [str(n), str(dim)]
-            for d in (1, 2, 3):
-                if d < len(self.differences) and n - d >= 0 \
-                        and n - d < len(self.differences[d]):
-                    cells.append(str(self.differences[d][n - d]))
-                else:
-                    cells.append("-")
-            lines.append(" ".join(cells))
-        if self.detected_degree is None:
-            lines.append("degree: not stabilized onset: -")
-        else:
-            lines.append(f"degree: {self.detected_degree} "
-                         f"onset: {self.stabilization_onset}")
+        rows = [[str(n), str(dim)] for n, dim in enumerate(self.dims)]
+        seq = self.dims
+        for d in (1, 2, 3):
+            seq = _differences(seq)  # seq[i] = d-th difference at n = i + d
+            for n, row in enumerate(rows):
+                row.append(str(seq[n - d]) if n >= d else "-")
+        degree = ("not stabilized onset: -" if self.detected_degree is None
+                  else f"{self.detected_degree} onset: {self.stabilization_onset}")
+        lines = [f"generators: {' '.join(self.generator_names)}",
+                 *(" ".join(row) for row in rows), f"degree: {degree}"]
         return "\n".join(lines) + "\n"
 
 
-def difference_table(dims):
-    """``dims`` and its finite differences, to the highest order the window has."""
-    table = [list(dims)]
-    while len(table[-1]) > 1:
-        prev = table[-1]
-        table.append([prev[i + 1] - prev[i] for i in range(len(prev) - 1)])
-    return table
+def _differences(seq):
+    return [b - a for a, b in pairwise(seq)]
 
 
-def detect_degree(table):
-    """Smallest d whose d-th difference in ``table`` ends in a positive constant run.
-
-    Returns (degree, onset_n) or (None, None) when no difference order
-    stabilizes for at least 3 consecutive values through the end of the
-    window.
-    """
-    for d, seq in enumerate(table):
-        if len(seq) < 3:
-            break
-        tail = seq[-1]
-        run = 1
-        while run < len(seq) and seq[-1 - run] == tail:
-            run += 1
-        if run >= 3 and tail > 0:
-            onset = d + (len(seq) - run)
-            return d, onset
+def detect_degree(dims):
+    """Smallest d whose d-th difference of ``dims`` ends in a run of at least 3
+    equal positive values, and the n where that run starts, taking the
+    differences one order at a time; (None, None) when no order with 3 values does."""
+    seq = dims
+    for d in range(len(dims) - 2):
+        if seq[-1] == seq[-2] == seq[-3] > 0:
+            start = len(seq) - 3
+            while start and seq[start - 1] == seq[-1]:
+                start -= 1
+            return d, d + start
+        seq = _differences(seq)
     return None, None
 
 
@@ -148,8 +133,7 @@ def growth_series(P: AlgebraPresentation, gens: Sequence[Element],
     :func:`_normal_monomial_dims` where it applies, plus the detected degree."""
     dims = (_normal_monomial_dims(P, gens, n_max)
             or FiltrationClosure(P, gens).extend_to(n_max).dims)
-    table = difference_table(dims)
-    return GrowthReport([str(g) for g in gens], dims, table, *detect_degree(table))
+    return GrowthReport([str(g) for g in gens], dims, *detect_degree(dims))
 
 
 def _normal_monomial_dims(P, gens, n_max):

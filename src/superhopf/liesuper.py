@@ -52,7 +52,6 @@ class LieSuperAlgebra:
         names = [g.name for g in self.basis]
         if len(set(names)) != len(names):
             raise AlgebraError("basis names must be unique")
-        self._by_name = {g.name: g.pbw_index for g in self.basis}
         table = [[None] * self.n for _ in range(self.n)]
         for (i, j), coords in brackets.items():
             table[i][j] = _to_vec(self.n, coords)
@@ -72,12 +71,6 @@ class LieSuperAlgebra:
 
     def parity(self, i: int) -> int:
         return self.basis[i].parity
-
-    def index(self, name: str) -> int:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise AlgebraError(f"unknown basis name {name!r} in {self.name}") from None
 
     def vector_parity(self, vec) -> Optional[int]:
         parities = {self.parity(i) for i, c in enumerate(vec) if c}

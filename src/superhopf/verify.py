@@ -382,22 +382,19 @@ def biproduct_decomposition(B: BosonizedAlgebra, gens: Sequence[Element],
     # t-free part is a subcoalgebra of U, not of the smash product, whose
     # coproduct puts t-letters in the left legs); membership of a tensor in
     # span (x) span is equivalent to both marginal families lying in span
+    Q = B.u_maps.carrier
     for a in inner:
         d = B.u_maps.coproduct(B.restrict_to_u(a))
         left, right = {}, {}
         for (m1, m2), c in d.items():
             accumulate(left.setdefault(m2, {}), {m1: c})
             accumulate(right.setdefault(m1, {}), {m2: c})
-        for m2 in sorted(left, key=monomial_key):
-            marginal = B.include_from_u(Element(B.u_maps.carrier, left[m2]))
-            if not split.contains(marginal.coeffs):
-                rep.add_witness(f"Delta_U({a}) left marginal at {m2}",
-                                "in A cap U", marginal)
-        for m1 in sorted(right, key=monomial_key):
-            marginal = B.include_from_u(Element(B.u_maps.carrier, right[m1]))
-            if not split.contains(marginal.coeffs):
-                rep.add_witness(f"Delta_U({a}) right marginal at {m1}",
-                                "in A cap U", marginal)
+        for side, marginals in (("left", left), ("right", right)):
+            for m in sorted(marginals, key=monomial_key):
+                marginal = B.include_from_u(Element(Q, marginals[m]))
+                if not split.contains(marginal.coeffs):
+                    rep.add_witness(f"Delta_U({a}) {side} marginal at {Q.monomial_element(m)}",
+                                    "in A cap U", marginal)
 
     # antipode closure, using the super antipode of the plain enveloping part
     for a in inner:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import sys
 import time
 
 import pytest
@@ -53,6 +54,61 @@ def test_bad_integers_in_a_definition_file_are_parse_errors(tmp_path, capsys):
     code, _, err = run(capsys, "normalize", "h", "--algebra", str(path))
     assert code == 2
     assert err.startswith("error: division by zero")
+
+
+BRACKETS = "[generators]\nh 0\ne 0\n[brackets]\n"
+LONG_RHS = " + ".join(["e"] * 30) + " + q"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[generators]\nh 0\n[relations]\n", "unknown section 'relations' (at line 3)"),
+    ("[generators]\nh 0\ne\n", "bad generator line 'e' (at line 3)"),
+    ("[generators]\nh 2\n", "parity must be 0 or 1, got '2' (at line 2)"),
+    (BRACKETS + "h e e\n", "bracket line needs '=': 'h e e' (at line 5)"),
+    (BRACKETS + "h = e\n", "bracket left side needs two names: 'h ' (at line 5)"),
+    (BRACKETS + "h q = e\n", "unknown basis name 'q' (at line 5)"),
+    (BRACKETS + "h e = 2*q\n", "unknown basis name 'q' on line 5, in '2*q' (at position 2)"),
+    (BRACKETS + f"h e = {LONG_RHS}\n",
+     f"unknown basis name 'q' on line 5, in '{LONG_RHS[:60]}...' (at position 120)"),
+    ("h 0\n[generators]\n", "content before any section header (at line 1)"),
+])
+def test_definition_file_errors_name_their_line(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.alg"
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, "check", "all", "--algebra", str(path)) == (2, "", f"error: {message}\n")
+
+
+# Python will not convert an int of more than sys.get_int_max_str_digits()
+# digits to or from text; the limit stays in force, so that no print runs for hours
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT,
+                                       reason="Python sets no limit on integer digits")
+
+
+@needs_digit_limit
+def test_a_literal_past_the_digit_limit_is_a_parse_error(capsys):
+    big = "1" * (DIGIT_LIMIT + 700)
+    assert run(capsys, "normalize", f"u + {big}*v") == (
+        2, "", f"error: integer has more than {DIGIT_LIMIT} digits (at position 4)\n")
+
+
+@needs_digit_limit
+def test_a_definition_file_literal_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "big.alg"
+    path.write_text(f"{BRACKETS}h e = {'1' * (DIGIT_LIMIT + 700)}*e\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", "all", "--algebra", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: integer has more than {DIGIT_LIMIT} digits on line 5")
+    assert "Traceback" not in err
+
+
+@needs_digit_limit
+def test_a_result_past_the_digit_limit_is_an_error(capsys):
+    assert run(capsys, "normalize", f"10^{DIGIT_LIMIT}*u") == (
+        2, "", f"error: a coefficient has more than {DIGIT_LIMIT} digits, "
+               "Python's limit for printing an integer\n")
+    code, out, _ = run(capsys, "normalize", f"10^{DIGIT_LIMIT - 1}*u")
+    assert code == 0 and out == f"1{'0' * (DIGIT_LIMIT - 1)}*u\n"
 
 
 def test_a_definition_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -18,6 +19,13 @@ from test_products import gl, gl21, osp12
 
 def all_gens(P):
     return [P.gen(g.name) for g in P.generators]
+
+
+def difference(seq, order):
+    """The order-th finite difference of seq: its i-th value is at n = i + order."""
+    for _ in range(order):
+        seq = [b - a for a, b in zip(seq, seq[1:])]
+    return seq
 
 
 def brute_force_word_rank(P, n):
@@ -69,10 +77,40 @@ def test_growth_closed_forms(ubar, sess_bbar, kxy):
 def test_dims_are_non_decreasing_and_differences_stabilize(ubar):
     report = growth_series(ubar, all_gens(ubar), 12)
     assert all(a <= b for a, b in zip(report.dims, report.dims[1:]))
-    second = report.differences[2]
+    second = difference(report.dims, 2)
     onset = report.stabilization_onset
     assert all(v == second[-1] for v in second[onset - 2:])
     assert second[-1] == 8
+
+
+def detected_by_definition(dims):
+    """The smallest d whose d-th difference has at least 3 values and ends in a
+    run of at least 3 equal positive values, with the n where that run starts."""
+    for d in range(len(dims) - 2):
+        seq = difference(dims, d)
+        if len(set(seq[-3:])) == 1 and seq[-1] > 0:
+            start = min(i for i in range(len(seq)) if len(set(seq[i:])) == 1)
+            return d, d + start
+    return None, None
+
+
+def test_detected_degrees_match_the_definition():
+    rng = random.Random(23)
+    for _ in range(400):
+        # a polynomial in n whose first values are disturbed, or small noise
+        coeffs = [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))] + [rng.randint(-1, 3)]
+        dims = [sum(c * n ** k for k, c in enumerate(coeffs)) for n in range(rng.randint(0, 12))]
+        for i in range(rng.randint(0, len(dims))):
+            dims[i] += rng.randint(-2, 2)
+        assert growth.detect_degree(dims) == detected_by_definition(dims), dims
+
+
+def test_a_long_window_finds_the_degree_at_once(ubar):
+    start = time.perf_counter()
+    report = growth_series(ubar, all_gens(ubar), 20000)
+    assert (report.detected_degree, report.stabilization_onset) == (2, 3)
+    assert report.to_text().endswith("\n20000 1600000002 159996 8 0\ndegree: 2 onset: 3\n")
+    assert time.perf_counter() - start < 5
 
 
 def test_growth_report_serialization(kxy):
@@ -291,4 +329,4 @@ def test_gl22_detects_degree_eight(bosonized, top):
     P = bosonize(U).carrier if bosonized else U.carrier
     report = growth_series(P, all_gens(P), 30)
     assert report.detected_degree == 8
-    assert set(report.differences[8][8:]) == {top}
+    assert set(difference(report.dims, 8)[8:]) == {top}
