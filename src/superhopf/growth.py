@@ -1,11 +1,11 @@
 """Filtration dimension counting and polynomial-growth-degree detection.
 
-``FiltrationClosure`` maintains exact degree-by-degree bases of the span of
-all products of at most n generators, whose dimensions :func:`growth_series`
-counts as normal monomials where the diamond lemma allows.  Growth degrees
-come from finite differences over the window, taken order by order up to
-the detected one (a desk-scale reading of Gelfand-Kirillov dimension:
-reports carry the window, never a limit).
+``FiltrationClosure`` maintains exact degree-by-degree bases, pivoting on
+top-degree terms, of the span of all products of at most n generators, whose
+dimensions :func:`growth_series` counts as normal monomials where the
+diamond lemma allows.  Growth degrees come from finite differences over the
+window, taken order by order up to the detected one (a desk-scale reading of
+Gelfand-Kirillov dimension: reports carry the window, never a limit).
 """
 
 from __future__ import annotations
@@ -25,9 +25,11 @@ class FiltrationClosure:
     Level n holds the new basis elements reachable as products of
     generators with total weight n (every generator has weight 1 unless
     overridden; weight-0 generators are closed off within each level).
-    Pivoting is deterministic, so bases are reproducible.  ``levels`` hold
-    the space's primitive integer rows, so products stay integral;
-    :meth:`basis_up_to` hands out the pivot-1 multiples.
+    Rows are ordered by degree descending, so each pivots on a top-degree
+    term and a level-n product is reduced from its new top-degree part
+    down; bases are reproducible.  ``levels`` hold the space's primitive
+    integer rows, so products stay integral; :meth:`basis_up_to` hands out
+    the pivot-1 multiples.
     """
 
     def __init__(self, pres: AlgebraPresentation, gens: Sequence[Element],
@@ -41,7 +43,7 @@ class FiltrationClosure:
         if len(weights) != len(self.gens) or any(w < 0 for w in weights):
             raise AlgebraError("weights must be non-negative, one per generator")
         self.weights = list(weights)
-        self.space = RowSpace(monomial_key)
+        self.space = RowSpace(lambda m: (-sum(m), m))
         self.levels = []  # levels[n] = new Elements at level n, as stored rows
         self.dims = []    # dims[n] = cumulative rank through level n
         self._add_level([self.pres.one()])
@@ -73,7 +75,7 @@ class FiltrationClosure:
         return self
 
     def basis_up_to(self, n: int):
-        """The basis through level n, each element scaled to pivot 1."""
+        """The basis through level n, each element scaled to 1 at its top-degree pivot."""
         self.extend_to(n)
         return [Element(self.pres, self.space.monic(e.coeffs))
                 for level in self.levels[:n + 1] for e in level]

@@ -14,11 +14,12 @@ with no dict built for it, and :func:`_eliminate` subtracts a row.
 and with a positive pivot entry, eliminated by cross-multiplication (compare
 Bareiss 1968).  A row is divided by its pivot entry only where a caller sees
 it: :meth:`RowSpace.monic`, :meth:`RowSpace.reduced_basis`,
-:func:`kernel_basis`.  Pivots are chosen by minimal sort key, so results are
-reproducible bit-for-bit; :meth:`RowSpace.reduce` takes each one off a heap
-of the vector's keys.  The kernel vectors of :func:`kernel_basis` do not
-depend on the order of the coordinates, and :func:`kernel_image_basis` turns
-a kernel into the fully reduced basis of its image.
+:func:`kernel_basis`.  :meth:`RowSpace.reduce` takes a vector's keys off a
+heap, least first, and eliminates every stored pivot, so no row holds an
+earlier row's pivot and results are reproducible bit-for-bit.  The kernel
+vectors of :func:`kernel_basis` do not depend on the order of the
+coordinates, and :func:`kernel_image_basis` turns a kernel into the fully
+reduced basis of its image.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ class RowSpace:
     """Incrementally maintained row-echelon span of sparse vectors.
 
     ``sort_key`` maps coordinate keys one-to-one to orderable values, once
-    per key; it defaults to the key itself.  Each stored row is the unique
+    per key; it defaults to the key itself.  A row's pivot is its least key;
+    no row holds an earlier row's pivot.  Each stored row is the unique
     primitive integral multiple of its vector with a positive pivot, so
     ``rows`` holds no ``Fraction``; :meth:`monic` divides a row by its pivot.
     """
@@ -54,13 +56,13 @@ class RowSpace:
         return len(self.rows)
 
     def reduce(self, vec):
-        """Eliminate stored pivots from ``vec`` until its leading key is free.
+        """Eliminate every stored pivot from ``vec``.
 
         Returns an integral residual, a positive multiple of ``vec`` minus a
-        combination of the rows, and its pivot key; an empty residual, with
-        pivot None, means membership.  Each pivot is the least live key on a
-        heap: :func:`_eliminate` pushes the keys it fills in, and a popped key
-        that has cancelled since is skipped.
+        combination of the rows, and its pivot, the least key left; an empty
+        residual, with pivot None, means membership.  Keys come off a heap
+        least first: :func:`_eliminate` pushes the keys it fills in, a popped
+        key that has cancelled since is skipped, and a free one is kept.
         """
         rows, key = self.rows, self._key
         out, heap, mixed = {}, [], False  # one copy: drop zeros, note non-int entries
@@ -74,16 +76,18 @@ class RowSpace:
             den = lcm(*(v.denominator for v in out.values()))
             out = {k: v.numerator * (den // v.denominator) for k, v in out.items()}
         heapify(heap)
-        while out:  # every live key is on the heap
-            pivot = heappop(heap)[1]
-            a = out.get(pivot)
+        pivot = None
+        while heap:  # every live key is on the heap
+            k = heappop(heap)[1]
+            a = out.get(k)
             if a is None:
                 continue  # cancelled after it was pushed
-            row = rows.get(pivot)
-            if row is None:
-                return out, pivot
-            out = _eliminate(out, row, pivot, a, heap, key)
-        return out, None
+            row = rows.get(k)
+            if row is not None:
+                out = _eliminate(out, row, k, a, heap, key)
+            elif pivot is None:
+                pivot = k  # rows with larger pivots never reach it
+        return out, pivot
 
     def insert(self, vec):
         """Add ``vec`` to the span.  Returns the stored row, or None if dependent."""
@@ -187,8 +191,9 @@ def kernel_basis(vectors):
 
     ``vectors`` is a sequence of sparse dicts with mutually comparable keys.
     Returns a list of dicts mapping the index i to the coefficient c_i,
-    row-reduced and deterministic: each vector is tagged with the unit
-    coordinate ``(1, i)``, ordered after every coordinate ``(0, k)``.
+    deterministic, each free of the pivots of the kernel vectors before it:
+    each vector is tagged with the unit coordinate ``(1, i)``, ordered after
+    every coordinate ``(0, k)``.
     """
     space = RowSpace()
     kernels = []

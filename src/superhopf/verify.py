@@ -167,13 +167,14 @@ def check_antipode(H: HopfStructureMaps, test_set: Iterable[Element],
 def check_bialgebra(H: HopfStructureMaps, pair_set, parameters=None) -> CertificateReport:
     """Delta(ab) == Delta(a) Delta(b), the tensor product signed by the carrier's mode."""
     rep = CertificateReport("bialgebra", PASS, parameters=dict(parameters or {}))
-    count, last = 0, None
+    count, deltas = 0, {}  # id(x) -> (x, Delta(x)): x stays alive, so its id is not reused
     for a, b in pair_set:
         count += 1
-        if a is not last:  # pair sets list each left factor with all its partners
-            last, delta_a = a, H.coproduct(a)
+        for x in (a, b):  # pair sets list each factor object in many pairs
+            if id(x) not in deltas:
+                deltas[id(x)] = x, H.coproduct(x)
         left = H.coproduct(a * b)
-        right = delta_a * H.coproduct(b)
+        right = deltas[id(a)][1] * deltas[id(b)][1]
         if left != right:
             rep.add_witness(f"({a}, {b})", left, right)
     rep.parameters["pairs"] = count

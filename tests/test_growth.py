@@ -3,13 +3,14 @@
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from superhopf import (FiltrationClosure, algebra, bosonize, centralizer_degree_bounded,
                        check_overlaps, enveloping, growth, growth_obstruction,
                        growth_series, load_session, module_finite_check, parse)
-from superhopf.algebra import AlgebraPresentation, Generator, monomial_key
+from superhopf.algebra import AlgebraPresentation, Element, Generator, monomial_key
 from superhopf.errors import AlgebraError, PresentationError
 from superhopf.linalg import RowSpace
 
@@ -330,3 +331,50 @@ def test_gl22_detects_degree_eight(bosonized, top):
     report = growth_series(P, all_gens(P), 30)
     assert report.detected_degree == 8
     assert set(difference(report.dims, 8)[8:]) == {top}
+
+
+# -- the closure's stored rows ---------------------------------------------------------
+
+
+def old_rule_dims(P, gens, n_max):
+    """Closure dims from an echelon form over Fractions that pivots on the
+    least ``monomial_key`` and reduces a vector only until that key is free."""
+    rows, dims, new = {}, [], []
+    for n in range(n_max + 1):
+        products = [e * g for g in gens for e in new] if n else [P.one()]
+        new = []
+        for prod in products:
+            vec = dict(prod.coeffs)
+            while vec and (p := min(vec, key=monomial_key)) in rows:
+                c = vec[p]
+                for k, v in rows[p].items():
+                    vec[k] = vec.get(k, 0) - c * v
+                vec = {k: v for k, v in vec.items() if v}
+            if vec:
+                p = min(vec, key=monomial_key)
+                rows[p] = {k: Fraction(v, vec[p]) for k, v in vec.items()}
+                new.append(Element(P, rows[p]))
+        dims.append(len(rows))
+    return dims
+
+
+def test_closure_rows_pivot_on_top_degree_terms_and_skip_earlier_pivots(ubar):
+    gens = [parse("x+y+u+v", ubar), ubar.gen("t")]
+    closure = FiltrationClosure(ubar, gens).extend_to(11)
+    assert closure.dims == old_rule_dims(ubar, gens, 11)
+    earlier = set()
+    for pivot, row in closure.space.rows.items():
+        assert sum(pivot) == max(sum(m) for m in row), row
+        assert not row.keys() & earlier, row
+        earlier.add(pivot)
+
+
+@pytest.mark.parametrize("presentation, n", [
+    (lambda: load_session("pl11-bosonized").pres, 5),
+    (lambda: bosonize(enveloping(gl21())).carrier, 3),
+], ids=["pl11-bosonized", "gl(2|1)#k[t]"])
+def test_a_closure_of_letters_stores_single_monomials(presentation, n):
+    P = presentation()
+    closure = FiltrationClosure(P, all_gens(P)).extend_to(n)
+    assert closure.dims[n] == len(P.enumerate_monomials(n))
+    assert all(len(row) == 1 for row in closure.space.rows.values())

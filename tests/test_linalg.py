@@ -22,15 +22,17 @@ def _t_first(m):
 
 
 class _Oracle:
-    """Echelon form over Fractions, each row scaled to 1 at its pivot."""
+    """Echelon form over Fractions, each row scaled to 1 at its pivot and
+    reduced at every pivot stored before it."""
 
     def __init__(self, key):
         self.key, self.rows = key, {}
 
     def reduce(self, vec):
+        """``vec`` with every stored pivot key eliminated, least first."""
         vec = {k: Fraction(v) for k, v in vec.items() if v}
-        while vec and min(vec, key=self.key) in self.rows:
-            p = min(vec, key=self.key)
+        while hits := [k for k in vec if k in self.rows]:
+            p = min(hits, key=self.key)
             c = vec[p]
             for k, v in self.rows[p].items():
                 vec[k] = vec.get(k, 0) - c * v
@@ -57,10 +59,14 @@ class _Oracle:
 
 
 def _oracle_rref(vectors):
+    return _oracle_space(vectors).rref()
+
+
+def _oracle_space(vectors):
     oracle = _Oracle(_sort_key)
     for vec in vectors:
         oracle.insert(vec)
-    return oracle.rref()
+    return oracle
 
 
 def _oracle_kernel(vectors):
@@ -111,16 +117,23 @@ def test_row_space_agrees_with_a_fraction_oracle(seed):
     space = RowSpace(_sort_key)
     for vec in vectors:
         space.insert(vec)
-    expected = _oracle_rref(vectors)
+    oracle = _oracle_space(vectors)
+    expected = oracle.rref()
     assert space.rank == len(expected)
     basis = space.reduced_basis()
     assert basis == expected
     assert all(_pivot_one_types(row) for row in basis)
-    # stored rows: all int, primitive, positive pivot
+    # stored rows: the oracle's, in its order, all int, primitive, positive
+    # pivot, and free of every pivot stored before them
+    assert list(space.rows) == list(oracle.rows)
+    earlier = set()
     for pivot, row in space.rows.items():
+        assert space.monic(row) == oracle.rows[pivot]
         assert pivot == min(row, key=_sort_key)
         assert all(type(v) is int for v in row.values()), row
         assert gcd(*row.values()) == 1 and row[pivot] > 0
+        assert not row.keys() & earlier
+        earlier.add(pivot)
     # membership: every input is in, and a probe is in exactly when it
     # leaves the oracle's rank unchanged
     assert all(space.contains(vec) for vec in vectors)
@@ -154,8 +167,8 @@ def test_a_key_that_cancels_and_fills_in_again(sort_key, coords, monkeypatch):
     # the heap twice, and its second copy is met after k3 was eliminated.
     k0, k1, k2, k3, k4, k5 = coords
     space, oracle = RowSpace(sort_key), _Oracle(sort_key or (lambda k: k))
-    rows = [{k3: 2, k5: 1}, {k2: 1, k3: 3}, {k1: 2, k3: -1}, {k0: 3, k3: 1}]
-    for row in rows:  # each pivot free when it comes: stored as given
+    rows = [{k0: 3, k3: 1}, {k1: 2, k3: -1}, {k2: 1, k3: 3}, {k3: 2, k5: 1}]
+    for row in rows:  # no earlier pivot in any row: each is stored as given
         assert space.insert(row) == row
         oracle.insert(row)
     push, pushed = linalg.heappush, []
@@ -172,3 +185,9 @@ def test_a_key_that_cancels_and_fills_in_again(sort_key, coords, monkeypatch):
     assert space.monic(stored) == oracle.insert(vec)
     assert space.reduced_basis() == oracle.rref()
     assert space.contains({k: 2 * v for k, v in vec.items()} | {k3: 4, k5: 2})
+
+
+def test_a_kernel_vector_is_reduced_at_earlier_kernel_pivots():
+    vectors = [{0: -1}, {1: 2}, {0: 1}, {0: -2}, {0: 1, 1: -1}]
+    assert kernel_basis(vectors) == [{0: 1, 2: 1}, {2: 1, 3: Fraction(1, 2)},
+                                     {4: 2, 1: 1, 3: 1}]
