@@ -239,10 +239,13 @@ def test_skew_primitives_need_a_grouplike(bos):
     (["y", "u", "t"], 13),  # the triangular enveloping part: y^a u^e, a+e<=6
     (["x", "t"], 7),        # k[x] up to degree 6
     (["t"], 1),             # the group algebra alone
+    (["x", "-t"], 7),       # every multiple of t has weight 0
+    (["x", "2*t"], 7),
+    (["y", "u", "-t"], 13),
 ])
 def test_biproduct_decomposition_cases(bos, gen_names, inner_dim):
     P = bos.carrier
-    rep = biproduct_decomposition(bos, [P.gen(n) for n in gen_names], 6)
+    rep = biproduct_decomposition(bos, [parse(n, P) for n in gen_names], 6)
     assert rep.passed, rep.witnesses[:3]
     assert rep.parameters["innerDimension"] == inner_dim
 
@@ -359,18 +362,57 @@ def test_normality_of_generators_that_are_not_letters(bos):
     assert rep.status != verify.FAIL, rep.witnesses[0]
 
 
-@pytest.mark.xfail(strict=True, reason="products in A cap U are bounded by normal-form "
-                   "degree, A by product length, so v*u = x - u*v is missed")
 def test_biproduct_of_generators_that_are_not_letters(bos):
     P = bos.carrier
     rep = biproduct_decomposition(bos, [parse("u + v", P), P.gen("y"), P.gen("t")], 2)
-    assert rep.status != verify.FAIL, rep.witnesses[0]
+    assert rep.passed, rep.witnesses[:3]
+    assert rep.parameters["innerDimension"] == 7
+
+
+@pytest.mark.parametrize("gens", [("u + v", "y", "t"), ("u + v", "t"),
+                                  ("x + y + u + v", "t"), ("x + u", "t")])
+@pytest.mark.parametrize("bound", range(1, 6))
+def test_biproduct_inner_part_matches_the_kernel_intersection(bos, gens, bound):
+    P = bos.carrier
+    sub_gens = [parse(g, P) for g in gens]
+    rep = biproduct_decomposition(bos, sub_gens, bound)
+    assert rep.passed, rep.witnesses[:3]
+    sub = FiltrationClosure(P, sub_gens, [1] * (len(gens) - 1) + [0]).extend_to(bound)
+    assert rep.parameters["innerDimension"] == len(
+        intersection_with_u(bos, sub.basis_up_to(bound)))
+
+
+def test_a_product_of_level_2_elements_can_need_level_3(bos):
+    # u and v lie in A cap U by level 2 ([y, u + v] = u - v), but
+    # v*u = x - u*v enters the closure only at level 3, so no level bounds
+    # the products of A cap U
+    P = bos.carrier
+    sub = FiltrationClosure(P, [parse("u + v", P), P.gen("y"), P.gen("t")], [1, 1, 0])
+    vu = P.gen("v") * P.gen("u")
+    assert sub.extend_to(2).contains(P.gen("u")) and sub.contains(P.gen("v"))
+    assert not sub.contains(vu)
+    assert sub.extend_to(3).contains(vu)
+
+
+def test_biproduct_fails_when_a_does_not_split(bos):
+    # A = <y + x*t, t> holds y*t + x but not y, so A_1 is not (A cap U)_1 # K
+    P = bos.carrier
+    rep = biproduct_decomposition(bos, [parse("y + x*t", P), P.gen("t")], 3)
+    assert rep.status == verify.FAIL
+    assert rep.witnesses[0] == ("dim A_1", "2*dim(A cap U)_1 = 2", "4")
 
 
 def test_biproduct_requires_t(bos):
     P = bos.carrier
     with pytest.raises(AlgebraError):
         biproduct_decomposition(bos, [P.gen("x")], 6)
+
+
+def test_biproduct_requires_a_multiple_of_t_as_a_generator(bos):
+    # <t + u, u> holds t, but no generator is a multiple of it
+    P = bos.carrier
+    with pytest.raises(AlgebraError):
+        biproduct_decomposition(bos, [parse("t + u", P), P.gen("u")], 3)
 
 
 # -- shift identity -------------------------------------------------------------------------
@@ -466,6 +508,21 @@ def test_zero_divisor_scan_is_deterministic(bos):
 def test_trivial_product_is_not_a_zero_divisor(bos):
     one = bos.carrier.one()
     assert not (one * one).is_zero
+
+
+def test_the_built_in_h_is_not_prime(bos):
+    # w = t*(u*v - v*u) is central with w^2 = x^2, so x + w and x - w are
+    # central and (x + w)*H*(x - w) = 0
+    P = bos.carrier
+    w = parse("t*(u*v - v*u)", P)
+    x = P.gen("x")
+    a, b = x + w, x - w
+    for c in (a, b):
+        assert not c.is_zero
+        for g in "xyuvt":
+            assert (c * P.gen(g) - P.gen(g) * c).is_zero, (c, g)
+    assert (a * b).is_zero
+    assert (a * parse("y*u", P) * b).is_zero
 
 
 # -- report rendering -------------------------------------------------------------------------------
