@@ -28,7 +28,8 @@ from .verify import CertificateReport, expect, render_reports, render_summary
 
 class _NoCase(AlgebraError):
     """The suite has no case to run: the algebra's ``CheckDefaults`` lack one,
-    or the degree bound leaves nothing to check.  ``check all`` skips it."""
+    the degree bound leaves nothing to check, or ``--sub`` holds no multiple
+    of t for the biproduct.  ``check all`` skips it."""
 
 
 def _write_output(text: str, out: Optional[Path]):
@@ -101,6 +102,11 @@ def suite_normality(sess: Session, args):
 def suite_biproduct(sess: Session, args):
     B = sess.require_bosonized()
     pres, bound = B.carrier, args.max_degree
+    if args.sub is not None:
+        gens = parse_list(args.sub, pres)
+        if B.t().coeffs.keys() not in [g.coeffs.keys() for g in gens]:
+            raise _NoCase("biproduct decomposition needs a multiple of t as a generator")
+        return [verify.biproduct_decomposition(B, gens, bound)]
     cases = [(label, [pres.gen(n) for n in names])
              for label, names in sess.defaults.biproduct]
     cases += [("whole", _generators(pres)), ("K", [B.t()])]
@@ -303,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("check", help="run a verification suite")
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--sub", default=None,
-                   help="normality: comma-separated subalgebra generators")
+                   help="normality, biproduct: comma-separated subalgebra generators")
     p.add_argument("--ideal-gens", default=None,
                    help="nilpotency: comma-separated ideal generators")
     p.add_argument("--power", type=POSITIVE, default=2)

@@ -1,11 +1,12 @@
 """Filtration dimension counting and polynomial-growth-degree detection.
 
 ``FiltrationClosure`` maintains exact degree-by-degree bases, pivoting on
-top-degree terms, of the span of all products of at most n generators, whose
-dimensions :func:`growth_series` counts as normal monomials where the
-diamond lemma allows.  Growth degrees come from finite differences over the
-window, taken order by order up to the detected one (a desk-scale reading of
-Gelfand-Kirillov dimension: reports carry the window, never a limit).
+top-degree terms by default, of the span of all products of at most n
+generators, whose dimensions :func:`growth_series` counts as normal
+monomials where the diamond lemma allows.  Growth degrees come from finite
+differences over the window, taken order by order up to the detected one (a
+desk-scale reading of Gelfand-Kirillov dimension: reports carry the window,
+never a limit).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional, Sequence
 
 from .algebra import AlgebraPresentation, Element, monomial_key
 from .errors import AlgebraError
-from .linalg import RowSpace, kernel_image_basis
+from .linalg import RowSpace, kernel_basis
 
 
 class FiltrationClosure:
@@ -25,15 +26,18 @@ class FiltrationClosure:
     Level n holds the new basis elements reachable as products of
     generators with total weight n (every generator has weight 1 unless
     overridden; weight-0 generators are closed off within each level).
-    Rows are ordered by degree descending, so each pivots on a top-degree
-    term and a level-n product is reduced from its new top-degree part
-    down; bases are reproducible.  ``levels`` hold the space's primitive
-    integer rows, so products stay integral; :meth:`basis_up_to` hands out
-    the pivot-1 multiples.
+    ``order`` is the sort key of the row space.  By default rows are ordered
+    by degree descending, so each pivots on a top-degree term and a level-n
+    product is reduced from its new top-degree part down.  The biproduct
+    check orders every t-monomial first instead, so that its rows with a
+    t-free pivot are t-free and span the t-free part.  The span at each
+    level does not depend on the order; bases are reproducible.  ``levels``
+    hold the space's primitive integer rows, so products stay integral;
+    :meth:`basis_up_to` hands out the pivot-1 multiples.
     """
 
     def __init__(self, pres: AlgebraPresentation, gens: Sequence[Element],
-                 weights=None):
+                 weights=None, order=None):
         self.pres = pres
         self.gens = list(gens)
         for g in self.gens:
@@ -43,7 +47,7 @@ class FiltrationClosure:
         if len(weights) != len(self.gens) or any(w < 0 for w in weights):
             raise AlgebraError("weights must be non-negative, one per generator")
         self.weights = list(weights)
-        self.space = RowSpace(lambda m: (-sum(m), m))
+        self.space = RowSpace(order or (lambda m: (-sum(m), m)))
         self.levels = []  # levels[n] = new Elements at level n, as stored rows
         self.dims = []    # dims[n] = cumulative rank through level n
         self._add_level([self.pres.one()])
@@ -75,7 +79,7 @@ class FiltrationClosure:
         return self
 
     def basis_up_to(self, n: int):
-        """The basis through level n, each element scaled to 1 at its top-degree pivot."""
+        """The basis through level n, each element scaled to 1 at its pivot."""
         self.extend_to(n)
         return [Element(self.pres, self.space.monic(e.coeffs))
                 for level in self.levels[:n + 1] for e in level]
@@ -183,6 +187,6 @@ def centralizer_degree_bounded(P: AlgebraPresentation,
                 stacked[(pos, mm)] = c
         columns.append(stacked)
         images.append(e.coeffs)
-    basis = kernel_image_basis(columns, images, monomial_key)
+    basis = kernel_basis(columns, images, monomial_key)
     return [Element(P, row) for row in basis]
 

@@ -283,7 +283,8 @@ def ad_eigen(g: LieSuperAlgebra, h, s: SubSuperSpace):
     Raises :class:`AlgebraError` when ad(h) fails to preserve s, and
     :class:`UnsupportedFieldError` when the characteristic polynomial has
     an irrational root.  Returns pairs (eigenvalue, vector in parent
-    coordinates) sorted by decreasing eigenvalue.
+    coordinates) sorted by decreasing eigenvalue, each eigenspace as its
+    fully reduced echelon basis.
     """
     dim = s.dim
     cols = []
@@ -299,17 +300,13 @@ def ad_eigen(g: LieSuperAlgebra, h, s: SubSuperSpace):
     # vector i in the image of basis vector j
     M = [[cols[j][i] for j in range(dim)] for i in range(dim)]
     roots = _rational_roots(_char_poly(M))
+    images = [_sparse(v) for v in s.vectors]
     pairs = []
     for lam in sorted(set(roots), reverse=True):
         shifted = [{i: M[i][j] - (lam if i == j else 0)
                     for i in range(dim) if M[i][j] - (lam if i == j else 0)}
                    for j in range(dim)]
-        for coeffs in kernel_basis(shifted):
-            vec = [0] * g.n
-            for j, c in coeffs.items():
-                for i, b in enumerate(s.vectors[j]):
-                    vec[i] += c * b
-            pairs.append((lam, tuple(vec)))
+        pairs += [(lam, _dense(row, g.n)) for row in kernel_basis(shifted, images)]
     return pairs
 
 

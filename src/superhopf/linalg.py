@@ -13,13 +13,13 @@ with no dict built for it, and :func:`_eliminate` subtracts a row.
 :class:`RowSpace` stores rows fraction-free: all ``int``, primitive (gcd 1)
 and with a positive pivot entry, eliminated by cross-multiplication (compare
 Bareiss 1968).  A row is divided by its pivot entry only where a caller sees
-it: :meth:`RowSpace.monic`, :meth:`RowSpace.reduced_basis`,
-:func:`kernel_basis`.  :meth:`RowSpace.reduce` takes a vector's keys off a
-heap, least first, and eliminates every stored pivot, so no row holds an
-earlier row's pivot and results are reproducible bit-for-bit.  The kernel
-vectors of :func:`kernel_basis` do not depend on the order of the
-coordinates, and :func:`kernel_image_basis` turns a kernel into the fully
-reduced basis of its image.
+it: :meth:`RowSpace.monic` and :meth:`RowSpace.reduced_basis`.
+:meth:`RowSpace.reduce` takes a vector's keys off a heap, least first, and
+eliminates every stored pivot, so no row holds an earlier row's pivot and
+results are reproducible bit-for-bit.  :func:`kernel_basis` is the one kernel
+routine: it stacks each column over its image in one space and hands out the
+fully reduced basis of the image of the kernel, which is unique, so it does
+not depend on the order of the column coordinates.
 """
 
 from __future__ import annotations
@@ -106,9 +106,15 @@ class RowSpace:
         b = row[min(row, key=self._key)]
         return row if b == 1 else {k: exact(Fraction(v, b)) for k, v in row.items()}
 
-    def reduced_basis(self):
-        """Fully back-substituted canonical basis, sorted by pivot key."""
-        pivots = sorted(self.rows, key=self._key)
+    def reduced_basis(self, keep=None):
+        """Fully back-substituted canonical basis, sorted by pivot key.
+
+        With ``keep``, the basis of only the rows whose pivot it accepts.
+        ``keep`` must accept every key that sorts after an accepted one, so
+        those rows hold no other row's pivot and span the part of the span
+        on the accepted keys.
+        """
+        pivots = sorted(filter(keep, self.rows) if keep else self.rows, key=self._key)
         reduced = {}
         for p in reversed(pivots):
             row = dict(self.rows[p])
@@ -186,40 +192,25 @@ def accumulate(out, coeffs, scale=None):
                 del out[k]
 
 
-def kernel_basis(vectors):
-    """Basis of ``{c : sum_i c_i * vectors[i] == 0}`` over the rationals.
+def kernel_basis(columns, images=None, image_key=None):
+    """Reduced basis of ``{sum_i c_i * images[i] : sum_i c_i * columns[i] == 0}``.
 
-    ``vectors`` is a sequence of sparse dicts with mutually comparable keys.
-    Returns a list of dicts mapping the index i to the coefficient c_i,
-    deterministic, each free of the pivots of the kernel vectors before it:
-    each vector is tagged with the unit coordinate ``(1, i)``, ordered after
-    every coordinate ``(0, k)``.
+    ``columns`` is a sequence of sparse dicts with mutually comparable keys,
+    ``images`` a parallel one whose keys ``image_key`` orders.  The images
+    default to the unit vectors ``{i: 1}``, which makes the result the kernel
+    itself: dicts mapping the index i to c_i.  Each column is stacked over its
+    image in one :class:`RowSpace`, column coordinates first, so a row with an
+    image pivot is free of the columns, and those rows span the result.  They
+    are back-substituted once into its fully reduced echelon basis, which is
+    unique, so it does not depend on the order of the column coordinates.
     """
-    space = RowSpace()
-    kernels = []
-    for i, vec in enumerate(vectors):
-        aug = {(0, k): v for k, v in vec.items() if v}
-        aug[(1, i)] = 1
-        stored = space.insert(aug)
-        if stored is not None and min(stored)[0] == 1:
-            # All coordinate keys were eliminated: the coefficient part is a
-            # kernel vector, returned with its pivot scaled to 1.
-            kernels.append({k[1]: v for k, v in space.monic(stored).items()})
-    return kernels
-
-
-def kernel_image_basis(columns, images, image_key):
-    """Reduced basis of ``{sum_i c_i * images[i] : c in kernel(columns)}``.
-
-    ``columns`` and ``images`` are parallel sequences of sparse dicts;
-    ``image_key`` orders the coordinates of the images.  The result is the
-    fully reduced echelon basis of the image under that order, which is
-    unique, so it does not depend on how the kernel was found.
-    """
-    space = RowSpace(image_key)
-    for combo in kernel_basis(columns):
-        vec = {}
-        for idx, c in combo.items():
-            accumulate(vec, images[idx], c)
-        space.insert(vec)
-    return space.reduced_basis()
+    if images is None:
+        images = [{i: 1} for i in range(len(columns))]
+    image_key = image_key or (lambda k: k)
+    space = RowSpace(lambda k: k if k[0] == 0 else (1, image_key(k[1])))
+    for column, image in zip(columns, images):
+        stacked = {(0, k): v for k, v in column.items()}
+        stacked.update(((1, k), v) for k, v in image.items())
+        space.insert(stacked)
+    return [{k[1]: v for k, v in row.items()}
+            for row in space.reduced_basis(lambda p: p[0] == 1)]

@@ -18,7 +18,7 @@ from .algebra import AlgebraPresentation, Element, monomial_key
 from .errors import AlgebraError, DegreeBudgetError
 from .hopf import BosonizedAlgebra, HopfStructureMaps
 from .growth import FiltrationClosure, growth_series
-from .linalg import RowSpace, accumulate, kernel_image_basis
+from .linalg import RowSpace, accumulate, kernel_basis
 
 PASS = "pass"
 FAIL = "fail"
@@ -317,22 +317,11 @@ def find_skew_primitives(B: BosonizedAlgebra, grouplike: Element,
         defect = H.coproduct(e) - e.outer(one) - grouplike.outer(e)
         columns.append(defect.coeffs)
         images.append(e.coeffs)
-    basis = kernel_image_basis(columns, images, monomial_key)
+    basis = kernel_basis(columns, images, monomial_key)
     return [Element(pres, row) for row in basis]
 
 
 # -- biproduct decomposition -----------------------------------------------------------
-
-
-def _t_first_levels(B: BosonizedAlgebra, graded: FiltrationClosure):
-    """A's row space after each level, ordered with every t-monomial first:
-    its rows with a t-free pivot are t-free, and they span A_n cap U."""
-    t_index = B.t_index
-    split = RowSpace(lambda m: (not m[t_index], sum(m), m))
-    for level in graded.levels:
-        for e in level:
-            split.insert(e.coeffs)
-        yield split
 
 
 def biproduct_decomposition(B: BosonizedAlgebra, gens: Sequence[Element],
@@ -342,11 +331,15 @@ def biproduct_decomposition(B: BosonizedAlgebra, gens: Sequence[Element],
     A is spanned with every generator that is a multiple of the grouplike t
     given filtration weight zero, which is the grading under which the
     group algebra factor exactly doubles each level; ``gens`` must hold
-    one.  Checks: dim A_n equals twice the t-free dimension at every
-    cached level, and the t-free part is closed under the coproduct
-    (tensor-factor marginals stay in the part) and under the super
-    antipode, and consists of coinvariants.  Closure under products is not
-    checked: A `intersect` U is an intersection of two subalgebras.
+    one.  A's row space orders every t-monomial first, so a row with a
+    t-free pivot is t-free, and those rows span A_n `intersect` U: the
+    t-free dimension, the reduced basis of the t-free part and the
+    membership tests are all read off that one space.  Checks: dim A_n
+    equals twice the t-free dimension at every cached level, and the
+    t-free part is closed under the coproduct (tensor-factor marginals stay
+    in the part) and under the super antipode, and consists of
+    coinvariants.  Closure under products is not checked: A `intersect` U
+    is an intersection of two subalgebras.
     """
     pres = B.carrier
     rep = CertificateReport("biproduct", PASS,
@@ -356,18 +349,18 @@ def biproduct_decomposition(B: BosonizedAlgebra, gens: Sequence[Element],
     weights = [0 if g.coeffs.keys() == B.t().coeffs.keys() else 1 for g in gens]
     if all(weights):
         raise AlgebraError("biproduct decomposition needs a multiple of t as a generator")
-    graded = FiltrationClosure(pres, gens, weights).extend_to(degree_bound)
-
     t_index = B.t_index
-    for n, split in enumerate(_t_first_levels(B, graded)):
-        dim = sum(1 for p in split.rows if not p[t_index])
-        if graded.dims[n] != 2 * dim:
-            rep.add_witness(f"dim A_{n}", f"2*dim(A cap U)_{n} = {2 * dim}",
-                            graded.dims[n])
+    A = FiltrationClosure(pres, gens, weights, order=lambda m: (not m[t_index], sum(m), m))
+    A.extend_to(degree_bound)
+    dim = 0
+    for n, level in enumerate(A.levels):
+        dim += sum(1 for e in level if not any(m[t_index] for m in e.coeffs))
+        if A.dims[n] != 2 * dim:
+            rep.add_witness(f"dim A_{n}", f"2*dim(A cap U)_{n} = {2 * dim}", A.dims[n])
     # the t-free reduced rows are A cap U's reduced basis under monomial_key;
-    # a t-free vector reduces by them alone, so split tests membership in A cap U
-    inner = [Element(pres, row) for row in split.reduced_basis()
-             if not any(m[t_index] for m in row)]
+    # a t-free vector reduces by them alone, so A tests membership in A cap U
+    inner = [Element(pres, row)
+             for row in A.space.reduced_basis(lambda p: not p[t_index])]
 
     # closure under the super coproduct of the plain enveloping part (the
     # t-free part is a subcoalgebra of U, not of the smash product, whose
@@ -383,7 +376,7 @@ def biproduct_decomposition(B: BosonizedAlgebra, gens: Sequence[Element],
         for side, marginals in (("left", left), ("right", right)):
             for m in sorted(marginals, key=monomial_key):
                 marginal = B.include_from_u(Element(Q, marginals[m]))
-                if not split.contains(marginal.coeffs):
+                if not A.contains(marginal):
                     rep.add_witness(f"Delta_U({a}) {side} marginal at {Q.monomial_element(m)}",
                                     "in A cap U", marginal)
 
@@ -391,7 +384,7 @@ def biproduct_decomposition(B: BosonizedAlgebra, gens: Sequence[Element],
     for a in inner:
         restricted = B.restrict_to_u(a)
         s_u = B.include_from_u(B.u_maps.antipode(restricted))
-        if not split.contains(s_u.coeffs):
+        if not A.contains(s_u):
             rep.add_witness(f"S_U({a})", "in A cap U", s_u)
 
     # the t-free part consists of coinvariants

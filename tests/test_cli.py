@@ -473,6 +473,22 @@ def test_biproduct_at_degree_zero_sees_t_as_a_generator(capsys):
         assert f"CHECK biproduct.{label} PASS" in out
 
 
+def test_check_biproduct_reads_the_sub_option(capsys):
+    code, out, err = run(capsys, "check", "biproduct", "--sub", "t+u,u", "--max-degree", "2")
+    assert code == 2 and out == ""
+    assert err == "error: biproduct decomposition needs a multiple of t as a generator\n"
+    code, out, err = run(capsys, "check", "biproduct", "--sub", "x,-t", "--max-degree", "3")
+    assert code == 0 and err == ""
+    assert out == ("CHECK biproduct PASS\n"
+                   "    inputs: sub=<x, -t>\n"
+                   "    params: algebra=U(pl11)#k[t] degreeBound=3 innerDimension=4\n")
+    # with no multiple of t the biproduct has no case, so `all` leaves it out
+    code, out, err = run(capsys, "check", "all", "--sub", "x", "--max-degree", "2",
+                         "--hopf-random", "1", "--samples", "1", "--shift-n", "1")
+    assert code == 0 and err == "" and "CHECK normality PASS\n" in out
+    assert "CHECK biproduct" not in out
+
+
 def test_definition_file_session(tmp_path, capsys):
     path = tmp_path / "heisenberg.alg"
     path.write_text(

@@ -118,6 +118,24 @@ def test_ad_eigen_on_even_part(g):
     assert {v for _, v in pairs} == {vec(g, "x"), vec(g, "y")}
 
 
+def test_a_multi_dimensional_eigenspace_is_fully_reduced():
+    # ad(e12 + 2*e22) on gl(2) kills the identity and itself; found one
+    # kernel vector at a time, e11 - 1/2*e12 held the pivot of e12 + 2*e22
+    gl2 = matrix_superalgebra("gl(2)", [(f"e{r + 1}{c + 1}", 0, 0, {(r, c): 1})
+                                        for r in range(2) for c in range(2)])
+    h = tuple(a + 2 * b for a, b in zip(vec(gl2, "e12"), vec(gl2, "e22")))
+    whole = SubSuperSpace(gl2, [gl2.unit(i) for i in range(gl2.n)])
+    pairs = ad_eigen(gl2, h, whole)
+    assert [lam for lam, _ in pairs] == [F(2), F(0), F(0), F(-2)]
+    vectors = [v for lam, v in pairs if lam == 0]
+    pivots = [next(i for i, c in enumerate(v) if c) for v in vectors]
+    assert pivots == sorted(pivots)
+    for v, p in zip(vectors, pivots):
+        assert v[p] == 1 and not any(v[q] for q in pivots if q != p)
+        assert not any(gl2.bracket(h, v))
+    assert [gl2.format_vector(v) for v in vectors] == ["e11 + e22", "e12 + 2*e22"]
+
+
 def test_ad_eigen_requires_invariance(g):
     just_u = SubSuperSpace(g, [vec(g, "u")])
     with pytest.raises(AlgebraError):

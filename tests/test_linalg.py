@@ -70,15 +70,13 @@ def _oracle_space(vectors):
 
 
 def _oracle_kernel(vectors):
-    """Relations among ``vectors``, found as in ``kernel_basis`` by tagging
-    each vector with a unit coordinate (1, i) ordered after the others."""
+    """The oracle's reduced basis of the relations among ``vectors``: its RREF
+    of each vector tagged with a unit coordinate (1, i) ordered after the
+    others, kept where the pivot is a tag."""
     oracle = _Oracle(lambda k: k)
-    kernel = []
     for i, vec in enumerate(vectors):
-        row = oracle.insert({**{(0, k): v for k, v in vec.items()}, (1, i): 1})
-        if row and min(row, key=oracle.key)[0] == 1:
-            kernel.append({k[1]: v for k, v in row.items()})
-    return kernel
+        oracle.insert({**{(0, k): v for k, v in vec.items()}, (1, i): 1})
+    return [{k[1]: v for k, v in row.items()} for row in oracle.rref() if min(row)[0] == 1]
 
 
 def _random_scalar(rng):
@@ -187,7 +185,33 @@ def test_a_key_that_cancels_and_fills_in_again(sort_key, coords, monkeypatch):
     assert space.contains({k: 2 * v for k, v in vec.items()} | {k3: 4, k5: 2})
 
 
-def test_a_kernel_vector_is_reduced_at_earlier_kernel_pivots():
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_the_image_of_the_kernel_agrees_with_a_fraction_oracle(seed):
+    rng = random.Random(seed)
+    columns = _random_vectors(rng)
+    images = _random_vectors(rng)
+    images = (images * len(columns))[:len(columns)]  # parallel, some repeated
+    combos = []
+    for combo in _oracle_kernel(columns):
+        total = {}
+        for i, c in combo.items():
+            for k, v in images[i].items():
+                total[k] = total.get(k, 0) + c * v
+        combos.append({k: v for k, v in total.items() if v})
+    basis = kernel_basis(columns, images, _sort_key)
+    assert basis == _oracle_space(combos).rref()
+    assert all(_pivot_one_types(row) for row in basis)
+
+
+def test_the_kernel_is_fully_reduced():
+    # found one vector at a time, the first relation holds the pivot 2 of the
+    # second; the returned basis holds no pivot but its own
     vectors = [{0: -1}, {1: 2}, {0: 1}, {0: -2}, {0: 1, 1: -1}]
-    assert kernel_basis(vectors) == [{0: 1, 2: 1}, {2: 1, 3: Fraction(1, 2)},
-                                     {4: 2, 1: 1, 3: 1}]
+    kernel = kernel_basis(vectors)
+    assert kernel == _oracle_kernel(vectors)
+    pivots = [min(row) for row in kernel]
+    assert pivots == sorted(pivots) and len(kernel) == 3
+    for row, pivot in zip(kernel, pivots):
+        assert row[pivot] == 1
+        assert not row.keys() & (set(pivots) - {pivot})

@@ -10,7 +10,7 @@ import pytest
 from superhopf import FiltrationClosure, HopfStructureMaps, parse, verify
 from superhopf.algebra import Element, monomial_key
 from superhopf.errors import AlgebraError, DegreeBudgetError
-from superhopf.linalg import kernel_image_basis
+from superhopf.linalg import kernel_basis
 from superhopf.verify import (adjoint_left, adjoint_right,
                               biproduct_decomposition, check_ad_equals_bracket,
                               check_antipode, check_bialgebra,
@@ -261,13 +261,20 @@ def intersection_with_u(B, basis_elements):
     """Basis of span(basis_elements) with zero t-part, via an exact kernel."""
     t_index = B.t_index
     columns = [{m: c for m, c in e.items() if m[t_index]} for e in basis_elements]
-    basis = kernel_image_basis(columns, [e.coeffs for e in basis_elements], monomial_key)
+    basis = kernel_basis(columns, [e.coeffs for e in basis_elements], monomial_key)
     return [Element(B.carrier, row) for row in basis]
 
 
-def t_free_rows(B, split):
+def t_first_closure(B, gens, weights):
+    """The closure the biproduct check builds: every t-monomial first."""
+    t_index = B.t_index
+    return FiltrationClosure(B.carrier, gens, weights,
+                             order=lambda m: (not m[t_index], sum(m), m))
+
+
+def t_free_rows(B, space):
     """The reduced rows of a t-first row space that hold no t-letter."""
-    return [Element(B.carrier, row) for row in split.reduced_basis()
+    return [Element(B.carrier, row) for row in space.reduced_basis()
             if not any(m[B.t_index] for m in row)]
 
 
@@ -278,19 +285,21 @@ def test_the_t_first_order_splits_off_the_kernel_intersection(bos, gens):
     if gens == "whole":
         gens = [g.name for g in P.generators]
     weights = [0 if g == "t" else 1 for g in gens]
-    sub = FiltrationClosure(P, [parse(g, P) for g in gens], weights).extend_to(6)
-    for n, split in enumerate(verify._t_first_levels(bos, sub)):
-        oracle = intersection_with_u(bos, sub.basis_up_to(n))
-        assert t_free_rows(bos, split) == oracle, n
-        assert sum(1 for p in split.rows if not p[bos.t_index]) == len(oracle), n
+    gens = [parse(g, P) for g in gens]
+    top_degree = FiltrationClosure(P, gens, weights)
+    split = t_first_closure(bos, gens, weights)
+    for n in range(7):
+        split.extend_to(n)
+        oracle = intersection_with_u(bos, top_degree.basis_up_to(n))
+        assert t_free_rows(bos, split.space) == oracle, n
+        assert sum(1 for p in split.space.rows if not p[bos.t_index]) == len(oracle), n
+        assert split.dims == top_degree.dims, n
 
 
 def test_biproduct_triangular_inner_part_is_the_y_u_span(bos):
     P = bos.carrier
-    sub = FiltrationClosure(P, [P.gen(n) for n in ("y", "u", "t")],
-                            weights=[1, 1, 0]).extend_to(6)
-    *_, split = verify._t_first_levels(bos, sub)
-    inner = t_free_rows(bos, split)
+    sub = t_first_closure(bos, [P.gen(n) for n in ("y", "u", "t")], [1, 1, 0])
+    inner = t_free_rows(bos, sub.extend_to(6).space)
     monomials = {m for e in inner for m in e.coeffs}
     for m in monomials:
         assert m[P.gen_index("x")] == 0
