@@ -3,10 +3,11 @@
 A presentation fixes an ordered generator alphabet and one table of rules,
 keyed by left-hand word: swap rules for descending adjacent pairs and power
 rules ``g_i^cap``, whose words give the exponent caps.  Products
-run through one memo keyed by the pair of normal monomials ``(m1, m2)``.
-A product whose joined word is already sorted and under its caps is returned
-directly and never stored; any other folds the letters of its right factor,
-one at a time, into its left one.  The memo's entries with a one-letter right
+run through one memo keyed by the pair of normal monomials ``(m1, m2)``, which
+stores every product it forms, so a repeat is one lookup.  A product with a
+unit factor, or whose joined word is already sorted and under its caps, is
+formed directly; any other folds the letters of its right factor, one at a
+time, into its left one.  The memo's entries with a one-letter right
 factor ``g_i`` are the table of ``m * g_i``, filled from the rules on an
 explicit stack.  No rule raises degree, so filling one entry meets finitely
 many others, each filled once; meeting one still being filled is a rewriting
@@ -29,6 +30,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import inf
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import AlgebraError, NonTerminationError, PresentationError
@@ -85,7 +88,7 @@ class AlgebraPresentation:
         # rule right-hand sides pre-expanded to letter words for splicing, by
         # the pair (j, i) of g_j*g_i; (i, i) is the power rule of g_i
         self._rhs = {(w[0], w[-1]): self._expand_rhs(rhs) for w, rhs in self.rules.items()}
-        self._mul_cache = {}  # (m1, m2) -> m1*m2, unsorted products only
+        self._mul_cache = {}  # (m1, m2) -> m1*m2, every product formed
         self._confluent = None  # the verdict of is_confluent, found on first use
         self._letters = [self.monomial(**{g.name: 1}) for g in self.generators]
 
@@ -169,7 +172,7 @@ class AlgebraPresentation:
         return tuple(letters)
 
     def monomial_parity(self, m) -> int:
-        return sum(e * p for e, p in zip(m, self._parities)) % 2
+        return sum(map(mul, m, self._parities)) & 1
 
     def monomial_z_degree(self, m) -> int:
         total = 0
@@ -291,25 +294,27 @@ class AlgebraPresentation:
         """Normal form of the product of two normal monomials, as a raw dict:
         the letters of ``m2`` folded into ``m1``.
 
-        A single letter makes the product a table entry, filled by :meth:`_entry`.
-        The dict may be shared with the memo table: do not modify it.
+        A unit factor or an already sorted join is formed in one step; a
+        single letter makes the product a table entry, filled by
+        :meth:`_entry`.  Every product is stored in the memo, so a repeat
+        returns the same dict: do not modify it.
         """
         key = (m1, m2)
         cached = self._mul_cache.get(key)
         if cached is None:
-            if not any(m1):
-                return {m2: 1}
-            if not any(m2):
-                return {m1: 1}
-            j = 0
-            while not m2[j]:
-                j += 1
-            cap = self._caps.get(j)
-            if not any(m1[j + 1:]) and (cap is None or m1[j] + m2[j] < cap):
-                return {m1[:j] + (m1[j] + m2[j],) + m2[j + 1:]: 1}  # already sorted
-            job = (self._entry(m1, m2) if m2[j] == 1 and not any(m2[j + 1:])
-                   else self._fold(self.monomial_letters(m2), {m1: 1}))
-            cached = self._mul_cache[key] = self._run(job, key)
+            if not (any(m1) and any(m2)):  # a unit factor
+                cached = {m1 if any(m1) else m2: 1}
+            else:
+                j = 0
+                while not m2[j]:
+                    j += 1
+                cap = self._caps.get(j)
+                if not any(m1[j + 1:]) and (cap is None or m1[j] + m2[j] < cap):
+                    cached = {m1[:j] + (m1[j] + m2[j],) + m2[j + 1:]: 1}  # already sorted
+                else:
+                    cached = self._run(self._entry(m1, m2) if m2[j] == 1 and not any(m2[j + 1:])
+                                       else self._fold(self.monomial_letters(m2), {m1: 1}), key)
+            self._mul_cache[key] = cached
         return cached
 
     def _word_normal_form(self, letters):
@@ -557,17 +562,29 @@ class Element(Combination):
         return self.__rmul__(other)
 
     def __pow__(self, n: int):
-        """``self**n``, one factor at a time until ``self**k`` is a scalar ``c``
-        (0 included), and then ``c**(n//k) * self**(n%k)``.  Not by squaring:
-        a dense square costs far more products than the factors it saves."""
+        """``self**n``.  A term ``c*g^e`` of one generator ``g`` is ``c**n *
+        g^(e*n)`` when ``g`` has no cap or ``e*n`` is below it, with no product
+        formed.  Otherwise one factor at a time, until ``self**k`` is a scalar
+        ``c`` (0 included), then ``c**(n//k) * self**(n%k)``, or until
+        ``self**k == self**(k-1)``, which every higher power then equals.  Not
+        by squaring: a dense square costs far more products than the factors
+        it saves."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
+        if len(self.coeffs) == 1:
+            (m, c), = self.coeffs.items()
+            letters = [i for i, e in enumerate(m) if e]
+            if len(letters) == 1 and m[letters[0]] * n < self.alg._caps.get(letters[0], inf):
+                i = letters[0]
+                return Element(self.alg, {m[:i] + (m[i] * n,) + m[i + 1:]: exact(c ** n)})
         result, unit = self.alg.one(), self.alg.unit_monomial()
         for k in range(1, n + 1):
-            result = result * self
+            previous, result = result, result * self
             if result.coeffs.keys() <= {unit}:
                 q, r = divmod(n, k)
                 return result.coefficient(unit) ** q * self ** r
+            if result == previous:
+                return result
         return result
 
     def outer(self, other: "Element") -> "TensorElement":

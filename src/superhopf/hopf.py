@@ -34,7 +34,8 @@ class HopfStructureMaps:
     signs exactly when the carrier's ``mode`` is ``"super"``.  The coproduct
     of a power of an even primitive generator is the binomial sum ``sum_b
     C(a, b) g^b (x) g^(a-b)``; any other power repeats the step for one
-    letter.  Images of monomials, powers included, are memoized.
+    letter.  Images of monomials, powers included, are memoized, and a
+    memoized image is returned with one lookup.
     """
 
     def __init__(self, carrier: AlgebraPresentation,
@@ -106,7 +107,7 @@ class HopfStructureMaps:
             for b in range(a + 1)})
 
     def delta_monomial(self, m) -> TensorElement:
-        return self._extend(
+        return self._delta_cache.get(m) or self._extend(
             self._delta_cache, m, self.delta_gen,
             lambda idx, a, d_power, rest, d: d_power.tensor_mul(d),
             self._binomial)
@@ -123,20 +124,26 @@ class HopfStructureMaps:
         return acc
 
     def antipode_monomial(self, m) -> Element:
-        def step(idx, a, s_power, rest, s_rest):
-            # S(g^a * rest) = sign * S(rest) * S(g^a)
-            img = s_rest * s_power
-            if self.carrier.mode == SUPER and (a * self.carrier.generators[idx].parity
-                                               * self.carrier.monomial_parity(rest)) % 2:
-                img = -img
-            return img
+        return self._antipode_cache.get(m) or self._extend(
+            self._antipode_cache, m, self.antipode_gen, self._antipode_step)
 
-        return self._extend(self._antipode_cache, m, self.antipode_gen, step)
+    def _antipode_step(self, idx, a, s_power, rest, s_rest):
+        """S(g^a * rest) = sign * S(rest) * S(g^a)."""
+        img = s_rest * s_power
+        if self.carrier.mode == SUPER and (a * self.carrier.generators[idx].parity
+                                           * self.carrier.monomial_parity(rest)) % 2:
+            img = -img
+        return img
 
     # -- linear extensions -----------------------------------------------------
 
     def coproduct(self, a: Element) -> TensorElement:
+        """Delta(a); for a one-term ``a`` the memoized image or a multiple of
+        it, with no copy."""
         self.carrier._require_same(a.alg)
+        if len(a.coeffs) == 1:
+            (m, c), = a.items()
+            return self.delta_monomial(m) if c == 1 else c * self.delta_monomial(m)
         out = {}
         for m, c in a.items():
             accumulate(out, self.delta_monomial(m).coeffs, c)

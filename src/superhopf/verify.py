@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .algebra import AlgebraPresentation, Element, monomial_key
+from .algebra import AlgebraPresentation, Element, TensorElement, monomial_key
 from .errors import AlgebraError, DegreeBudgetError
 from .hopf import BosonizedAlgebra, HopfStructureMaps
 from .growth import FiltrationClosure, growth_series
@@ -109,19 +109,31 @@ def random_dense_element(pres: AlgebraPresentation, rng: random.Random,
 # -- Hopf axioms ------------------------------------------------------------------
 
 
+def _sum_terms(terms):
+    """The sum of ``(key, coefficient)`` pairs, as a dict that stores no zero."""
+    out = {}
+    for k, c in terms:
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
 def check_coassociativity(H: HopfStructureMaps, test_set: Iterable[Element],
                           parameters=None) -> CertificateReport:
-    """(Delta (x) id) Delta == (id (x) Delta) Delta on the test set."""
+    """(Delta (x) id) Delta == (id (x) Delta) Delta on the test set, each side
+    summed in one pass over Delta(a) from the memoized images of its legs."""
     rep = CertificateReport("coassociativity", PASS, parameters=dict(parameters or {}))
-    count = 0
+    count, delta = 0, H.delta_monomial
     for a in test_set:
         count += 1
-        d = H.coproduct(a)
-        left = d.apply_tensor_map(H.delta_monomial, 0)
-        right = d.apply_tensor_map(H.delta_monomial, 1)
+        d = H.coproduct(a).items()
+        left = _sum_terms(((k1, k2, m2), c * ck)
+                          for (m1, m2), c in d for (k1, k2), ck in delta(m1).items())
+        right = _sum_terms(((m1, k1, k2), c * ck)
+                           for (m1, m2), c in d for (k1, k2), ck in delta(m2).items())
         if left != right:
             rep.add_witness(a, "(Delta(x)id)Delta = (id(x)Delta)Delta",
-                            f"{left} vs {right}")
+                            f"{TensorElement(H.carrier, 3, left)} vs "
+                            f"{TensorElement(H.carrier, 3, right)}")
     rep.parameters["elements"] = count
     return rep
 
@@ -130,36 +142,35 @@ def check_counit(H: HopfStructureMaps, test_set: Iterable[Element],
                  parameters=None) -> CertificateReport:
     """(eps (x) id) Delta == id == (id (x) eps) Delta on the test set."""
     rep = CertificateReport("counit", PASS, parameters=dict(parameters or {}))
-    count = 0
+    count, eps = 0, H.counit_monomial
     for a in test_set:
         count += 1
-        d = H.coproduct(a)
-        left = d.contract_scalar(H.counit_monomial, 0).as_element()
-        right = d.contract_scalar(H.counit_monomial, 1).as_element()
-        if left != a:
-            rep.add_witness(a, a, left)
-        if right != a:
-            rep.add_witness(a, a, right)
+        d = H.coproduct(a).items()
+        for side in (_sum_terms((m2, c * eps(m1)) for (m1, m2), c in d),
+                     _sum_terms((m1, c * eps(m2)) for (m1, m2), c in d)):
+            if side != a.coeffs:
+                rep.add_witness(a, a, Element(H.carrier, side))
     rep.parameters["elements"] = count
     return rep
 
 
 def check_antipode(H: HopfStructureMaps, test_set: Iterable[Element],
                    parameters=None) -> CertificateReport:
-    """m(S (x) id) Delta == eps(.) 1 == m(id (x) S) Delta on the test set."""
+    """m(S (x) id) Delta == eps(.) 1 == m(id (x) S) Delta on the test set, each
+    side summed in one pass over Delta(a) from memoized antipodes and products."""
     rep = CertificateReport("antipode", PASS, parameters=dict(parameters or {}))
     count = 0
-    one = H.carrier.one()
+    one, mul, S = H.carrier.one(), H.carrier.mul_monomials, H.antipode_monomial
     for a in test_set:
         count += 1
-        d = H.coproduct(a)
+        d = H.coproduct(a).items()
         target = H.counit(a) * one
-        left = d.apply_element_map(H.antipode_monomial, 0).fold_mul()
-        right = d.apply_element_map(H.antipode_monomial, 1).fold_mul()
-        if left != target:
-            rep.add_witness(a, target, left)
-        if right != target:
-            rep.add_witness(a, target, right)
+        for side in (_sum_terms((m, c * cs * cm) for (m1, m2), c in d
+                                for s, cs in S(m1).items() for m, cm in mul(s, m2).items()),
+                     _sum_terms((m, c * cs * cm) for (m1, m2), c in d
+                                for s, cs in S(m2).items() for m, cm in mul(m1, s).items())):
+            if side != target.coeffs:
+                rep.add_witness(a, target, Element(H.carrier, side))
     rep.parameters["elements"] = count
     return rep
 

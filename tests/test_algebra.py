@@ -35,8 +35,11 @@ def test_normalize_is_idempotent_on_random_words(ubar):
 
 def test_powers_match_repeated_multiplication(ubar, sess_u):
     rng = random.Random(11)
-    # powers of these reach a scalar (1, 4, 0, -3 or 0) and stop multiplying there
-    elements = [parse(e, ubar) for e in ("t", "2*t", "t*u", "-3", "x-x")]
+    # powers of the first five reach a scalar (1, 4, 0, -3 or 0) and stop
+    # multiplying there; those of u, 2*y and y^2 pass in closed form below the
+    # caps (u and t have cap 2, y has none), and 1+t is a plain loop
+    elements = [parse(e, ubar)
+                for e in ("t", "2*t", "t*u", "-3", "x-x", "u", "2*y", "y^2", "1+t")]
     for pres in (ubar, sess_u.pres):
         elements += [random_element(pres, rng, 2) for _ in range(15)]
     for a in elements:

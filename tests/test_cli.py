@@ -451,11 +451,14 @@ def test_eigen_with_a_large_eigenvalue_is_quick(tmp_path, capsys):
 
 
 def test_huge_powers_and_long_nilpotent_words_are_quick(capsys):
-    # a power stops at its first scalar partial power (u*u = 0, t*t = 1); the
-    # nilpotency walk extends no prefix whose product is zero (here u*u = 0)
+    # a power stops at its first scalar partial power (u*u = 0, t*t = 1) or at
+    # its first repeat (e*e = e for e = 1/2 + 1/2*t), and y^n passes in closed
+    # form; the nilpotency walk extends no prefix whose product is zero (u*u = 0)
     start = time.perf_counter()
     for expression, normal_form in (("u^99999999999", "0"), ("t^10000001", "t"),
-                                    ("(t*u)^1000000000000", "0")):
+                                    ("(t*u)^1000000000000", "0"),
+                                    ("y^99999999999", "y^99999999999"),
+                                    ("(1/2+1/2*t)^99999999999", "1/2*t + 1/2")):
         code, out, _ = run(capsys, "normalize", expression)
         assert code == 0 and out == normal_form + "\n"
     for power, bound in (("2000", "1"), ("12", "3")):

@@ -103,6 +103,14 @@ def test_coproduct_of_uv_is_coassociative(bos):
     assert left == right
 
 
+def test_coproduct_of_one_term_is_its_memoized_image(bos):
+    P, H = bos.carrier, bos.hopf
+    u, t, one = P.gen("u"), P.gen("t"), P.one()
+    assert H.coproduct(u) is H.delta_monomial(P.monomial(u=1))
+    assert H.coproduct(3 * u) == 3 * H.coproduct(u)
+    assert H.coproduct(u) == u.outer(one) + t.outer(u)  # the multiple left the image as it was
+
+
 def test_projection_to_group_part(bos):
     P = bos.carrier
     y, u, t, one = P.gen("y"), P.gen("u"), P.gen("t"), P.one()

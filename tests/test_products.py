@@ -122,13 +122,19 @@ def test_the_table_grows_linearly_with_a_long_power():
     assert sum(len(v) for (_, g), v in pres._mul_cache.items() if sum(g) == 1) <= 3 * n
 
 
-def test_sorted_products_store_no_table_entries():
+def test_a_sorted_product_is_stored_once_and_powers_store_nothing():
     pres = cold_pl11_bosonized()
-    power = pres.normalize(["y"] * 20000)
+    power = pres.normalize(["y"] * 20000)  # sorted joins inside a fold are not memo entries
     assert power == pres.monomial_element(pres.monomial(y=20000))
-    assert pres.mul_monomials(pres.monomial(x=3), pres.monomial(y=2, t=1)) \
-        == {pres.monomial(x=3, y=2, t=1): 1}
     assert not pres._mul_cache
+    assert pres.gen("y") ** 20000 == power  # in closed form, with no product
+    assert not pres._mul_cache
+    m1, m2 = pres.monomial(x=3), pres.monomial(y=2, t=1)
+    product = pres.mul_monomials(m1, m2)
+    assert product == {pres.monomial(x=3, y=2, t=1): 1}
+    assert pres._mul_cache == {(m1, m2): product}
+    assert pres.mul_monomials(m1, m2) is product
+    assert len(pres._mul_cache) == 1
 
 
 @pytest.mark.parametrize("path", ["Element.__mul__", "tensor_mul", "fold_mul"])

@@ -107,6 +107,55 @@ def test_corrupted_coproduct_fails_the_bialgebra_check_at_u_u(bos):
     assert rep.witnesses == [("(u, u)", "0", "2*u(x)u")]
 
 
+def reference_axiom_witnesses(H, test_set):
+    """The witnesses of the coassociativity, counit and antipode checks, found
+    through the generic tensor maps: whole 2- and 3-leg tensors per side."""
+    coassociativity, counit, antipode = [], [], []
+    for a in test_set:
+        d = H.coproduct(a)
+        left, right = (d.apply_tensor_map(H.delta_monomial, leg) for leg in (0, 1))
+        if left != right:
+            coassociativity.append((str(a), "(Delta(x)id)Delta = (id(x)Delta)Delta",
+                                    f"{left} vs {right}"))
+        target = H.counit(a) * H.carrier.one()
+        for leg in (0, 1):
+            side = d.contract_scalar(H.counit_monomial, leg).as_element()
+            if side != a:
+                counit.append((str(a), str(a), str(side)))
+        for leg in (0, 1):
+            side = d.apply_element_map(H.antipode_monomial, leg).fold_mul()
+            if side != target:
+                antipode.append((str(a), str(target), str(side)))
+    return [coassociativity, counit, antipode]
+
+
+@pytest.mark.parametrize("corruption", ["none", "delta_t", "eps_t", "antipode_u", "delta_u"])
+def test_one_pass_axiom_checks_match_the_tensor_map_path(bos, corruption):
+    P, H = bos.carrier, bos.hopf
+    t, u, one = P.gen("t"), P.gen("u"), P.one()
+    delta, eps, antipode = dict(H.delta_gen), dict(H.eps_gen), dict(H.antipode_gen)
+    if corruption == "delta_t":
+        delta[P.gen_index("t")] = t.outer(one)
+    elif corruption == "eps_t":
+        eps[P.gen_index("t")] = 0
+    elif corruption == "antipode_u":
+        antipode[P.gen_index("u")] = u
+    elif corruption == "delta_u":
+        delta[P.gen_index("u")] = u.outer(one) + one.outer(u)
+    maps = HopfStructureMaps(P, delta, eps, antipode)
+    rng = random.Random(3)
+    test_set = ([P.gen(g.name) for g in P.generators]
+                + [P.monomial_element(m) for m in P.enumerate_monomials(2)]
+                + [verify.random_element(P, rng, 3) for _ in range(15)])
+    reports = [check(maps, test_set)
+               for check in (check_coassociativity, check_counit, check_antipode)]
+    expected = reference_axiom_witnesses(maps, test_set)
+    assert [rep.witnesses for rep in reports] == expected
+    assert [rep.status for rep in reports] == [verify.FAIL if w else verify.PASS
+                                               for w in expected]
+    assert any(expected) == (corruption != "none")
+
+
 # -- adjoint actions -----------------------------------------------------------------
 
 
