@@ -6,15 +6,18 @@ rules ``g_i^cap``, whose words give the exponent caps.  Products
 run through one memo keyed by the pair of normal monomials ``(m1, m2)``, which
 stores every product it forms, so a repeat is one lookup.  A product with a
 unit factor, or whose joined word is already sorted and under its caps, is
-formed directly; any other folds the letters of its right factor, one at a
-time, into its left one.  The memo's entries with a one-letter right
-factor ``g_i`` are the table of ``m * g_i``, filled from the rules on an
-explicit stack.  No rule raises degree, so filling one entry meets finitely
-many others, each filled once; meeting one still being filled is a rewriting
-cycle and raises :class:`NonTerminationError`.  When the rules are
-locally confluent (every overlap resolves, see :func:`check_overlaps`) normal
-forms do not depend on the order of reductions and the normal monomials are
-a linear basis.  The presentation's ``mode`` alone decides Koszul signs.
+formed directly.  Any other folds the letters of its right factor, one at a
+time, into its left one, or just its last letter ``k`` into the memoized
+product by the right factor less one ``k``: the full fold's own
+intermediate, so even non-confluent rules give the same result.  The memo's
+entries with a one-letter right factor ``g_i`` are the table of ``m * g_i``,
+filled from the rules on an explicit stack.  No rule raises degree, so
+filling one entry meets finitely many others, each filled once; meeting one
+still being filled is a rewriting cycle and raises
+:class:`NonTerminationError`.  When the rules are locally confluent (every
+overlap resolves, see :func:`check_overlaps`) normal forms do not depend on
+the order of reductions and the normal monomials are a linear basis.  The
+presentation's ``mode`` alone decides Koszul signs.
 
 Elements and tensor elements are exact sparse rational combinations of
 normal-form monomials; a coefficient is an ``int`` when it is integral and a
@@ -30,7 +33,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf
+from math import inf, log10
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -296,8 +299,10 @@ class AlgebraPresentation:
 
         A unit factor or an already sorted join is formed in one step; a
         single letter makes the product a table entry, filled by
-        :meth:`_entry`.  Every product is stored in the memo, so a repeat
-        returns the same dict: do not modify it.
+        :meth:`_entry`; when ``m1*m2'`` is memoized, ``m2'`` being ``m2``
+        less one copy of its last letter ``k``, only ``k`` is folded into it.
+        Every product is stored in the memo, so a repeat returns the same
+        dict: do not modify it.
         """
         key = (m1, m2)
         cached = self._mul_cache.get(key)
@@ -311,9 +316,15 @@ class AlgebraPresentation:
                 cap = self._caps.get(j)
                 if not any(m1[j + 1:]) and (cap is None or m1[j] + m2[j] < cap):
                     cached = {m1[:j] + (m1[j] + m2[j],) + m2[j + 1:]: 1}  # already sorted
-                else:
-                    cached = self._run(self._entry(m1, m2) if m2[j] == 1 and not any(m2[j + 1:])
-                                       else self._fold(self.monomial_letters(m2), {m1: 1}), key)
+                elif m2[j] == 1 and not any(m2[j + 1:]):
+                    cached = self._run(self._entry(m1, m2), key)
+                else:  # fold the last letter k into m1*(m2 less one k) if that is memoized
+                    k = self.n - 1
+                    while not m2[k]:
+                        k -= 1
+                    prefix = self._mul_cache.get((m1, m2[:k] + (m2[k] - 1,) + m2[k + 1:]))
+                    cached = self._run(self._fold(self.monomial_letters(m2), {m1: 1})
+                                       if prefix is None else self._fold((k,), prefix), key)
             self._mul_cache[key] = cached
         return cached
 
@@ -445,9 +456,21 @@ def format_terms(terms) -> str:
             pieces.append(str(c) if not body else body if c == 1
                           else f"-{body}" if c == -1 else f"{c}*{body}")
         except ValueError:  # past sys.get_int_max_str_digits(), kept: no print runs for hours
-            raise AlgebraError(f"a coefficient has more than {sys.get_int_max_str_digits()} "
-                               "digits, Python's limit for printing an integer") from None
+            raise _too_many_digits() from None
     return "".join(pieces) or "0"
+
+
+def _too_many_digits():
+    return AlgebraError(f"a coefficient has more than {sys.get_int_max_str_digits()} "
+                        "digits, Python's limit for printing an integer")
+
+
+def _scalar_power(c, n):
+    """``c**n``, refused before it is computed if it would pass the digit limit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if limit and any(a > 1 and n * log10(a) >= limit for a in (abs(c.numerator), c.denominator)):
+        raise _too_many_digits()
+    return exact(c ** n)
 
 
 def _monomial_text(alg, m) -> str:
@@ -576,13 +599,13 @@ class Element(Combination):
             letters = [i for i, e in enumerate(m) if e]
             if len(letters) == 1 and m[letters[0]] * n < self.alg._caps.get(letters[0], inf):
                 i = letters[0]
-                return Element(self.alg, {m[:i] + (m[i] * n,) + m[i + 1:]: exact(c ** n)})
+                return Element(self.alg, {m[:i] + (m[i] * n,) + m[i + 1:]: _scalar_power(c, n)})
         result, unit = self.alg.one(), self.alg.unit_monomial()
         for k in range(1, n + 1):
             previous, result = result, result * self
             if result.coeffs.keys() <= {unit}:
                 q, r = divmod(n, k)
-                return result.coefficient(unit) ** q * self ** r
+                return _scalar_power(result.coefficient(unit), q) * self ** r
             if result == previous:
                 return result
         return result

@@ -12,12 +12,12 @@ never a limit).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, pairwise
+from itertools import accumulate as partial_sums, pairwise
 from typing import Optional, Sequence
 
 from .algebra import AlgebraPresentation, Element, monomial_key
 from .errors import AlgebraError
-from .linalg import RowSpace, kernel_basis
+from .linalg import RowSpace, accumulate, kernel_basis
 
 
 class FiltrationClosure:
@@ -159,7 +159,7 @@ def _normal_monomial_dims(P, gens, n_max):
         return None
     dims = [1] + [0] * n_max
     for cap in [P._caps.get(i) for i in letters] + [None]:
-        dims = list(accumulate(dims))  # times 1/(1 - t); the last pass sums the degrees
+        dims = list(partial_sums(dims))  # times 1/(1 - t); the last pass sums the degrees
         if cap:  # times 1 - t^cap
             dims[cap:] = [a - b for a, b in zip(dims[cap:], dims)]
     return dims
@@ -173,20 +173,23 @@ def centralizer_degree_bounded(P: AlgebraPresentation,
 
     The commutator is the ordinary one.  With ``z_degree`` given, the search
     space is restricted to monomials of that integer degree (requires the
-    presentation to declare z-degrees).
+    presentation to declare z-degrees).  Each commutator ``[m, g]`` is summed
+    straight from the memoized products of ``m`` with the terms of ``g``.
     """
     if z_degree is not None and not P.has_z_degrees():
         raise AlgebraError(f"{P.name} does not declare z-degrees")
-    columns, images = [], []
+    for g in constraint_gens:
+        P._require_same(g.alg)
+    mul, columns, images = P.mul_monomials, [], []
     for m in P.enumerate_monomials(filtration_bound, z_degree=z_degree):
-        e = P.monomial_element(m)
         stacked = {}
         for pos, g in enumerate(constraint_gens):
-            comm = e * g - g * e
-            for mm, c in comm.items():
-                stacked[(pos, mm)] = c
+            comm = {}
+            for mg, cg in g.items():
+                accumulate(comm, mul(m, mg), cg)
+                accumulate(comm, mul(mg, m), -cg)
+            stacked.update(((pos, mm), c) for mm, c in comm.items())
         columns.append(stacked)
-        images.append(e.coeffs)
+        images.append({m: 1})
     basis = kernel_basis(columns, images, monomial_key)
     return [Element(P, row) for row in basis]
-

@@ -315,19 +315,22 @@ def find_skew_primitives(B: BosonizedAlgebra, grouplike: Element,
     """Basis of {p : Delta(p) = p (x) 1 + g (x) p} within degree <= bound.
 
     Solved as an exact linear system over the normal monomials of bounded
-    degree; returns a row-reduced list of elements.
+    degree; returns a row-reduced list of elements.  A column is a copy of
+    the memoized ``Delta(m)`` less ``m (x) 1``, then less ``g (x) m``: one
+    key at ``g = m = 1``.
     """
     H = B.hopf
     if not check_grouplike(H, grouplike):
         raise AlgebraError(f"{grouplike} is not grouplike")
     pres = B.carrier
-    one = pres.one()
+    unit = pres.unit_monomial()
     columns, images = [], []
     for m in pres.enumerate_monomials(degree_bound):
-        e = pres.monomial_element(m)
-        defect = H.coproduct(e) - e.outer(one) - grouplike.outer(e)
-        columns.append(defect.coeffs)
-        images.append(e.coeffs)
+        defect = dict(H.delta_monomial(m).coeffs)
+        accumulate(defect, {(m, unit): 1}, -1)
+        accumulate(defect, {(mg, m): c for mg, c in grouplike.items()}, -1)
+        columns.append(defect)
+        images.append({m: 1})
     basis = kernel_basis(columns, images, monomial_key)
     return [Element(pres, row) for row in basis]
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superhopf import parse
+from superhopf import centralizer_degree_bounded, parse
 from superhopf.algebra import AlgebraPresentation, Generator
 from superhopf.errors import PresentationError
 from superhopf.linalg import RowSpace
@@ -238,6 +238,8 @@ def test_presentation_mismatch_raises(ubar, kxy):
     with pytest.raises(PresentationError):
         ubar.gen("x").outer(ubar.gen("y")).tensor_mul(
             kxy.gen("x").outer(kxy.gen("y")))
+    with pytest.raises(PresentationError):
+        centralizer_degree_bounded(ubar, [kxy.gen("x")], 2)
 
 
 SORT_BA = {(1, 0): {(1, 1): 1}}  # b*a -> a*b

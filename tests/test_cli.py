@@ -111,6 +111,30 @@ def test_a_result_past_the_digit_limit_is_an_error(capsys):
     assert code == 0 and out == f"1{'0' * (DIGIT_LIMIT - 1)}*u\n"
 
 
+@needs_digit_limit
+@pytest.mark.parametrize("power", ["2^99999999999", "(2*y)^99999999999",
+                                   "(1/3*y)^99999999999", "(2*t)^99999999999",
+                                   f"(1/10*y)^{DIGIT_LIMIT}"])
+def test_a_power_past_the_digit_limit_is_refused_before_it_is_computed(capsys, power):
+    assert run(capsys, "normalize", power) == (
+        2, "", f"error: a coefficient has more than {DIGIT_LIMIT} digits, "
+               "Python's limit for printing an integer\n")
+
+
+@pytest.mark.parametrize("power, want", [
+    ("(-1)^99999999999", "-1"), ("(-1)^99999999998", "1"), ("1^99999999999", "1"),
+    ("0^99999999999", "0"), ("(-y)^99999999999", "-y^99999999999"),
+    ("(1/10*y)^4", "1/10000*y^4"), ("(1/10*u)^99999999999", "0")])
+def test_powers_below_the_digit_limit_print(capsys, power, want):
+    assert run(capsys, "normalize", power) == (0, f"{want}\n", "")
+
+
+@needs_digit_limit
+def test_a_power_just_inside_the_digit_limit_prints(capsys):
+    code, out, _ = run(capsys, "normalize", f"(1/10*y)^{DIGIT_LIMIT - 1}")
+    assert code == 0 and out == f"1/1{'0' * (DIGIT_LIMIT - 1)}*y^{DIGIT_LIMIT - 1}\n"
+
+
 def test_a_definition_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.alg"
     path.write_bytes(b"\xff\xfe[generators]\nh 0\n")

@@ -12,7 +12,7 @@ from superhopf import (FiltrationClosure, algebra, bosonize, centralizer_degree_
                        growth_series, load_session, module_finite_check, parse)
 from superhopf.algebra import AlgebraPresentation, Element, Generator, monomial_key
 from superhopf.errors import AlgebraError, PresentationError
-from superhopf.linalg import RowSpace
+from superhopf.linalg import RowSpace, kernel_basis
 
 from test_confluence import corrupted_pl11_bosonized
 from test_products import gl, gl21, osp12
@@ -222,6 +222,36 @@ def test_centralizer_window(ubar):
     for c in unfiltered:
         for g in gens:
             assert c * g == g * c
+
+
+def reference_centralizer(P, gens, bound, z_degree=None):
+    """The kernel of columns built as Elements: e*g - g*e for each generator."""
+    columns, images = [], []
+    for m in P.enumerate_monomials(bound, z_degree=z_degree):
+        e = P.monomial_element(m)
+        stacked = {}
+        for pos, g in enumerate(gens):
+            for mm, c in (e * g - g * e).items():
+                stacked[(pos, mm)] = c
+        columns.append(stacked)
+        images.append(e.coeffs)
+    return [Element(P, row) for row in kernel_basis(columns, images, monomial_key)]
+
+
+@pytest.mark.parametrize("name, gens, bound, z_degree", [
+    ("pl11-bosonized", None, 6, None),
+    ("pl11-bosonized", ["x+y", "u+t"], 6, None),
+    ("pl11-bosonized", ["1+x", "u"], 5, None),
+    ("pl11-bosonized", ["y", "u*v"], 4, 0),
+    ("gl(2|1)", None, 3, None),
+])
+def test_centralizer_columns_match_element_commutators(name, gens, bound, z_degree):
+    P = (load_session(name).pres if name == "pl11-bosonized"
+         else enveloping(gl21()).carrier)
+    gens = all_gens(P) if gens is None else [parse(text, P) for text in gens]
+    basis = centralizer_degree_bounded(P, gens, bound, z_degree)
+    assert basis == reference_centralizer(P, gens, bound, z_degree)
+    assert len(basis) > 1
 
 
 def test_centralizer_with_no_constraints_is_the_whole_span(ubar):

@@ -10,6 +10,7 @@ from superhopf import check_overlaps, enveloping, load_session, matrix_superalge
 from superhopf.algebra import AlgebraPresentation, Generator
 from superhopf.errors import NonTerminationError
 
+from test_confluence import corrupted_pl11_bosonized
 from word_rewriter import rewrite
 
 
@@ -221,3 +222,41 @@ def test_a_cap_of_one_rewrites_a_single_letter():
     # the oracle rewrites a lone s too, also as the last letter of a word
     for word in ([0], [1, 0], [0, 1, 0], [1, 1, 0, 0]):
         assert pres.normalize(word).coeffs == rewrite(pres, word), word
+
+
+@pytest.mark.parametrize("name", ["pl11-bosonized", "gl(2|1)", "osp(1|2)", "corrupted"])
+def test_a_product_whose_prefix_is_memoized_folds_one_letter(name):
+    # m1*m2 after m1*m2', m2' being m2 less one of its last letter k: one fold
+    # of (k,) into the memo of m1*m2', equal to the full fold on a fresh memo
+    # even where the rules are not confluent
+    if name == "corrupted":
+        pres = corrupted_pl11_bosonized(load_session("pl11-bosonized").pres)
+    else:
+        pres = PRESENTATIONS[name]()
+    monomials = [m for m in pres.enumerate_monomials(3) if any(m)]
+    rights = [m for m in monomials if sum(m) >= 2]
+    rng = random.Random(29)
+    prefixed = 0
+    for _ in range(120):
+        m1, m2 = rng.choice(monomials), rng.choice(rights)
+        k = max(i for i, e in enumerate(m2) if e)
+        prefix = m2[:k] + (m2[k] - 1,) + m2[k + 1:]
+        warm = cold_copy(pres)
+        warm.mul_monomials(m1, prefix)
+        fold, folds = warm._fold, []
+
+        def recording(letters, terms):
+            folds.append((letters, terms))
+            return fold(letters, terms)
+
+        warm._fold = recording
+        got = warm.mul_monomials(m1, m2)
+        assert got == cold_copy(pres).mul_monomials(m1, m2), (m1, m2)
+        if name != "corrupted":
+            assert got == rewrite(pres, pres.monomial_letters(m1) + pres.monomial_letters(m2))
+        if folds:  # not a sorted join: the first fold is the product's own
+            letters, terms = folds[0]
+            assert letters == (k,) and terms is warm._mul_cache[(m1, prefix)], (m1, m2)
+            assert all(len(terms) == 1 for _, terms in folds[1:])  # rule right sides
+            prefixed += 1
+    assert prefixed >= 60

@@ -276,6 +276,20 @@ def test_t_skew_primitives_include_the_odd_generators(bos):
         assert H.coproduct(p) == p.outer(P.one()) + t.outer(p)
 
 
+@pytest.mark.parametrize("grouplike", ["t", "1"])
+def test_skew_primitive_columns_match_tensor_arithmetic(bos, grouplike):
+    # for g = 1 the subtracted keys m (x) 1 and g (x) m coincide at m = 1
+    P, H = bos.carrier, bos.hopf
+    g, one = parse(grouplike, P), P.one()
+    columns, images = [], []
+    for m in P.enumerate_monomials(4):
+        e = P.monomial_element(m)
+        columns.append((H.coproduct(e) - e.outer(one) - g.outer(e)).coeffs)
+        images.append(e.coeffs)
+    want = [Element(P, row) for row in kernel_basis(columns, images, monomial_key)]
+    assert find_skew_primitives(bos, g, 4) == want
+
+
 def test_skew_primitives_need_a_grouplike(bos):
     with pytest.raises(AlgebraError):
         find_skew_primitives(bos, bos.carrier.gen("u"), 2)
