@@ -92,7 +92,7 @@ class AlgebraPresentation:
         # the pair (j, i) of g_j*g_i; (i, i) is the power rule of g_i
         self._rhs = {(w[0], w[-1]): self._expand_rhs(rhs) for w, rhs in self.rules.items()}
         self._mul_cache = {}  # (m1, m2) -> m1*m2, every product formed
-        self._confluent = None  # the verdict of is_confluent, found on first use
+        self._confluent = None  # the verdict of is_confluent, unless recorded
         self._letters = [self.monomial(**{g.name: 1}) for g in self.generators]
 
     # -- construction checks -------------------------------------------------
@@ -217,7 +217,9 @@ class AlgebraPresentation:
         """Whether :func:`check_overlaps` resolves every overlap.  A rewriting
         cycle counts as not confluent only when an overlap's reduction meets it:
         ``b*a -> 2*a^2 - b^2`` alone has no overlaps and reads confluent.
-        Checked once: the rules never change."""
+        :func:`hopf.enveloping` and :func:`hopf.bosonize` record the verdict
+        True, which the validated Jacobi identity proves; for a presentation
+        built some other way the overlap pass runs once, on first use."""
         if self._confluent is None:
             try:
                 self._confluent = check_overlaps(self).confluent

@@ -169,7 +169,10 @@ def enveloping(g: LieSuperAlgebra) -> HopfStructureMaps:
     the swap rule of ``(j, i)`` (j > i) straightens ``g_j g_i`` to
     ``(-1)^{p_i p_j} g_i g_j + [g_j, g_i]``, and each odd generator gets the
     power rule ``g^2 -> [g,g]/2``.  Generators are primitive, with counit zero
-    and antipode ``-g``.
+    and antipode ``-g``.  The rules are confluent, and recorded so with no
+    overlap pass: ``g`` passed :meth:`LieSuperAlgebra.validate`, whose Jacobi
+    check is what the PBW theorem needs, and by the diamond lemma the PBW
+    basis is the set of normal monomials.
     """
     report = g.validate()
     if not report.ok:
@@ -188,6 +191,7 @@ def enveloping(g: LieSuperAlgebra) -> HopfStructureMaps:
             elif g.parity(hi):
                 rules[(hi, hi)] = {m: exact(Fraction(c, 2)) for m, c in rhs.items()}
     pres = AlgebraPresentation(g.basis, rules, mode=SUPER, name=f"U({g.name})")
+    pres._confluent = True
     return HopfStructureMaps(pres, *_lie_generator_images(pres, [pres.one()] * n))
 
 
@@ -270,7 +274,9 @@ def bosonize(U: HopfStructureMaps) -> BosonizedAlgebra:
     ``t g -> (-1)^{p(g)} g t`` and the power rule ``t^2 -> 1``.  The result is
     an ordinary Hopf algebra: for a Lie generator g,
     ``Delta(g) = g (x) 1 + t^{p(g)} (x) g`` and ``S(g) = -t^{p(g)} g``,
-    while ``Delta(t) = t (x) t``, ``S(t) = t``, ``eps(t) = 1``.
+    while ``Delta(t) = t (x) t``, ``S(t) = t``, ``eps(t) = 1``.  The carrier
+    keeps ``U``'s confluence record: t acts on the parity-homogeneous rules by
+    the parity automorphism and ``t^2 = 1``, so the overlaps with t resolve.
     """
     pres = U.carrier
     if pres.mode != SUPER:
@@ -291,6 +297,7 @@ def bosonize(U: HopfStructureMaps) -> BosonizedAlgebra:
     rules[(n, n)] = {(0,) * (n + 1): 1}
     big = AlgebraPresentation(list(pres.generators) + [Generator(T_NAME, 0, n, z_degree=0)],
                               rules, mode=ORDINARY, name=f"{pres.name}#k[t]")
+    big._confluent = pres._confluent
 
     t = big.gen(T_NAME)
     delta, eps, antipode = _lie_generator_images(

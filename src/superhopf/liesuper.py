@@ -1,9 +1,13 @@
 """Finite-dimensional Lie superalgebras given by structure constants.
 
 Basis vectors carry a parity and an optional integer grading.  Structure
-constants are stored densely (the shipped algebras have at most five basis
-elements).  Vectors are dense tuples of exact rationals in basis coordinates:
-integral ones are ``int``, so integer structure constants stay integers.
+constants are stored as a dense table, and :meth:`LieSuperAlgebra.validate`
+reads only its nonzero entries.  Its Jacobi check is what makes the rules of
+an enveloping presentation confluent (the PBW theorem): :func:`hopf.enveloping`
+records that verdict, and the overlap pass runs only for presentations built
+some other way.  Vectors are dense tuples of exact rationals in basis
+coordinates: integral ones are ``int``, so integer structure constants stay
+integers.
 
 Structure constants are solved for from matrices under the super-commutator
 (:func:`matrix_superalgebra`) or read from a definition file with the
@@ -101,46 +105,52 @@ class LieSuperAlgebra:
     # -- validation --------------------------------------------------------------
 
     def validate(self) -> "ValidationReport":
-        """Check super antisymmetry, the super Jacobi identity, and gradings."""
+        """Check super antisymmetry, the super Jacobi identity, and gradings,
+        reading only the nonzero structure constants."""
         report = ValidationReport()
-        n = self.n
+        n, basis = self.n, self.basis
+        terms = [[{k: c for k, c in enumerate(br) if c} for br in row] for row in self.table]
         for i in range(n):
             for j in range(n):
-                br = self.table[i][j]
+                br = terms[i][j]
                 target = (self.parity(i) + self.parity(j)) % 2
-                for k, c in enumerate(br):
-                    if c and self.parity(k) != target:
+                for k in br:
+                    if self.parity(k) != target:
                         report.violations.append(
-                            f"parity: [{self.basis[i].name},{self.basis[j].name}] "
-                            f"has a component of wrong parity ({self.basis[k].name})")
-                zi, zj = self.basis[i].z_degree, self.basis[j].z_degree
+                            f"parity: [{basis[i].name},{basis[j].name}] "
+                            f"has a component of wrong parity ({basis[k].name})")
+                zi, zj = basis[i].z_degree, basis[j].z_degree
                 if zi is not None and zj is not None:
-                    for k, c in enumerate(br):
-                        zk = self.basis[k].z_degree
-                        if c and zk is not None and zk != zi + zj:
+                    for k in br:
+                        zk = basis[k].z_degree
+                        if zk is not None and zk != zi + zj:
                             report.violations.append(
-                                f"z-grading: [{self.basis[i].name},{self.basis[j].name}] "
+                                f"z-grading: [{basis[i].name},{basis[j].name}] "
                                 f"is not homogeneous of degree {zi + zj}")
                 sign = 1 if (self.parity(i) * self.parity(j)) % 2 else -1
-                mirrored = tuple(sign * c for c in self.table[j][i])
-                if br != mirrored:
+                if br != {k: sign * c for k, c in terms[j][i].items()}:
                     report.violations.append(
-                        f"antisymmetry fails on ({self.basis[i].name},{self.basis[j].name})")
-        units, table = [self.unit(i) for i in range(n)], self.table
-        for i in range(n):
-            for j in range(n):
-                sign = -1 if (self.parity(i) * self.parity(j)) % 2 else 1
+                        f"antisymmetry fails on ({basis[i].name},{basis[j].name})")
+        for i, row_i in enumerate(terms):
+            for j, row_j in enumerate(terms):
+                sign = 1 if (self.parity(i) * self.parity(j)) % 2 else -1
+                ij = row_i[j]
                 for k in range(n):
-                    # graded Leibniz: [a,[b,c]] = [[a,b],c] + (-1)^{p(a)p(b)} [b,[a,c]],
-                    # the inner brackets of basis vectors read from the table
-                    lhs = self.bracket(units[i], table[j][k])
-                    rhs1 = self.bracket(table[i][j], units[k])
-                    rhs2 = self.bracket(units[j], table[i][k])
-                    rhs = tuple(x + sign * y for x, y in zip(rhs1, rhs2))
-                    if lhs != rhs:
+                    # graded Leibniz: [a,[b,c]] - [[a,b],c] - (-1)^{p(a)p(b)} [b,[a,c]]
+                    # is zero, each inner bracket read off the nonzero constants
+                    jk, ik = row_j[k], row_i[k]
+                    if not (jk or ij or ik):
+                        continue
+                    diff = {}
+                    for l, c in jk.items():
+                        accumulate(diff, row_i[l], c)
+                    for l, c in ij.items():
+                        accumulate(diff, terms[l][k], -c)
+                    for l, c in ik.items():
+                        accumulate(diff, row_j[l], sign * c)
+                    if diff:
                         report.violations.append(
-                            "jacobi fails on "
-                            f"({self.basis[i].name},{self.basis[j].name},{self.basis[k].name})")
+                            f"jacobi fails on ({basis[i].name},{basis[j].name},{basis[k].name})")
         return report
 
     def unit(self, i: int):
@@ -165,28 +175,32 @@ def matrix_superalgebra(name: str, basis) -> LieSuperAlgebra:
     """The Lie superalgebra spanned by matrices under the super-commutator.
 
     ``basis`` lists ``(name, parity, z_degree, matrix)`` in pbw order, each
-    matrix a sparse dict ``{(row, col): entry}``.  The coordinates of
-    ``[A, B] = AB - (-1)^{p(A)p(B)} BA`` are solved for with
-    :func:`kernel_basis`; raises :class:`AlgebraError` when the matrices are
-    linearly dependent or their span is not closed under the bracket.
+    matrix a sparse dict ``{(row, col): entry}``.  Each matrix is stacked over
+    its coordinate vector in one :class:`RowSpace`, built once, and each
+    ``[A, B] = AB - (-1)^{p(A)p(B)} BA`` is reduced against it; raises
+    :class:`AlgebraError` when the matrices are linearly dependent or their
+    span is not closed under the bracket.
     """
-    mats = [mat for *_, mat in basis]
-    if kernel_basis(mats):
-        raise AlgebraError(f"{name}: the basis matrices are linearly dependent")
+    space = RowSpace()  # keys (0, entry), then (1, i) for b_i, then the marker (2,)
+    for i, (*_, mat) in enumerate(basis):
+        if min(space.insert({**{(0, k): v for k, v in mat.items()}, (1, i): 1}))[0]:
+            raise AlgebraError(f"{name}: the basis matrices are linearly dependent")
     brackets = {}
     for i, (a, pa, _, A) in enumerate(basis):
         for j, (b, pb, _, B) in enumerate(basis):
-            comm = {}
+            comm = {(2,): 1}  # [A, B] over the marker
             for left, right, scale in ((A, B, 1), (B, A, 1 if pa * pb % 2 else -1)):
                 for (r, k), x in left.items():
                     for (k2, c), y in right.items():
                         if k == k2:
-                            accumulate(comm, {(r, c): x * y}, scale)
-            # the matrices are independent: at most one kernel vector, 1 at comm
-            kernel = kernel_basis([comm] + mats)
-            if not kernel:
+                            accumulate(comm, {(0, (r, c)): x * y}, scale)
+            # m*comm less a combination [sum c_i A_i | c | 0] of the rows, free
+            # of entries exactly when [A, B] = sum (c_i / m) A_i
+            res, pivot = space.reduce(comm)
+            if pivot[0] == 0:
                 raise AlgebraError(f"{name}: [{a}, {b}] leaves the span of the basis")
-            brackets[(i, j)] = {k - 1: -c for k, c in kernel[0].items() if k}
+            m = res.pop((2,))
+            brackets[(i, j)] = {k: Fraction(-c, m) for (_, k), c in res.items()}
     gens = [Generator(label, parity, idx, z_degree=z)
             for idx, (label, parity, z, _) in enumerate(basis)]
     return LieSuperAlgebra(gens, brackets, name=name)

@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
-from superhopf import check_overlaps
+import pytest
+
+from superhopf import (algebra, bosonize, check_overlaps, enveloping, pl11,
+                       upper_triangular_subalgebra)
 from superhopf.algebra import AlgebraPresentation, Generator
 
 
@@ -56,3 +59,42 @@ def test_long_cap_overlaps_are_all_checked():
                                name="k[a]/(a^7-1)")
     report = check_overlaps(pres)
     assert report.overlaps_checked == 6 and report.confluent
+
+
+def count_overlap_passes(monkeypatch):
+    """The presentations that :func:`check_overlaps` runs on from now on."""
+    calls = []
+
+    def counted(pres):
+        calls.append(pres)
+        return check_overlaps(pres)
+
+    monkeypatch.setattr(algebra, "check_overlaps", counted)
+    return calls
+
+
+def lie_superalgebra(name):
+    from test_products import gl, osp12
+    return {"pl11": pl11, "b": upper_triangular_subalgebra, "gl(1|1)": lambda: gl(1, 1),
+            "gl(2|1)": lambda: gl(2, 1), "gl(2|2)": lambda: gl(2, 2),
+            "osp(1|2)": osp12}[name]()
+
+
+@pytest.mark.parametrize("bosonized", [False, True])
+@pytest.mark.parametrize("name", ["pl11", "b", "gl(1|1)", "gl(2|1)", "gl(2|2)", "osp(1|2)"])
+def test_the_recorded_confluence_holds_and_skips_the_overlap_pass(monkeypatch, name, bosonized):
+    from test_products import cold_copy
+    U = enveloping(lie_superalgebra(name))
+    P = bosonize(U).carrier if bosonized else U.carrier
+    calls = count_overlap_passes(monkeypatch)
+    assert P.is_confluent() and calls == []
+    assert check_overlaps(P).confluent
+    cold = cold_copy(P)  # built some other way: no record
+    assert cold.is_confluent() and calls == [cold]
+
+
+def test_a_corrupted_table_still_runs_the_overlap_pass(monkeypatch, ubar):
+    corrupted = corrupted_pl11_bosonized(ubar)
+    calls = count_overlap_passes(monkeypatch)
+    assert not corrupted.is_confluent() and calls == [corrupted]
+    assert not corrupted.is_confluent() and calls == [corrupted]  # found once

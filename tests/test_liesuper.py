@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from superhopf import (SubSuperSpace, ad_eigen, matrix_superalgebra, pl11,
+from superhopf import (SubSuperSpace, ad_eigen, liesuper, matrix_superalgebra, pl11,
                        subalgebra_generated, upper_triangular_subalgebra)
 from superhopf.algebra import Generator
 from superhopf.errors import AlgebraError, UnsupportedFieldError
 from superhopf.hopf import enveloping
 from superhopf.liesuper import LieSuperAlgebra, _char_poly, _rational_roots
+from superhopf.linalg import kernel_basis
 
 F = Fraction
 
@@ -53,18 +54,95 @@ def test_validate_pl11_and_abelian(g):
     assert abelian.validate().ok
 
 
+def dense_violations(g):
+    """The violations in the order of the validation loop that read every
+    structure constant: per pair parity, z-grading and antisymmetry, then three
+    dense brackets per basis triple for the Jacobi identity."""
+    violations, n, names = [], g.n, [b.name for b in g.basis]
+    for i in range(n):
+        for j in range(n):
+            br = g.table[i][j]
+            target = (g.parity(i) + g.parity(j)) % 2
+            for k, c in enumerate(br):
+                if c and g.parity(k) != target:
+                    violations.append(f"parity: [{names[i]},{names[j]}] "
+                                      f"has a component of wrong parity ({names[k]})")
+            zi, zj = g.basis[i].z_degree, g.basis[j].z_degree
+            if zi is not None and zj is not None:
+                for k, c in enumerate(br):
+                    zk = g.basis[k].z_degree
+                    if c and zk is not None and zk != zi + zj:
+                        violations.append(f"z-grading: [{names[i]},{names[j]}] "
+                                          f"is not homogeneous of degree {zi + zj}")
+            sign = 1 if (g.parity(i) * g.parity(j)) % 2 else -1
+            if br != tuple(sign * c for c in g.table[j][i]):
+                violations.append(f"antisymmetry fails on ({names[i]},{names[j]})")
+    units, table = [g.unit(i) for i in range(n)], g.table
+    for i in range(n):
+        for j in range(n):
+            sign = -1 if (g.parity(i) * g.parity(j)) % 2 else 1
+            for k in range(n):
+                lhs = g.bracket(units[i], table[j][k])
+                rhs1 = g.bracket(table[i][j], units[k])
+                rhs2 = g.bracket(units[j], table[i][k])
+                if lhs != tuple(x + sign * y for x, y in zip(rhs1, rhs2)):
+                    violations.append(f"jacobi fails on ({names[i]},{names[j]},{names[k]})")
+    return violations
+
+
+def corrupted(g, changes, name="corrupted"):
+    """``g`` with the brackets ``(a, b) -> {c: coefficient}`` of ``changes``
+    replaced, every other ordered pair kept as stated."""
+    brackets = {(i, j): {k: c for k, c in enumerate(g.table[i][j]) if c}
+                for i in range(g.n) for j in range(g.n)}
+    for (a, b), coords in changes.items():
+        brackets[(index(g, a), index(g, b))] = {index(g, c): v for c, v in coords.items()}
+    return LieSuperAlgebra(g.basis, brackets, name=name)
+
+
+CORRUPTED_PL11 = {  # label -> (changed brackets, one violation they cause)
+    "u-v-to-y": ({("u", "v"): {"y": 1}, ("v", "u"): {"y": 1}},
+                 "jacobi fails on (u,u,v)"),  # [u,[u,v]] = -u, not u
+    "antisymmetry": ({("u", "y"): {"u": 2}},  # [y,u] = u but [u,y] = 2u
+                     "antisymmetry fails on (y,u)"),
+    "wrong-parity": ({("y", "u"): {"u": 1, "x": 1}, ("u", "y"): {"u": -1, "x": -1}},
+                     "parity: [y,u] has a component of wrong parity (x)"),
+}
+
+
 def test_validate_catches_a_corrupted_bracket(g):
-    # change [u,v] to y: the (y,u,v) Jacobi instance fails
-    brackets = {}
-    for i in range(g.n):
-        for j in range(g.n):
-            brackets[(i, j)] = {k: c for k, c in enumerate(g.table[i][j]) if c}
-    brackets[(index(g, "u"), index(g, "v"))] = {index(g, "y"): F(1)}
-    brackets[(index(g, "v"), index(g, "u"))] = {index(g, "y"): F(1)}
-    bad = LieSuperAlgebra(g.basis, brackets, name="corrupted")
-    report = bad.validate()
+    changes, violation = CORRUPTED_PL11["u-v-to-y"]
+    report = corrupted(g, changes).validate()
     assert not report.ok
-    assert any("jacobi" in v for v in report.violations)
+    assert violation in report.violations
+
+
+def one_inner_bracket():
+    """[a,c] = b and [d,b] = b, all even: in the (a,d,c) instance of the
+    Jacobi identity only the inner bracket [a,c] is nonzero, and it fails."""
+    basis = [Generator(name, 0, i) for i, name in enumerate("abcd")]
+    return LieSuperAlgebra(basis, {(0, 2): {1: 1}, (3, 1): {1: 1}}, name="one-inner")
+
+
+def validation_cases():
+    """label -> (builder, one violation it reports, or None for a valid table)."""
+    from test_products import gl, osp12
+    cases = {"pl11": (pl11, None), "b": (upper_triangular_subalgebra, None),
+             "gl(2|1)": (lambda: gl(2, 1), None), "gl(2|2)": (lambda: gl(2, 2), None),
+             "osp(1|2)": (osp12, None),
+             "one-inner": (one_inner_bracket, "jacobi fails on (a,d,c)")}
+    for label, (changes, violation) in CORRUPTED_PL11.items():
+        cases[label] = (lambda changes=changes: corrupted(pl11(), changes)), violation
+    return cases
+
+
+@pytest.mark.parametrize("label", sorted(validation_cases()))
+def test_validation_reads_the_same_violations_as_the_dense_loop(label):
+    build, violation = validation_cases()[label]
+    alg = build()
+    violations = alg.validate().violations
+    assert violations == dense_violations(alg)
+    assert violation in violations if violation else not violations
 
 
 def test_z_grading_is_declared_and_additive(g):
@@ -198,12 +276,61 @@ def test_triangular_subalgebra_lie_data(g):
             assert span.express(g.bracket(vec(g, a), vec(g, c))) == b.table[i][j], (a, c)
 
 
+def kernel_table(basis):
+    """The structure constants of the matrices of ``basis``, one
+    :func:`kernel_basis` solve per bracket: the kernel of ``[A, B]`` stacked
+    before the basis matrices is spanned by one vector, 1 at ``[A, B]``."""
+    mats = [mat for *_, mat in basis]
+
+    def product(left, right):
+        out = {}
+        for (r, k), x in left.items():
+            for (k2, c), y in right.items():
+                if k == k2:
+                    out[(r, c)] = out.get((r, c), 0) + x * y
+        return out
+
+    table = []
+    for _, pa, _, A in basis:
+        row = []
+        for _, pb, _, B in basis:
+            comm = product(A, B)
+            for key, v in product(B, A).items():
+                comm[key] = comm.get(key, 0) + (v if pa * pb % 2 else -v)
+            kernel, = kernel_basis([{k: v for k, v in comm.items() if v}] + mats)
+            assert kernel[0] == 1
+            row.append(tuple(-kernel.get(k + 1, 0) for k in range(len(mats))))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+@pytest.mark.parametrize("build", ["pl11", "b", "gl(2|1)", "osp(1|2)"])
+def test_matrix_brackets_match_one_kernel_solve_each(monkeypatch, build):
+    import test_products
+    bases = []
+
+    def recording(name, basis):
+        bases.append(basis)
+        return matrix_superalgebra(name, basis)
+
+    monkeypatch.setattr(liesuper, "matrix_superalgebra", recording)
+    monkeypatch.setattr(test_products, "matrix_superalgebra", recording)
+    alg = {"pl11": pl11, "b": upper_triangular_subalgebra,
+           "gl(2|1)": test_products.gl21, "osp(1|2)": test_products.osp12}[build]()
+    basis, = bases
+    assert alg.table == kernel_table(basis)
+
+
 def test_matrix_superalgebra_rejects_bad_bases():
     y, u, v = {(0, 0): 1}, {(0, 1): 1}, {(1, 0): 1}
-    with pytest.raises(AlgebraError, match="span"):  # [u, v] is the identity
+    with pytest.raises(AlgebraError, match=r"^no-x: \[u, v\] leaves the span of the basis$"):
         matrix_superalgebra("no-x", [("y", 0, 0, y), ("u", 1, 1, u), ("v", 1, 1, v)])
-    with pytest.raises(AlgebraError, match="dependent"):
+    with pytest.raises(AlgebraError, match=r"^twice: the basis matrices are linearly dependent$"):
         matrix_superalgebra("twice", [("y", 0, 0, y), ("z", 0, 0, {(0, 0): 2})])
+    # the third matrix is the sum of the first two
+    with pytest.raises(AlgebraError, match="linearly dependent"):
+        matrix_superalgebra("sum", [("y", 0, 0, y), ("w", 0, 0, {(1, 1): 1}),
+                                    ("x", 0, 0, {(0, 0): 1, (1, 1): 1}), ("u", 1, 1, u)])
 
 
 def test_integer_structure_constants_stay_int(g):
