@@ -6,12 +6,17 @@ rules ``g_i^cap``, whose words give the exponent caps.  Products
 run through one memo keyed by the pair of normal monomials ``(m1, m2)``, which
 stores every product it forms, so a repeat is one lookup.  A product with a
 unit factor, or whose joined word is already sorted and under its caps, is
-formed directly.  Any other folds the letters of its right factor, one at a
-time, into its left one, or just its last letter ``k`` into the memoized
-product by the right factor less one ``k``: the full fold's own
-intermediate, so even non-confluent rules give the same result.  The memo's
-entries with a one-letter right factor ``g_i`` are the table of ``m * g_i``,
-filled from the rules on an explicit stack.  No rule raises degree, so
+formed directly.  Any other sheds letters off the right end of its right
+factor until the product by what is left is memoized, then folds them back
+in, one at a time, storing the product at the end of each letter group: a
+right factor ``r * k^e``, ``k`` its last letter, is one fold of ``k^e`` into
+the memoized product by ``r``, and the memo gains one entry per letter group,
+none per letter of a run.  Those products are the full letter-by-letter
+fold's own intermediates, so even non-confluent rules give the same result.
+The memo's entries with a one-letter right factor ``g_i`` are the table of
+``m * g_i``.  A fold is a generator that looks its entries up in the memo
+and ends at its first step when all are there; each one missing is filled
+from the rules on an explicit stack.  No rule raises degree, so
 filling one entry meets finitely many others, each filled once; meeting one
 still being filled is a rewriting cycle and raises
 :class:`NonTerminationError`.  When the rules are locally confluent (every
@@ -299,36 +304,52 @@ class AlgebraPresentation:
         """Normal form of the product of two normal monomials, as a raw dict:
         the letters of ``m2`` folded into ``m1``.
 
-        A unit factor or an already sorted join is formed in one step; a
+        A unit factor or an already sorted join is formed in one step, and a
         single letter makes the product a table entry, filled by
-        :meth:`_entry`; when ``m1*m2'`` is memoized, ``m2'`` being ``m2``
-        less one copy of its last letter ``k``, only ``k`` is folded into it.
-        Every product is stored in the memo, so a repeat returns the same
-        dict: do not modify it.
+        :meth:`_entry`.  Any other ``m2`` sheds its last letter, in a loop,
+        until ``m1*r`` is memoized for what is left ``r``, or is formed in one
+        step and stored.  :meth:`_fold` then folds the shed letters back in,
+        one run ``k^d`` of a letter at a time, and stores ``m1*r`` at the end
+        of each: ``m2 = r*k^e`` with ``m1*r`` memoized is one fold of ``k^e``,
+        ``m1*(m2 less one k)`` memoized one fold of ``k``, and the memo gains
+        one entry per letter group of ``m2``, none per letter of a run.  Every
+        product is stored in the memo, so a repeat returns the same dict: do
+        not modify it.
         """
-        key = (m1, m2)
-        cached = self._mul_cache.get(key)
-        if cached is None:
-            if not (any(m1) and any(m2)):  # a unit factor
-                cached = {m1 if any(m1) else m2: 1}
+        cache = self._mul_cache
+        product = cache.get((m1, m2))
+        if product is not None:
+            return product
+        runs, r = [], m2  # the runs [end, k, d] shed, end being r with d more k
+        while True:  # m1*r is not memoized
+            if not (any(m1) and any(r)):  # a unit factor
+                product = {m1 if any(m1) else r: 1}
             else:
                 j = 0
-                while not m2[j]:
+                while not r[j]:
                     j += 1
                 cap = self._caps.get(j)
-                if not any(m1[j + 1:]) and (cap is None or m1[j] + m2[j] < cap):
-                    cached = {m1[:j] + (m1[j] + m2[j],) + m2[j + 1:]: 1}  # already sorted
-                elif m2[j] == 1 and not any(m2[j + 1:]):
-                    cached = self._run(self._entry(m1, m2), key)
-                else:  # fold the last letter k into m1*(m2 less one k) if that is memoized
+                if not any(m1[j + 1:]) and (cap is None or m1[j] + r[j] < cap):
+                    product = {m1[:j] + (m1[j] + r[j],) + r[j + 1:]: 1}  # already sorted
+                elif r[j] == 1 and not any(r[j + 1:]):
+                    product = self._run(self._entry(m1, r), (m1, r))
+                else:  # shed the last letter k: m1*r is stored at the end of its run
                     k = self.n - 1
-                    while not m2[k]:
+                    while not r[k]:
                         k -= 1
-                    prefix = self._mul_cache.get((m1, m2[:k] + (m2[k] - 1,) + m2[k + 1:]))
-                    cached = self._run(self._fold(self.monomial_letters(m2), {m1: 1})
-                                       if prefix is None else self._fold((k,), prefix), key)
-            self._mul_cache[key] = cached
-        return cached
+                    if runs and runs[-1][1] == k:
+                        runs[-1][2] += 1
+                    else:
+                        runs.append([r, k, 1])
+                    r = r[:k] + (r[k] - 1,) + r[k + 1:]
+                    if (product := cache.get((m1, r))) is None:
+                        continue
+                    break
+            cache[(m1, r)] = product
+            break
+        for r, k, d in reversed(runs):
+            product = cache[(m1, r)] = self._run(self._fold((k,) * d, product))
+        return product
 
     def _word_normal_form(self, letters):
         """Normal form of a word of pbw indices, as a raw dict."""
@@ -337,25 +358,35 @@ class AlgebraPresentation:
     def _fold(self, letters, terms):
         """Multiply the combination ``terms`` on the right by ``letters``.
 
-        A generator: it yields the memo key ``(m, g_i)`` of each unsorted
-        product ``m*g_i``, first letter first, is sent that product back, and
-        returns the collected combination.  A sorted join is added in place,
-        with no dict for its one term, as :func:`linalg.accumulate` would.
+        A generator for :meth:`_run`: it yields the memo key ``(m, g_i)`` of
+        each unsorted product ``m*g_i`` missing from the memo, first letter
+        first, is sent that product back, and returns the collected
+        combination.  A sorted join is added in place with no dict for its
+        one term and a memoized entry term by term, as
+        :func:`linalg.accumulate` would add, so a fold whose entries are all
+        memoized ends at its first step without yielding.
         """
-        caps, units = self._caps, self._letters
+        caps, cache, units = self._caps, self._mul_cache, self._letters
         for i in letters:
-            cap = caps.get(i)
+            cap, g = caps.get(i), units[i]
             out = {}
+            get = out.get
             for m, c in terms.items():
                 e = m[i] + 1
                 if (cap is None or e < cap) and not any(m[i + 1:]):
                     joined = m[:i] + (e,) + m[i + 1:]
-                    if new := out.get(joined, 0) + c:
+                    if new := get(joined, 0) + c:
                         out[joined] = new
                     else:
                         del out[joined]
-                else:
-                    accumulate(out, (yield m, units[i]), c)
+                    continue
+                if (entry := cache.get((m, g))) is None:
+                    entry = yield m, g
+                for mm, cm in entry.items():
+                    if new := get(mm, 0) + c * cm:
+                        out[mm] = new
+                    else:
+                        del out[mm]
             terms = out
         return terms
 
@@ -366,7 +397,7 @@ class AlgebraPresentation:
         in the order; if it is ``g_i``'s own power, the power rule applies.
         Each right-hand side term is folded into the rest of ``m``, a
         one-letter one in place: a sorted join, added with no dict for its one
-        term as in :meth:`_fold`, or one lookup.
+        term as in :meth:`_fold`, or one entry.
         """
         i = g.index(1)
         j = self.n - 1
@@ -387,43 +418,50 @@ class AlgebraPresentation:
                 else:
                     del out[joined]
             else:
-                accumulate(out, (yield base, self._letters[k]), rc)
+                key = (base, self._letters[k])
+                entry = self._mul_cache.get(key)
+                accumulate(out, (yield key) if entry is None else entry, rc)
         return out
 
     def _run(self, job, key=None):
         """Drive ``job``, a :meth:`_fold` or the :meth:`_entry` of ``key``, to its result.
 
-        Missing table entries go into the memo from a stack of :meth:`_entry`
-        tasks.  This ends without a step count: validation rejects any rule
-        whose right-hand side has a degree above its word's length, so every
-        key ``(m, g_i)`` met while filling ``(m0, g)`` has ``deg m <= deg m0``,
+        A job that yields nothing, every entry it needs being memoized, is
+        its first step alone.  Each key a job yields is an entry missing from
+        the memo, filled there from a stack of :meth:`_entry` tasks.  This
+        ends without a step count: validation rejects any rule whose
+        right-hand side has a degree above its word's length, so every key
+        ``(m, g_i)`` met while filling ``(m0, g)`` has ``deg m <= deg m0``,
         and there are finitely many such keys.  Each is filled at most once,
-        and looking up one still being filled, ``key`` among them, is a
+        and meeting one still being filled, ``key`` among them, is a
         rewriting cycle: :class:`NonTerminationError`.
         """
+        try:
+            need = job.send(None)
+        except StopIteration as done:
+            return done.value
         cache = self._mul_cache
         stack, keys, pending = [job], [], {key}
-        value = None
         while True:
-            try:
-                key = stack[-1].send(value)
-            except StopIteration as done:
-                value = done.value
-                stack.pop()
-                if not stack:
-                    return value
-                key = keys.pop()
-                pending.discard(key)
-                cache[key] = value
-                continue
-            value = cache.get(key)
-            if value is None:
-                if key in pending:
-                    name = self.gen_name(key[1].index(1))
-                    raise NonTerminationError(f"rewriting cycle at {name} in {self.name}")
-                keys.append(key)
-                pending.add(key)
-                stack.append(self._entry(*key))
+            if need in pending:
+                name = self.gen_name(need[1].index(1))
+                raise NonTerminationError(f"rewriting cycle at {name} in {self.name}")
+            keys.append(need)
+            pending.add(need)
+            stack.append(self._entry(*need))
+            value = None
+            while True:
+                try:
+                    need = stack[-1].send(value)
+                    break
+                except StopIteration as done:
+                    value = done.value
+                    stack.pop()
+                    if not stack:
+                        return value
+                    need = keys.pop()
+                    pending.discard(need)
+                    cache[need] = value
 
     def _require_same(self, other):
         if self is not other:
@@ -487,7 +525,9 @@ class Combination:
     normal monomials, those of a :class:`TensorElement` tuples of ``legs``
     monomials.
 
-    Treated as immutable.  Sums, negation, scalar multiples, equality and
+    Treated as immutable: the ``coeffs`` of an :class:`Element` may be the
+    memo's own dict (see :meth:`AlgebraPresentation.mul_monomials`), which
+    must not be modified.  Sums, negation, scalar multiples, equality and
     printing are shared; a subclass says only how to rebuild itself around
     new coefficients (``_like``) and how to print one key (``_body``).
     Combinations are equal when they are of one kind over one presentation
@@ -571,8 +611,17 @@ class Element(Combination):
         return self.coeffs.get(tuple(m), 0)
 
     def __mul__(self, other):
+        """A product of two one-term elements is the memoized product of
+        their monomials, as it is when the coefficients multiply to 1 and
+        scaled otherwise; any other is summed from them in place."""
         if isinstance(other, Element):
             self.alg._require_same(other.alg)
+            if len(self.coeffs) == 1 == len(other.coeffs):
+                (m1, c1), = self.coeffs.items()
+                (m2, c2), = other.coeffs.items()
+                product, c = self.alg.mul_monomials(m1, m2), c1 * c2
+                return Element(self.alg, product if c == 1 else
+                               {m: c * cm for m, cm in product.items()})
             mul, out = self.alg.mul_monomials, {}
             get, right = out.get, other.coeffs.items()
             for m1, c1 in self.coeffs.items():

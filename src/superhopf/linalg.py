@@ -5,10 +5,12 @@ or ``Fraction``, never a float.  Int arithmetic stays int and :func:`exact`
 demotes an integral quotient to an ``int``, but an integral sum or product
 of ``Fraction`` values stays ``Fraction(n, 1)``, which equals, hashes and
 prints like the ``int``.  :func:`accumulate` is the general sparse sum that
-keeps the values nonzero.  Five hot loops add by the same rule in place
-instead: ``Element.__mul__``, ``TensorElement.tensor_mul`` and the sorted
-joins of ``AlgebraPresentation._fold`` and ``_entry`` add one term at a time
-with no dict built for it, and :func:`_eliminate` subtracts a row.
+keeps the values nonzero.  Hot loops add by the same rule in place
+instead: ``Element.__mul__``, ``TensorElement.tensor_mul``, the adjoint
+actions' ``verify._adjoint``, ``AlgebraPresentation._fold`` (a sorted
+join and each term of a memoized entry) and the sorted joins of
+``AlgebraPresentation._entry`` add one term at a time with no dict built for
+it, and :func:`_eliminate` subtracts a row.
 
 :class:`RowSpace` stores rows fraction-free: all ``int``, primitive (gcd 1)
 and with a positive pivot entry, eliminated by cross-multiplication (compare

@@ -121,3 +121,19 @@ def test_the_dense_scan_multiplies_almost_no_pair(monkeypatch):
     rep = zero_divisor_scan(CARRIERS["gl(2|1)#k[t]"], 3, 200, seed=1)
     assert rep.status == INCONCLUSIVE and rep.parameters["found"] == 0
     assert len(calls) <= 5, len(calls)
+
+
+def test_dense_coefficients_are_the_randint_stream_and_the_last_key_leads():
+    # three random bits, drawn again at 7, less 3: what randint(-3, 3) draws
+    P = CARRIERS["pl11-bosonized"]
+    monomials = P.enumerate_monomials(2)
+    for seed in range(32):
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            a = random_dense_element(P, rng, 2, monomials=monomials)
+            want = {}
+            while not want:
+                want = {m: c for m in monomials if (c := reference.randint(-3, 3))}
+            assert list(a.coeffs.items()) == list(want.items()), seed
+            assert next(reversed(a.coeffs)) == max(a.coeffs, key=monomial_key)
+        assert rng.random() == reference.random()

@@ -225,38 +225,80 @@ def test_a_cap_of_one_rewrites_a_single_letter():
 
 
 @pytest.mark.parametrize("name", ["pl11-bosonized", "gl(2|1)", "osp(1|2)", "corrupted"])
-def test_a_product_whose_prefix_is_memoized_folds_one_letter(name):
-    # m1*m2 after m1*m2', m2' being m2 less one of its last letter k: one fold
-    # of (k,) into the memo of m1*m2', equal to the full fold on a fresh memo
-    # even where the rules are not confluent
+def test_a_product_whose_prefix_is_memoized_folds_only_the_rest(name):
+    # m2 = r*k^e, k its last letter: once m1*r is memoized, m1*m2 folds only
+    # k^e into that memo entry, once m1*(m2 less one k) is, only k, and a
+    # power k^e stops at the table entry m1*k; with every entry memoized it
+    # fills no entry, so no stack is built; and it equals the full fold on a
+    # fresh memo, even where the rules are not confluent
     if name == "corrupted":
         pres = corrupted_pl11_bosonized(load_session("pl11-bosonized").pres)
     else:
         pres = PRESENTATIONS[name]()
     monomials = [m for m in pres.enumerate_monomials(3) if any(m)]
     rights = [m for m in monomials if sum(m) >= 2]
-    rng = random.Random(29)
-    prefixed = 0
+    rng = random.Random(31)
+
+    def forbidden(*args):
+        raise AssertionError("an entry filled though every entry is memoized")
+
+    folded = 0
     for _ in range(120):
         m1, m2 = rng.choice(monomials), rng.choice(rights)
         k = max(i for i, e in enumerate(m2) if e)
-        prefix = m2[:k] + (m2[k] - 1,) + m2[k + 1:]
-        warm = cold_copy(pres)
-        warm.mul_monomials(m1, prefix)
-        fold, folds = warm._fold, []
-
-        def recording(letters, terms):
-            folds.append((letters, terms))
-            return fold(letters, terms)
-
-        warm._fold = recording
-        got = warm.mul_monomials(m1, m2)
-        assert got == cold_copy(pres).mul_monomials(m1, m2), (m1, m2)
+        word = pres.monomial_letters(m1) + pres.monomial_letters(m2)
+        want = cold_copy(pres).normalize(word).coeffs
         if name != "corrupted":
-            assert got == rewrite(pres, pres.monomial_letters(m1) + pres.monomial_letters(m2))
-        if folds:  # not a sorted join: the first fold is the product's own
-            letters, terms = folds[0]
-            assert letters == (k,) and terms is warm._mul_cache[(m1, prefix)], (m1, m2)
-            assert all(len(terms) == 1 for _, terms in folds[1:])  # rule right sides
-            prefixed += 1
-    assert prefixed >= 60
+            assert want == rewrite(pres, word)
+        for d in {m2[k], 1}:
+            prefix = m2[:k] + (m2[k] - d,) + m2[k + 1:]
+            r = prefix if any(prefix) else m2[:k] + (1,) + m2[k + 1:]
+            warm = cold_copy(pres)
+            warm.mul_monomials(m1, prefix)
+            fold, folds = warm._fold, []
+
+            def recording(letters, terms):
+                folds.append((letters, terms))
+                return fold(letters, terms)
+
+            warm._fold = recording
+            assert warm.mul_monomials(m1, m2) == want, (m1, m2)
+            if folds:  # not a sorted join: one fold of k^(m2[k] - r[k]) into the memo of m1*r
+                start = warm._mul_cache[(m1, r)]
+                assert [letters for letters, terms in folds if terms is start] == [(k,) * (m2[k] - r[k])]
+                assert all(len(terms) == 1 for _, terms in folds if terms is not start)  # rule right sides
+                folded += 1
+            del warm._mul_cache[(m1, m2)]
+            warm._entry = forbidden
+            assert warm.mul_monomials(m1, m2) == want, (m1, m2)
+    assert folded >= 90
+
+
+def test_a_long_run_adds_one_memo_entry_per_letter_group():
+    # u*(x*y^n): the entry u*x, the table of m*y, and the product itself;
+    # no product per prefix x*y^j of the run y^n
+    counts = []
+    for n in (100, 200, 400):
+        pres = cold_pl11_bosonized()
+        m1, m2 = pres.monomial(u=1), pres.monomial(x=1, y=n)
+        pres.mul_monomials(m1, m2)
+        assert [key for key in pres._mul_cache if sum(key[1]) != 1] == [(m1, m2)]
+        counts.append(len(pres._mul_cache))
+    assert counts[2] - counts[1] == 2 * (counts[1] - counts[0]) <= 2 * 101
+
+
+def test_a_one_term_product_is_the_memo_entry_and_nothing_changes_it():
+    pres = cold_pl11_bosonized()
+    m1, m2 = pres.monomial(u=1), pres.monomial(x=1, y=3)
+    u, xy3 = pres.monomial_element(m1), pres.monomial_element(m2)
+    product = u * xy3
+    entry = pres._mul_cache[(m1, m2)]
+    assert product.coeffs is entry
+    before = dict(entry)
+    scaled = (2 * u) * (Fraction(1, 2) * xy3)  # coefficients that multiply to 1
+    assert scaled.coeffs is entry
+    assert ((-u) * xy3).coeffs == {m: -c for m, c in before.items()}
+    for result in (product + product, product - u, -product, 3 * product, product * product,
+                   product * u, u * product, product ** 2, product.outer(product)):
+        assert result.coeffs is not entry
+    assert entry == before and pres._mul_cache[(m1, m2)] is entry

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from superhopf import FiltrationClosure, HopfStructureMaps, parse, verify
+from superhopf import (FiltrationClosure, HopfStructureMaps, bosonize, enveloping,
+                       load_session, parse, verify)
 from superhopf.algebra import Element, monomial_key
 from superhopf.errors import AlgebraError, DegreeBudgetError
 from superhopf.linalg import kernel_basis
@@ -19,6 +20,8 @@ from superhopf.verify import (adjoint_left, adjoint_right,
                               check_shift_identity, find_skew_primitives,
                               hopf_axiom_suite, is_normal, render_reports,
                               render_summary, zero_divisor_scan)
+
+from test_products import gl21
 
 F = Fraction
 
@@ -190,6 +193,28 @@ def test_adjoint_right_composes_contravariantly(bos):
         b = verify.random_element(P, rng, 2)
         assert adjoint_right(H, a * a2, b) == \
             adjoint_right(H, a2, adjoint_right(H, a, b))
+
+
+def _adjoint_by_elements(H, a, b, left):
+    """The adjoint actions as sums of Element products, term by term."""
+    out = H.carrier.zero()
+    for (m1, m2), c in H.coproduct(a).items():
+        x, y = H.carrier.monomial_element(m1), H.carrier.monomial_element(m2)
+        out = out + c * (x * b * H.antipode_monomial(m2) if left
+                         else H.antipode_monomial(m1) * b * y)
+    return out
+
+
+@pytest.mark.parametrize("name", ["pl11-bosonized", "b-bosonized", "gl(2|1)#k[t]"])
+def test_adjoint_actions_match_the_element_formula(name):
+    H = (bosonize(enveloping(gl21())) if name == "gl(2|1)#k[t]" else load_session(name).bos).hopf
+    P = H.carrier
+    rng = random.Random(name)
+    for _ in range(20):
+        a = verify.random_element(P, rng, 2, max_terms=3)
+        b = verify.random_element(P, rng, 2, max_terms=3)
+        assert adjoint_left(H, a, b) == _adjoint_by_elements(H, a, b, True), (str(a), str(b))
+        assert adjoint_right(H, a, b) == _adjoint_by_elements(H, a, b, False), (str(a), str(b))
 
 
 def test_ad_equals_bracket(sess_ubar):
