@@ -766,11 +766,6 @@ class TensorElement(Combination):
                 accumulate(out, {k[:leg] + k[leg + 1:]: c}, s)
         return TensorElement(self.alg, self.legs - 1, out)
 
-    def as_element(self) -> Element:
-        if self.legs != 1:
-            raise PresentationError("as_element needs exactly one leg")
-        return Element(self.alg, {k[0]: c for k, c in self.coeffs.items()})
-
     def fold_mul(self) -> Element:
         """Multiply all legs together (the multiplication map of the algebra)."""
         alg = self.alg

@@ -8,14 +8,24 @@ superalgebra with its super-Hopf structure (primitive generators,
 super-multiplicative coproduct).  :func:`bosonize` adjoins an involutive
 grouplike ``t`` acting by parity conjugation, producing an ordinary Hopf
 algebra on the smash product carrier.
+
+:meth:`HopfStructureMaps.rule_facts` finds, once, what the maps do on the
+carrier's rule table and generators.  When the normal monomials are a basis
+(the confluence gate, Bergman's diamond lemma), a map extended over normal
+words is an algebra map, or anti-algebra map for the antipode, exactly when
+it respects every rule, and two algebra maps that agree on the generators
+agree everywhere; so the record proves the Hopf axioms on the whole carrier
+(Kassel, *Quantum Groups*, GTM 155, ch. III).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Dict
+from functools import reduce
+from math import comb, prod
+from operator import mul
+from typing import Dict, Optional
 
 from .algebra import (ORDINARY, SUPER, AlgebraPresentation, Element, Generator,
                       TensorElement)
@@ -24,6 +34,54 @@ from .liesuper import LieSuperAlgebra
 from .linalg import accumulate, exact
 
 T_NAME = "t"
+
+
+@dataclass(frozen=True)
+class RuleFacts:
+    """What a :class:`HopfStructureMaps` does on its carrier's rules and
+    generators, found once by :meth:`HopfStructureMaps.rule_facts`.
+
+    ``confluent`` is the gate ``carrier.is_confluent()``; when it fails
+    nothing else is found, and every other field is None.  ``delta``,
+    ``counit`` and ``antipode`` name the rules, each by its word of
+    generator names, whose two sides the map sends to different images.
+    ``coassociative``, ``counital`` and ``antipodal`` say whether the axiom
+    holds on every generator, by the sampled sums.
+    """
+
+    confluent: bool
+    delta: Optional[tuple] = None
+    counit: Optional[tuple] = None
+    antipode: Optional[tuple] = None
+    coassociative: Optional[bool] = None
+    counital: Optional[bool] = None
+    antipodal: Optional[bool] = None
+
+    def proves(self, axiom: str) -> bool:
+        """Whether these facts prove ``axiom`` on the whole carrier.
+
+        With the gate and Delta respecting every rule, Delta is an algebra
+        map: that is ``"bialgebra"``.  Both sides of coassociativity are
+        then algebra maps, so ``"coassociativity"`` needs it on the
+        generators alone.  ``"counit"`` adds eps, an algebra map too, and the
+        counit axiom on the generators.  ``"antipode"`` adds eps, S, an
+        anti-algebra map, and the antipode axiom on the generators: if it
+        holds on a and b it holds on a*b.
+        """
+        if not self.confluent or self.delta:
+            return False
+        return {"bialgebra": True,
+                "coassociativity": self.coassociative,
+                "counit": not self.counit and self.counital,
+                "antipode": not self.counit and not self.antipode and self.antipodal}[axiom]
+
+
+def _sum_terms(terms):
+    """The sum of ``(key, coefficient)`` pairs, as a dict that stores no zero."""
+    out = {}
+    for k, c in terms:
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
 
 
 class HopfStructureMaps:
@@ -35,7 +93,9 @@ class HopfStructureMaps:
     of a power of an even primitive generator is the binomial sum ``sum_b
     C(a, b) g^b (x) g^(a-b)``; any other power repeats the step for one
     letter.  Images of monomials, powers included, are memoized, and a
-    memoized image is returned with one lookup.
+    memoized image is returned with one lookup.  Generator coproducts must be
+    parity-homogeneous, and in super mode the counit of an odd generator
+    zero: the maps are even, as the proofs of :meth:`RuleFacts.proves` need.
     """
 
     def __init__(self, carrier: AlgebraPresentation,
@@ -58,8 +118,12 @@ class HopfStructureMaps:
                         + carrier.monomial_parity(key[1])) % 2 != gp:
                     raise PresentationError(
                         f"coproduct of {carrier.gen_name(idx)} is not parity-homogeneous")
+            if carrier.mode == SUPER and gp and self.eps_gen[idx]:
+                raise PresentationError(
+                    f"counit of the odd generator {carrier.gen_name(idx)} is not zero")
         self._delta_cache = {carrier.unit_monomial(): carrier.tensor_one()}
         self._antipode_cache = {carrier.unit_monomial(): carrier.one()}
+        self._facts = None
 
     # -- monomial-level maps --------------------------------------------------
 
@@ -161,6 +225,82 @@ class HopfStructureMaps:
             accumulate(out, self.antipode_monomial(m).coeffs, c)
         return Element(self.carrier, out)
 
+    # -- the two sides of each Hopf axiom on one element -------------------------
+
+    def coassociativity_sides(self, a: Element):
+        """(Delta (x) id) Delta(a) and (id (x) Delta) Delta(a) as dicts, each
+        summed in one pass over Delta(a) from the memoized images of its legs."""
+        d, delta = self.coproduct(a).items(), self.delta_monomial
+        return (_sum_terms(((k1, k2, m2), c * ck)
+                           for (m1, m2), c in d for (k1, k2), ck in delta(m1).items()),
+                _sum_terms(((m1, k1, k2), c * ck)
+                           for (m1, m2), c in d for (k1, k2), ck in delta(m2).items()))
+
+    def counit_sides(self, a: Element):
+        """(eps (x) id) Delta(a) and (id (x) eps) Delta(a) as dicts."""
+        d, eps = self.coproduct(a).items(), self.counit_monomial
+        return (_sum_terms((m2, c * eps(m1)) for (m1, m2), c in d),
+                _sum_terms((m1, c * eps(m2)) for (m1, m2), c in d))
+
+    def antipode_sides(self, a: Element):
+        """m(S (x) id) Delta(a) and m(id (x) S) Delta(a) as dicts, each summed
+        in one pass over Delta(a) from memoized antipodes and products."""
+        d, mul, S = self.coproduct(a).items(), self.carrier.mul_monomials, self.antipode_monomial
+        return (_sum_terms((m, c * cs * cm) for (m1, m2), c in d
+                           for s, cs in S(m1).items() for m, cm in mul(s, m2).items()),
+                _sum_terms((m, c * cs * cm) for (m1, m2), c in d
+                           for s, cs in S(m2).items() for m, cm in mul(m1, s).items()))
+
+    # -- rule-level facts ----------------------------------------------------------
+
+    def rule_facts(self) -> RuleFacts:
+        """The :class:`RuleFacts` of these maps, found on first use and kept.
+
+        For each rule ``g_1...g_k -> sum c*m`` of a confluent carrier: whether
+        ``Delta(g_1)...Delta(g_k) == sum c*Delta(m)``, the same for eps, and
+        whether ``sign * S(g_k)...S(g_1) == sum c*S(m)``, the sign
+        (-1)^C(j, 2) in super mode for the j odd letters of the word (the
+        Koszul sign of reversing it) and 1 otherwise; then the three axioms
+        on the generators.
+        """
+        if self._facts is None:
+            self._facts = self._find_facts()
+        return self._facts
+
+    def _find_facts(self) -> RuleFacts:
+        pres = self.carrier
+        if not pres.is_confluent():
+            return RuleFacts(False)
+
+        def extended(image, rhs):
+            out = {}
+            for m, c in rhs.items():
+                accumulate(out, image(m).coeffs, c)
+            return out
+
+        broken = {"delta": [], "counit": [], "antipode": []}
+        for w in sorted(pres.rules):
+            rhs = pres.rules[w]
+            odd = sum(pres.generators[i].parity for i in w)
+            sign = -1 if pres.mode == SUPER and odd * (odd - 1) // 2 % 2 else 1
+            for key, ok in (
+                    ("delta", reduce(mul, (self.delta_gen[i] for i in w)).coeffs
+                     == extended(self.delta_monomial, rhs)),
+                    ("counit", prod(self.eps_gen[i] for i in w)
+                     == sum(c * self.counit_monomial(m) for m, c in rhs.items())),
+                    ("antipode", (sign * reduce(mul, (self.antipode_gen[i] for i in reversed(w))))
+                     .coeffs == extended(self.antipode_monomial, rhs))):
+                if not ok:
+                    broken[key].append(tuple(pres.gen_name(i) for i in w))
+        gens = [pres.gen(g.name) for g in pres.generators]
+        return RuleFacts(
+            True, **{key: tuple(words) for key, words in broken.items()},
+            coassociative=all(left == right for left, right
+                              in map(self.coassociativity_sides, gens)),
+            counital=all(side == g.coeffs for g in gens for side in self.counit_sides(g)),
+            antipodal=all(side == (self.counit(g) * pres.one()).coeffs
+                          for g in gens for side in self.antipode_sides(g)))
+
 
 def enveloping(g: LieSuperAlgebra) -> HopfStructureMaps:
     """The enveloping algebra of ``g`` as a super Hopf algebra.
@@ -249,14 +389,6 @@ class BosonizedAlgebra:
         # the counit of a non-trivial Lie monomial is zero
         return Element(self.carrier, {m: c for m, c in a.items()
                                       if not any(m[:self.t_index])})
-
-    def project_to_coinvariants(self, a: Element) -> Element:
-        """The coalgebra projection onto the coinvariant part: a#h -> a eps(h)."""
-        self.carrier._require_same(a.alg)
-        out = {}
-        for m, c in a.items():
-            accumulate(out, {m[:self.t_index] + (0,): c})
-        return Element(self.carrier, out)
 
     def is_coinvariant(self, a: Element) -> bool:
         """(id (x) proj) Delta(a) == a (x) 1."""

@@ -131,16 +131,19 @@ class LieSuperAlgebra:
                 if br != {k: sign * c for k, c in terms[j][i].items()}:
                     report.violations.append(
                         f"antisymmetry fails on ({basis[i].name},{basis[j].name})")
+        # partners[i]: the k with [b_i, b_k] != 0.  A triple (i, j, k) can
+        # fail only if [b_j, b_k] or [b_i, b_k] is nonzero, or [b_l, b_k] for
+        # some b_l in [b_i, b_j]; the k are visited in order, so the
+        # violations keep the order of all n^3 triples
+        partners = [{k for k, br in enumerate(row) if br} for row in terms]
         for i, row_i in enumerate(terms):
             for j, row_j in enumerate(terms):
                 sign = 1 if (self.parity(i) * self.parity(j)) % 2 else -1
                 ij = row_i[j]
-                for k in range(n):
+                for k in sorted(partners[i].union(partners[j], *(partners[l] for l in ij))):
                     # graded Leibniz: [a,[b,c]] - [[a,b],c] - (-1)^{p(a)p(b)} [b,[a,c]]
                     # is zero, each inner bracket read off the nonzero constants
                     jk, ik = row_j[k], row_i[k]
-                    if not (jk or ij or ik):
-                        continue
                     diff = {}
                     for l, c in jk.items():
                         accumulate(diff, row_i[l], c)

@@ -7,6 +7,8 @@ import pytest
 from superhopf import TensorElement, parse, pl11
 from superhopf.errors import PresentationError
 
+from linear_maps import as_element
+
 
 def test_tensors_print_unit_negative_and_fractional_coefficients(ubar):
     u, v, x, t = (ubar.gen(n) for n in "uvxt")
@@ -40,7 +42,7 @@ def test_elements_print_a_lone_scalar_term(ubar):
 def test_elements_and_tensors_never_mix(ubar):
     x = ubar.gen("x")
     one_leg = TensorElement(ubar, 1, {(m,): c for m, c in x.items()})
-    assert one_leg.as_element() == x
+    assert as_element(one_leg) == x
     assert x != one_leg and one_leg != x
     assert ubar.zero() != TensorElement(ubar, 2, {})
     with pytest.raises(TypeError):

@@ -124,13 +124,21 @@ def one_inner_bracket():
     return LieSuperAlgebra(basis, {(0, 2): {1: 1}, (3, 1): {1: 1}}, name="one-inner")
 
 
+def outer_bracket_only():
+    """[a,b] = d and [d,c] = d, all even: in the (a,b,c) instance of the
+    Jacobi identity only the outer bracket [[a,b],c] is nonzero, and it fails."""
+    basis = [Generator(name, 0, i) for i, name in enumerate("abcd")]
+    return LieSuperAlgebra(basis, {(0, 1): {3: 1}, (3, 2): {3: 1}}, name="outer-only")
+
+
 def validation_cases():
     """label -> (builder, one violation it reports, or None for a valid table)."""
     from test_products import gl, osp12
     cases = {"pl11": (pl11, None), "b": (upper_triangular_subalgebra, None),
              "gl(2|1)": (lambda: gl(2, 1), None), "gl(2|2)": (lambda: gl(2, 2), None),
              "osp(1|2)": (osp12, None),
-             "one-inner": (one_inner_bracket, "jacobi fails on (a,d,c)")}
+             "one-inner": (one_inner_bracket, "jacobi fails on (a,d,c)"),
+             "outer-only": (outer_bracket_only, "jacobi fails on (a,b,c)")}
     for label, (changes, violation) in CORRUPTED_PL11.items():
         cases[label] = (lambda changes=changes: corrupted(pl11(), changes)), violation
     return cases
