@@ -474,12 +474,15 @@ class AlgebraPresentation:
 
 def polynomial_presentation(names) -> AlgebraPresentation:
     """The commutative polynomial algebra on ``names``: even generators whose
-    swap rules only sort, i.e. the enveloping algebra of an abelian Lie algebra."""
+    swap rules only sort, i.e. the enveloping algebra of an abelian Lie
+    algebra; recorded confluent, since sorting resolves every overlap."""
     n = len(names)
     swaps = {(hi, lo): {tuple(int(k in (lo, hi)) for k in range(n)): 1}
              for hi in range(n) for lo in range(hi)}
-    return AlgebraPresentation([Generator(name, 0, idx) for idx, name in enumerate(names)],
+    pres = AlgebraPresentation([Generator(name, 0, idx) for idx, name in enumerate(names)],
                                swaps, mode=SUPER, name="U(abelian)")
+    pres._confluent = True
+    return pres
 
 
 def format_terms(terms) -> str:
@@ -612,8 +615,8 @@ class Element(Combination):
 
     def __mul__(self, other):
         """A product of two one-term elements is the memoized product of
-        their monomials, as it is when the coefficients multiply to 1 and
-        scaled otherwise; any other is summed from them in place."""
+        their monomials, itself when the coefficients multiply to 1, else
+        scaled; any other sums those of its term pairs by :func:`accumulate`."""
         if isinstance(other, Element):
             self.alg._require_same(other.alg)
             if len(self.coeffs) == 1 == len(other.coeffs):
@@ -622,41 +625,45 @@ class Element(Combination):
                 product, c = self.alg.mul_monomials(m1, m2), c1 * c2
                 return Element(self.alg, product if c == 1 else
                                {m: c * cm for m, cm in product.items()})
-            mul, out = self.alg.mul_monomials, {}
-            get, right = out.get, other.coeffs.items()
+            mul, out, right = self.alg.mul_monomials, {}, other.coeffs.items()
             for m1, c1 in self.coeffs.items():
                 for m2, c2 in right:
-                    c = c1 * c2
-                    for m, cm in mul(m1, m2).items():  # the in-place add of tensor_mul
-                        if new := get(m, 0) + c * cm:
-                            out[m] = new
-                        else:
-                            del out[m]
+                    accumulate(out, mul(m1, m2), c1 * c2)
             return Element(self.alg, out)
         return self.__rmul__(other)
 
+    def _closed_power(self, q: int):
+        """``self**q`` for ``q >= 1`` with no product formed, when ``self`` is
+        zero, a scalar ``c`` or a term ``c*g^e`` of one generator ``g`` with
+        ``e*q`` below the cap of ``g``: ``c**q * g^(e*q)``.  None otherwise."""
+        if not self.coeffs:
+            return self
+        if len(self.coeffs) > 1:
+            return None
+        (m, c), = self.coeffs.items()
+        letters = [i for i, e in enumerate(m) if e]
+        if len(letters) > 1 or letters and m[letters[0]] * q >= self.alg._caps.get(letters[0], inf):
+            return None
+        return Element(self.alg, {tuple(e * q for e in m): _scalar_power(c, q)})
+
     def __pow__(self, n: int):
-        """``self**n``.  A term ``c*g^e`` of one generator ``g`` is ``c**n *
-        g^(e*n)`` when ``g`` has no cap or ``e*n`` is below it, with no product
-        formed.  Otherwise one factor at a time, until ``self**k`` is a scalar
-        ``c`` (0 included), then ``c**(n//k) * self**(n%k)``, or until
-        ``self**k == self**(k-1)``, which every higher power then equals.  Not
-        by squaring: a dense square costs far more products than the factors
-        it saves."""
+        """``self**n``, one factor at a time until a partial power
+        ``self**k`` has a closed ``(self**k)**(n//k)`` (see
+        :meth:`_closed_power`; k = 1 when ``self`` has one), then that times
+        ``self**(n%k)``, or until ``self**k == self**(k-1)``, which every
+        higher power then equals.  Not by squaring: a dense square costs far
+        more products than the factors it saves."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        if len(self.coeffs) == 1:
-            (m, c), = self.coeffs.items()
-            letters = [i for i, e in enumerate(m) if e]
-            if len(letters) == 1 and m[letters[0]] * n < self.alg._caps.get(letters[0], inf):
-                i = letters[0]
-                return Element(self.alg, {m[:i] + (m[i] * n,) + m[i + 1:]: _scalar_power(c, n)})
-        result, unit = self.alg.one(), self.alg.unit_monomial()
+        if n == 0:
+            return self.alg.one()
+        previous, result = self.alg.one(), self
         for k in range(1, n + 1):
-            previous, result = result, result * self
-            if result.coeffs.keys() <= {unit}:
-                q, r = divmod(n, k)
-                return _scalar_power(result.coefficient(unit), q) * self ** r
+            if k > 1:
+                previous, result = result, result * self
+            closed = result._closed_power(n // k)
+            if closed is not None:
+                return closed * self ** (n % k) if n % k else closed
             if result == previous:
                 return result
         return result

@@ -15,7 +15,8 @@ carrier's rule table and generators.  When the normal monomials are a basis
 words is an algebra map, or anti-algebra map for the antipode, exactly when
 it respects every rule, and two algebra maps that agree on the generators
 agree everywhere; so the record proves the Hopf axioms on the whole carrier
-(Kassel, *Quantum Groups*, GTM 155, ch. III).
+(Kassel, *Quantum Groups*, GTM 155, ch. III).  Both sides of each axiom are
+formed in one place, :meth:`HopfStructureMaps.axiom_witnesses`.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class RuleFacts:
     ``counit`` and ``antipode`` name the rules, each by its word of
     generator names, whose two sides the map sends to different images.
     ``coassociative``, ``counital`` and ``antipodal`` say whether the axiom
-    holds on every generator, by the sampled sums.
+    holds on every generator, by :meth:`HopfStructureMaps.axiom_witnesses`.
     """
 
     confluent: bool
@@ -74,14 +75,6 @@ class RuleFacts:
                 "coassociativity": self.coassociative,
                 "counit": not self.counit and self.counital,
                 "antipode": not self.counit and not self.antipode and self.antipodal}[axiom]
-
-
-def _sum_terms(terms):
-    """The sum of ``(key, coefficient)`` pairs, as a dict that stores no zero."""
-    out = {}
-    for k, c in terms:
-        out[k] = out.get(k, 0) + c
-    return {k: c for k, c in out.items() if c}
 
 
 class HopfStructureMaps:
@@ -227,29 +220,32 @@ class HopfStructureMaps:
 
     # -- the two sides of each Hopf axiom on one element -------------------------
 
-    def coassociativity_sides(self, a: Element):
-        """(Delta (x) id) Delta(a) and (id (x) Delta) Delta(a) as dicts, each
-        summed in one pass over Delta(a) from the memoized images of its legs."""
-        d, delta = self.coproduct(a).items(), self.delta_monomial
-        return (_sum_terms(((k1, k2, m2), c * ck)
-                           for (m1, m2), c in d for (k1, k2), ck in delta(m1).items()),
-                _sum_terms(((m1, k1, k2), c * ck)
-                           for (m1, m2), c in d for (k1, k2), ck in delta(m2).items()))
-
-    def counit_sides(self, a: Element):
-        """(eps (x) id) Delta(a) and (id (x) eps) Delta(a) as dicts."""
-        d, eps = self.coproduct(a).items(), self.counit_monomial
-        return (_sum_terms((m2, c * eps(m1)) for (m1, m2), c in d),
-                _sum_terms((m1, c * eps(m2)) for (m1, m2), c in d))
-
-    def antipode_sides(self, a: Element):
-        """m(S (x) id) Delta(a) and m(id (x) S) Delta(a) as dicts, each summed
-        in one pass over Delta(a) from memoized antipodes and products."""
-        d, mul, S = self.coproduct(a).items(), self.carrier.mul_monomials, self.antipode_monomial
-        return (_sum_terms((m, c * cs * cm) for (m1, m2), c in d
-                           for s, cs in S(m1).items() for m, cm in mul(s, m2).items()),
-                _sum_terms((m, c * cs * cm) for (m1, m2), c in d
-                           for s, cs in S(m2).items() for m, cm in mul(m1, s).items()))
+    def axiom_witnesses(self, axiom: str, item) -> list:
+        """The ``(input, expected, actual)`` witnesses of ``axiom`` on the
+        element ``item`` (a pair for ``"bialgebra"``), none where it holds.
+        The tensor maps form ``(Delta (x) id) Delta(a)`` against ``(id (x)
+        Delta) Delta(a)``, ``(eps (x) id) Delta(a)`` and ``(id (x) eps)
+        Delta(a)`` against ``a``, ``m(S (x) id) Delta(a)`` and ``m(id (x) S)
+        Delta(a)`` against ``eps(a) 1``; ``tensor_mul`` forms ``Delta(a)
+        Delta(b)`` against ``Delta(ab)``."""
+        if axiom == "bialgebra":
+            a, b = item
+            left, right = self.coproduct(a * b), self.coproduct(a) * self.coproduct(b)
+            return [] if left == right else [(f"({a}, {b})", left, right)]
+        d = self.coproduct(item)
+        if axiom == "coassociativity":
+            left, right = (d.apply_tensor_map(self.delta_monomial, leg) for leg in (0, 1))
+            return [] if left == right else [
+                (item, "(Delta(x)id)Delta = (id(x)Delta)Delta", f"{left} vs {right}")]
+        if axiom == "counit":
+            target = item
+            sides = (Element(self.carrier, {m: c for (m,), c in
+                                            d.contract_scalar(self.counit_monomial, leg).items()})
+                     for leg in (0, 1))
+        else:
+            target = self.counit(item) * self.carrier.one()
+            sides = (d.apply_element_map(self.antipode_monomial, leg).fold_mul() for leg in (0, 1))
+        return [(item, target, side) for side in sides if side != target]
 
     # -- rule-level facts ----------------------------------------------------------
 
@@ -271,35 +267,22 @@ class HopfStructureMaps:
         pres = self.carrier
         if not pres.is_confluent():
             return RuleFacts(False)
-
-        def extended(image, rhs):
-            out = {}
-            for m, c in rhs.items():
-                accumulate(out, image(m).coeffs, c)
-            return out
-
         broken = {"delta": [], "counit": [], "antipode": []}
         for w in sorted(pres.rules):
-            rhs = pres.rules[w]
+            rhs = Element(pres, pres.rules[w])
             odd = sum(pres.generators[i].parity for i in w)
             sign = -1 if pres.mode == SUPER and odd * (odd - 1) // 2 % 2 else 1
             for key, ok in (
-                    ("delta", reduce(mul, (self.delta_gen[i] for i in w)).coeffs
-                     == extended(self.delta_monomial, rhs)),
-                    ("counit", prod(self.eps_gen[i] for i in w)
-                     == sum(c * self.counit_monomial(m) for m, c in rhs.items())),
-                    ("antipode", (sign * reduce(mul, (self.antipode_gen[i] for i in reversed(w))))
-                     .coeffs == extended(self.antipode_monomial, rhs))):
+                    ("delta", reduce(mul, (self.delta_gen[i] for i in w)) == self.coproduct(rhs)),
+                    ("counit", prod(self.eps_gen[i] for i in w) == self.counit(rhs)),
+                    ("antipode", sign * reduce(mul, (self.antipode_gen[i] for i in reversed(w)))
+                     == self.antipode(rhs))):
                 if not ok:
                     broken[key].append(tuple(pres.gen_name(i) for i in w))
         gens = [pres.gen(g.name) for g in pres.generators]
-        return RuleFacts(
-            True, **{key: tuple(words) for key, words in broken.items()},
-            coassociative=all(left == right for left, right
-                              in map(self.coassociativity_sides, gens)),
-            counital=all(side == g.coeffs for g in gens for side in self.counit_sides(g)),
-            antipodal=all(side == (self.counit(g) * pres.one()).coeffs
-                          for g in gens for side in self.antipode_sides(g)))
+        return RuleFacts(True, *map(tuple, broken.values()),
+                         *(not any(self.axiom_witnesses(axiom, g) for g in gens)
+                           for axiom in ("coassociativity", "counit", "antipode")))
 
 
 def enveloping(g: LieSuperAlgebra) -> HopfStructureMaps:

@@ -4,13 +4,20 @@ Vectors are dicts mapping hashable keys to nonzero exact scalars: ``int``
 or ``Fraction``, never a float.  Int arithmetic stays int and :func:`exact`
 demotes an integral quotient to an ``int``, but an integral sum or product
 of ``Fraction`` values stays ``Fraction(n, 1)``, which equals, hashes and
-prints like the ``int``.  :func:`accumulate` is the general sparse sum that
-keeps the values nonzero.  Hot loops add by the same rule in place
-instead: ``Element.__mul__``, ``TensorElement.tensor_mul``, the adjoint
-actions' ``verify._adjoint``, ``AlgebraPresentation._fold`` (a sorted
-join and each term of a memoized entry) and the sorted joins of
-``AlgebraPresentation._entry`` add one term at a time with no dict built for
-it, and :func:`_eliminate` subtracts a row.
+prints like the ``int``.  :func:`accumulate` is the one sparse sum that
+keeps the values nonzero.  A few hot loops add by the same rule in place
+instead, one term at a time with no dict built for it, each because an A/B
+of the benchmark workloads measured :func:`accumulate` slower there:
+``AlgebraPresentation._fold``, a sorted join and each term of a memoized
+entry (straighten ``wall_s`` +5-9% with :func:`accumulate`); the
+one-letter term of ``AlgebraPresentation._entry``, a sorted join
+(straighten ``op_p98_ms`` +4-6% when folded into it);
+``TensorElement.tensor_mul`` (hopf-maps ``wall_s`` +6%).  The one-term
+``Element.__mul__`` scales the memo entry (straighten ``wall_s`` +6-10%
+without it) and the one-term ``HopfStructureMaps.coproduct`` the memoized
+image (cli-suite ``wall_s`` +3-5% without it), with no sum at all; and
+:func:`_eliminate` subtracts a scaled row and pushes each key it fills in
+on the reduction's heap, which :func:`accumulate` does not.
 
 :class:`RowSpace` stores rows fraction-free: all ``int``, primitive (gcd 1)
 and with a positive pivot entry, eliminated by cross-multiplication (compare

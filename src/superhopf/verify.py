@@ -9,10 +9,10 @@ witnesses.
 A Hopf-axiom PASS rests on a proof from the rule table when the gates of
 :meth:`HopfStructureMaps.rule_facts` hold: the carrier is confluent, the
 structure maps the axiom uses respect every rule, and the axiom holds on
-the generators.  Otherwise the check sums both sides on each element or
-pair of its test set, and is a sampled test.  No parameter chooses the
-path, and the report does not depend on it: a proved PASS is the report
-the sums would give.
+the generators.  Otherwise the check forms both sides on each element or
+pair of its test set with :meth:`HopfStructureMaps.axiom_witnesses`, and
+is a sampled test.  No parameter chooses the path, and the report does not
+depend on it: a proved PASS is the report the sampled sides would give.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Iterable, Optional, Sequence
 
-from .algebra import AlgebraPresentation, Element, TensorElement, monomial_key
+from .algebra import AlgebraPresentation, Element, monomial_key
 from .errors import AlgebraError, DegreeBudgetError
 from .hopf import BosonizedAlgebra, HopfStructureMaps
 from .growth import FiltrationClosure, growth_series
@@ -134,24 +134,27 @@ def random_dense_element(pres: AlgebraPresentation, rng: random.Random,
 # -- Hopf axioms ------------------------------------------------------------------
 
 
-def _axiom_report(H: HopfStructureMaps, axiom, inputs, parameters, sampled,
-                  count_key="elements") -> CertificateReport:
-    """The report of ``axiom`` on ``inputs``, elements or, counted as
-    ``"pairs"``, pairs of them.  When :meth:`HopfStructureMaps.rule_facts`
-    proves the axiom on the whole carrier it is PASS once every input is
-    found to lie in the carrier; otherwise ``sampled(H, inputs, rep)`` sums
-    both sides on each input, adds a witness where they differ and returns
-    the count of inputs.  The report is the same either way."""
+def _axiom_report(H: HopfStructureMaps, axiom, inputs, parameters) -> CertificateReport:
+    """The report of ``axiom`` on ``inputs``: elements or, for
+    ``"bialgebra"``, pairs of them, counted as ``"pairs"``.  When
+    :meth:`HopfStructureMaps.rule_facts` proves the axiom on the whole
+    carrier it is PASS once every input is found to lie in the carrier;
+    otherwise :meth:`HopfStructureMaps.axiom_witnesses` forms both sides on
+    each input.  The report is the same either way."""
     rep = CertificateReport(axiom, PASS, parameters=dict(parameters or {}))
+    pairs, count = axiom == "bialgebra", 0
     if H.rule_facts().proves(axiom):
-        count, same = 0, H.carrier._require_same
+        same = H.carrier._require_same
         for item in inputs:
             count += 1
-            for a in (item if count_key == "pairs" else (item,)):
+            for a in (item if pairs else (item,)):
                 same(a.alg)
     else:
-        count = sampled(H, inputs, rep)
-    rep.parameters[count_key] = count
+        for item in inputs:
+            count += 1
+            for witness in H.axiom_witnesses(axiom, item):
+                rep.add_witness(*witness)
+    rep.parameters["pairs" if pairs else "elements"] = count
     return rep
 
 
@@ -161,21 +164,8 @@ def check_coassociativity(H: HopfStructureMaps, test_set: Iterable[Element],
 
     A PASS is proved from the rules when the rule facts hold (Delta an
     algebra map, the axiom on the generators); otherwise both sides are
-    summed on each element."""
-    return _axiom_report(H, "coassociativity", test_set, parameters,
-                         _sampled_coassociativity)
-
-
-def _sampled_coassociativity(H, test_set, rep):
-    count = 0
-    for a in test_set:
-        count += 1
-        left, right = H.coassociativity_sides(a)
-        if left != right:
-            rep.add_witness(a, "(Delta(x)id)Delta = (id(x)Delta)Delta",
-                            f"{TensorElement(H.carrier, 3, left)} vs "
-                            f"{TensorElement(H.carrier, 3, right)}")
-    return count
+    formed on each element."""
+    return _axiom_report(H, "coassociativity", test_set, parameters)
 
 
 def check_counit(H: HopfStructureMaps, test_set: Iterable[Element],
@@ -184,18 +174,8 @@ def check_counit(H: HopfStructureMaps, test_set: Iterable[Element],
 
     A PASS is proved from the rules when the rule facts hold (Delta and eps
     algebra maps, the axiom on the generators); otherwise both sides are
-    summed on each element."""
-    return _axiom_report(H, "counit", test_set, parameters, _sampled_counit)
-
-
-def _sampled_counit(H, test_set, rep):
-    count = 0
-    for a in test_set:
-        count += 1
-        for side in H.counit_sides(a):
-            if side != a.coeffs:
-                rep.add_witness(a, a, Element(H.carrier, side))
-    return count
+    formed on each element."""
+    return _axiom_report(H, "counit", test_set, parameters)
 
 
 def check_antipode(H: HopfStructureMaps, test_set: Iterable[Element],
@@ -204,19 +184,8 @@ def check_antipode(H: HopfStructureMaps, test_set: Iterable[Element],
 
     A PASS is proved from the rules when the rule facts hold (Delta and eps
     algebra maps, S an anti-algebra map, the axiom on the generators);
-    otherwise both sides are summed on each element."""
-    return _axiom_report(H, "antipode", test_set, parameters, _sampled_antipode)
-
-
-def _sampled_antipode(H, test_set, rep):
-    count, one = 0, H.carrier.one()
-    for a in test_set:
-        count += 1
-        target = H.counit(a) * one
-        for side in H.antipode_sides(a):
-            if side != target.coeffs:
-                rep.add_witness(a, target, Element(H.carrier, side))
-    return count
+    otherwise both sides are formed on each element."""
+    return _axiom_report(H, "antipode", test_set, parameters)
 
 
 def check_bialgebra(H: HopfStructureMaps, pair_set, parameters=None) -> CertificateReport:
@@ -224,21 +193,7 @@ def check_bialgebra(H: HopfStructureMaps, pair_set, parameters=None) -> Certific
 
     A PASS is proved from the rules when Delta respects every rule of a
     confluent carrier; otherwise both sides are formed on each pair."""
-    return _axiom_report(H, "bialgebra", pair_set, parameters, _sampled_bialgebra, "pairs")
-
-
-def _sampled_bialgebra(H, pair_set, rep):
-    count, deltas = 0, {}  # id(x) -> (x, Delta(x)): x stays alive, so its id is not reused
-    for a, b in pair_set:
-        count += 1
-        for x in (a, b):  # pair sets list each factor object in many pairs
-            if id(x) not in deltas:
-                deltas[id(x)] = x, H.coproduct(x)
-        left = H.coproduct(a * b)
-        right = deltas[id(a)][1] * deltas[id(b)][1]
-        if left != right:
-            rep.add_witness(f"({a}, {b})", left, right)
-    return count
+    return _axiom_report(H, "bialgebra", pair_set, parameters)
 
 
 def hopf_axiom_suite(H: HopfStructureMaps, n_random: int = 100,
@@ -249,7 +204,7 @@ def hopf_axiom_suite(H: HopfStructureMaps, n_random: int = 100,
     seeded random elements of degree <= 4.  The bialgebra check runs on
     generator pairs, monomial pairs of total degree <= 4, and consecutive
     random pairs, formed as the check reads them.  A check whose rule facts
-    hold only counts its test set; the others sum on it.
+    hold only counts its test set; the others form both sides on it.
     """
     monomial_degree, random_degree = 3, 4
     pres = H.carrier
@@ -297,11 +252,10 @@ def _adjoint(H: HopfStructureMaps, a: Element, b: Element, left: bool) -> Elemen
     """The sum of ``c * x*b*y`` over the terms ``c*m1 (x) m2`` of Delta(a),
     with ``(x, y) = (m1, S(m2))`` on the left and ``(S(m1), m2)`` on the
     right: each monomial product a memoized
-    :meth:`AlgebraPresentation.mul_monomials`, each added in place as
-    :func:`linalg.accumulate` would add, with no element in between."""
+    :meth:`AlgebraPresentation.mul_monomials`, added into the sum by
+    :func:`linalg.accumulate`, with no element in between."""
     mul, antipode = H.carrier.mul_monomials, H.antipode_monomial
     out = {}
-    get = out.get
     for (m1, m2), c in H.coproduct(a).items():
         xs, ys = (((m1, c),), antipode(m2).items()) if left else \
             (antipode(m1).items(), ((m2, c),))
@@ -310,11 +264,7 @@ def _adjoint(H: HopfStructureMaps, a: Element, b: Element, left: bool) -> Elemen
                 for z, cz in mul(x, mb).items():
                     cz *= cx * cb
                     for y, cy in ys:
-                        for w, cw in mul(z, y).items():
-                            if new := get(w, 0) + cz * cy * cw:
-                                out[w] = new
-                            else:
-                                del out[w]
+                        accumulate(out, mul(z, y), cz * cy)
     return Element(H.carrier, out)
 
 

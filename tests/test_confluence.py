@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from superhopf import (algebra, bosonize, check_overlaps, enveloping, pl11,
-                       upper_triangular_subalgebra)
+                       polynomial_presentation, upper_triangular_subalgebra)
 from superhopf.algebra import AlgebraPresentation, Generator
+from superhopf.growth import growth_series
 
 
 def test_enveloping_pl11_is_confluent(sess_u):
@@ -91,6 +92,15 @@ def test_the_recorded_confluence_holds_and_skips_the_overlap_pass(monkeypatch, n
     assert check_overlaps(P).confluent
     cold = cold_copy(P)  # built some other way: no record
     assert cold.is_confluent() and calls == [cold]
+
+
+def test_the_polynomial_algebra_records_its_confluence(monkeypatch):
+    K = polynomial_presentation(["x", "y"])
+    calls = count_overlap_passes(monkeypatch)
+    report = growth_series(K, [K.gen("x"), K.gen("y")], 4)
+    assert report.dims == [1, 3, 6, 10, 15] and calls == []  # counted, with no overlap pass
+    assert K.is_confluent() and calls == []
+    assert check_overlaps(K).confluent
 
 
 def test_a_corrupted_table_still_runs_the_overlap_pass(monkeypatch, ubar):

@@ -302,3 +302,19 @@ def test_a_one_term_product_is_the_memo_entry_and_nothing_changes_it():
                    product * u, u * product, product ** 2, product.outer(product)):
         assert result.coeffs is not entry
     assert entry == before and pres._mul_cache[(m1, m2)] is entry
+
+
+def test_a_power_closes_at_its_first_partial_power_with_a_closed_form():
+    # (u+v)^2 = x is central and uncapped, so (u+v)^n = x^(n//2) * (u+v)^(n%2);
+    # t^2 = 1 is a scalar; (t*u)^2 = 0; t^n has no closed form past t's cap
+    pres = cold_pl11_bosonized()
+    u, v, x, t, y = (pres.gen(g) for g in "uvxty")
+    for a in (u + v, t, t * u, 2 * t, x + 2 * t, y + u, 3 * y * u, pres.one() + t):
+        power = pres.one()
+        for n in range(10):
+            assert a ** n == power, (a, n)
+            power = power * a
+    n = 99999999999
+    assert (u + v) ** n == x ** (n // 2) * (u + v) == pres.element(
+        {pres.monomial(x=n // 2, u=1): 1, pres.monomial(x=n // 2, v=1): 1})
+    assert (3 * y) ** 4 == 81 * y ** 4 and t ** n == t and (t * u) ** n == pres.element({})

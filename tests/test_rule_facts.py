@@ -1,5 +1,7 @@
 """The rule facts of the structure maps, and the Hopf-axiom PASS proved from them."""
 
+import hashlib
+
 import pytest
 
 from superhopf import (HopfStructureMaps, bosonize, enveloping, load_session,
@@ -8,7 +10,7 @@ from superhopf.algebra import Element, TensorElement
 from superhopf.errors import PresentationError
 from superhopf.hopf import RuleFacts
 from superhopf.verify import (check_antipode, check_bialgebra, check_coassociativity,
-                              check_counit, hopf_axiom_suite)
+                              check_counit, hopf_axiom_suite, render_reports)
 
 from test_confluence import (corrupted_pl11_bosonized, count_overlap_passes,
                              lie_superalgebra)
@@ -97,6 +99,31 @@ def test_the_record_names_exactly_the_broken_rules(monkeypatch, corruption, brok
     assert report_fields(reports) == report_fields(sampled_suite(monkeypatch, H, n_random=10,
                                                                  seed=4))
     assert any(r.status == verify.FAIL for r in reports)
+
+
+# sha256 and witness count of the rendered sampled suite, n_random=30, seed=4
+SAMPLED_REPORTS = {
+    "Delta(t) = t(x)1": ("791caf1300c779fbc9f36724eb330bb8ffb77f4d4c6031767feae68beaf45e3d", 191),
+    "eps(t) = 0": ("4888aaa46ec59dafd6bdce3d4e8364a9a430bec61717412298d98004ae983f1f", 80),
+    "S(u) = u": ("6d432005a096233d2b0a04c0ab9d4a018fb3239edcf7da94065e4dca131a248b", 18),
+    "primitive Delta(u)": ("b4304bcfa2cf83a664f4505de232a5fb629ac175c6eb4cf28c1630a17c73ec88",
+                           108),
+    "Delta(x) = x(x)x on pl11": (
+        "dc5e813969525c8286d88b8bfb1084ee89702a83ee3dd33b450c62e7596237fd", 136),
+    "pl11": ("68971783bc270f3138ef5257d8fc8e78a8a3898739619ed9c4617fb54316908b", 0),
+    "pl11-bosonized": ("a1e63b6fabeb4bfdfc4e91992c3cda512f131b9cdfab397f7acd5710b0791ddc", 0),
+    "b-bosonized": ("643feeec28b8001a8640886429bf7d7000bf1a46f6efeddcbc9427e78d1eb1d8", 0),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLED_REPORTS)
+def test_the_sampled_reports_keep_every_witness(monkeypatch, name):
+    H = (pl11_with_grouplike_x() if name.endswith("on pl11")
+         else structure_maps(name) if name in ("pl11", "pl11-bosonized", "b-bosonized")
+         else bosonized_pl11_corruption(name))
+    text = render_reports(sampled_suite(monkeypatch, H, n_random=30, seed=4))
+    assert (hashlib.sha256(text.encode()).hexdigest(), text.count("\n    witness: ")) \
+        == SAMPLED_REPORTS[name]
 
 
 def test_maps_that_respect_every_rule_still_need_the_axioms_on_the_generators():
