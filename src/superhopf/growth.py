@@ -3,10 +3,11 @@
 ``FiltrationClosure`` maintains exact degree-by-degree bases, pivoting on
 top-degree terms by default, of the span of all products of at most n
 generators, whose dimensions :func:`growth_series` counts as normal
-monomials where the diamond lemma allows.  Growth degrees come from finite
-differences over the window, taken order by order up to the detected one (a
-desk-scale reading of Gelfand-Kirillov dimension: reports carry the window,
-never a limit).
+monomials when the presentation states its ``pbw`` fact (the diamond lemma
+then makes them a basis), and otherwise by the closure.  Growth degrees come
+from finite differences over the window, taken order by order up to the
+detected one (a desk-scale reading of Gelfand-Kirillov dimension: reports
+carry the window, never a limit).
 """
 
 from __future__ import annotations
@@ -144,18 +145,16 @@ def growth_series(P: AlgebraPresentation, gens: Sequence[Element],
 
 def _normal_monomial_dims(P, gens, n_max):
     """The counts of normal monomials of degree <= n on the generators' letters
-    S, or None unless every given generator is a multiple of one letter, the
-    rules among S keep to S and the rules are confluent.  A letter's power rule
-    lies among S exactly when the letter does, so the caps of S are the
-    presentation's."""
-    if not all(g.alg is P and len(g.coeffs) == 1 and sum(next(iter(g.coeffs))) == 1
-               for g in gens):
+    S, or None unless ``P`` states its ``pbw`` fact, every given generator is
+    a multiple of one letter and the rules among S keep to S.  A letter's
+    power rule lies among S exactly when the letter does, so the caps of S
+    are the presentation's."""
+    if not P.pbw or not all(g.alg is P and len(g.coeffs) == 1
+                            and sum(next(iter(g.coeffs))) == 1 for g in gens):
         return None
     letters = {next(iter(g.coeffs)).index(1) for g in gens}
     rules = {w: rhs for w, rhs in P.rules.items() if set(w) <= letters}
     if any(e and i not in letters for r in rules.values() for m in r for i, e in enumerate(m)):
-        return None
-    if not P.is_confluent():  # even for a rewriting cycle that S may never meet
         return None
     dims = [1] + [0] * n_max
     for cap in [P._caps.get(i) for i in letters] + [None]:

@@ -11,7 +11,7 @@ algebra on the smash product carrier.
 
 :meth:`HopfStructureMaps.rule_facts` finds, once, what the maps do on the
 carrier's rule table and generators.  When the normal monomials are a basis
-(the confluence gate, Bergman's diamond lemma), a map extended over normal
+(the ``pbw`` gate, Bergman's diamond lemma), a map extended over normal
 words is an algebra map, or anti-algebra map for the antipode, exactly when
 it respects every rule, and two algebra maps that agree on the generators
 agree everywhere; so the record proves the Hopf axioms on the whole carrier
@@ -42,9 +42,9 @@ class RuleFacts:
     """What a :class:`HopfStructureMaps` does on its carrier's rules and
     generators, found once by :meth:`HopfStructureMaps.rule_facts`.
 
-    ``confluent`` is the gate ``carrier.is_confluent()``; when it fails
-    nothing else is found, and every other field is None.  ``delta``,
-    ``counit`` and ``antipode`` name the rules, each by its word of
+    ``confluent`` is the gate, the carrier's stated ``pbw`` fact; when a
+    carrier states nothing, nothing else is found and every other field is None.
+    ``delta``, ``counit`` and ``antipode`` name the rules, each by its word of
     generator names, whose two sides the map sends to different images.
     ``coassociative``, ``counital`` and ``antipodal`` say whether the axiom
     holds on every generator, by :meth:`HopfStructureMaps.axiom_witnesses`.
@@ -252,7 +252,7 @@ class HopfStructureMaps:
     def rule_facts(self) -> RuleFacts:
         """The :class:`RuleFacts` of these maps, found on first use and kept.
 
-        For each rule ``g_1...g_k -> sum c*m`` of a confluent carrier: whether
+        For each rule ``g_1...g_k -> sum c*m`` of a ``pbw`` carrier: whether
         ``Delta(g_1)...Delta(g_k) == sum c*Delta(m)``, the same for eps, and
         whether ``sign * S(g_k)...S(g_1) == sum c*S(m)``, the sign
         (-1)^C(j, 2) in super mode for the j odd letters of the word (the
@@ -265,7 +265,7 @@ class HopfStructureMaps:
 
     def _find_facts(self) -> RuleFacts:
         pres = self.carrier
-        if not pres.is_confluent():
+        if not pres.pbw:
             return RuleFacts(False)
         broken = {"delta": [], "counit": [], "antipode": []}
         for w in sorted(pres.rules):
@@ -292,10 +292,10 @@ def enveloping(g: LieSuperAlgebra) -> HopfStructureMaps:
     the swap rule of ``(j, i)`` (j > i) straightens ``g_j g_i`` to
     ``(-1)^{p_i p_j} g_i g_j + [g_j, g_i]``, and each odd generator gets the
     power rule ``g^2 -> [g,g]/2``.  Generators are primitive, with counit zero
-    and antipode ``-g``.  The rules are confluent, and recorded so with no
-    overlap pass: ``g`` passed :meth:`LieSuperAlgebra.validate`, whose Jacobi
-    check is what the PBW theorem needs, and by the diamond lemma the PBW
-    basis is the set of normal monomials.
+    and antipode ``-g``.  The table states its ``pbw`` fact with no overlap
+    pass: ``g`` passed :meth:`LieSuperAlgebra.validate`, whose Jacobi check is
+    what the PBW theorem needs, and by the diamond lemma the PBW basis is the
+    set of normal monomials.
     """
     report = g.validate()
     if not report.ok:
@@ -313,8 +313,7 @@ def enveloping(g: LieSuperAlgebra) -> HopfStructureMaps:
                 rules[(hi, lo)] = rhs
             elif g.parity(hi):
                 rules[(hi, hi)] = {m: exact(Fraction(c, 2)) for m, c in rhs.items()}
-    pres = AlgebraPresentation(g.basis, rules, mode=SUPER, name=f"U({g.name})")
-    pres._confluent = True
+    pres = AlgebraPresentation(g.basis, rules, mode=SUPER, name=f"U({g.name})", pbw=True)
     return HopfStructureMaps(pres, *_lie_generator_images(pres, [pres.one()] * n))
 
 
@@ -390,8 +389,9 @@ def bosonize(U: HopfStructureMaps) -> BosonizedAlgebra:
     an ordinary Hopf algebra: for a Lie generator g,
     ``Delta(g) = g (x) 1 + t^{p(g)} (x) g`` and ``S(g) = -t^{p(g)} g``,
     while ``Delta(t) = t (x) t``, ``S(t) = t``, ``eps(t) = 1``.  The carrier
-    keeps ``U``'s confluence record: t acts on the parity-homogeneous rules by
-    the parity automorphism and ``t^2 = 1``, so the overlaps with t resolve.
+    copies ``U``'s ``pbw`` fact: t acts on the parity-homogeneous rules by the
+    parity automorphism, so the overlaps with t resolve, and its rules
+    ``t g -> +-g t`` and ``t^2 -> 1`` keep the leading monomials.
     """
     pres = U.carrier
     if pres.mode != SUPER:
@@ -411,8 +411,7 @@ def bosonize(U: HopfStructureMaps) -> BosonizedAlgebra:
         rules[(n, lo)] = {pres.monomial(**{g.name: 1}) + (1,): -1 if g.parity else 1}
     rules[(n, n)] = {(0,) * (n + 1): 1}
     big = AlgebraPresentation(list(pres.generators) + [Generator(T_NAME, 0, n, z_degree=0)],
-                              rules, mode=ORDINARY, name=f"{pres.name}#k[t]")
-    big._confluent = pres._confluent
+                              rules, mode=ORDINARY, name=f"{pres.name}#k[t]", pbw=pres.pbw)
 
     t = big.gen(T_NAME)
     delta, eps, antipode = _lie_generator_images(

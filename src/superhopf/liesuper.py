@@ -4,10 +4,9 @@ Basis vectors carry a parity and an optional integer grading.  Structure
 constants are stored as a dense table, and :meth:`LieSuperAlgebra.validate`
 reads only its nonzero entries.  Its Jacobi check is what makes the rules of
 an enveloping presentation confluent (the PBW theorem): :func:`hopf.enveloping`
-records that verdict, and the overlap pass runs only for presentations built
-some other way.  Vectors are dense tuples of exact rationals in basis
-coordinates: integral ones are ``int``, so integer structure constants stay
-integers.
+states that as the presentation's ``pbw`` fact.  Vectors are dense tuples of
+exact rationals in basis coordinates: integral ones are ``int``, so integer
+structure constants stay integers.
 
 Structure constants are solved for from matrices under the super-commutator
 (:func:`matrix_superalgebra`) or read from a definition file with the

@@ -7,7 +7,7 @@ given its inputs, parameters, and seed, and failures carry explicit
 witnesses.
 
 A Hopf-axiom PASS rests on a proof from the rule table when the gates of
-:meth:`HopfStructureMaps.rule_facts` hold: the carrier is confluent, the
+:meth:`HopfStructureMaps.rule_facts` hold: the carrier states ``pbw``, the
 structure maps the axiom uses respect every rule, and the axiom holds on
 the generators.  Otherwise the check forms both sides on each element or
 pair of its test set with :meth:`HopfStructureMaps.axiom_witnesses`, and
@@ -192,7 +192,7 @@ def check_bialgebra(H: HopfStructureMaps, pair_set, parameters=None) -> Certific
     """Delta(ab) == Delta(a) Delta(b), the tensor product signed by the carrier's mode.
 
     A PASS is proved from the rules when Delta respects every rule of a
-    confluent carrier; otherwise both sides are formed on each pair."""
+    ``pbw`` carrier; otherwise both sides are formed on each pair."""
     return _axiom_report(H, "bialgebra", pair_set, parameters)
 
 
@@ -600,12 +600,11 @@ def zero_divisor_scan(P: AlgebraPresentation, degree_bound: int, samples: int,
     rediscover the nilpotent generators; pass ``max_terms`` to sample those
     deliberately).  A clean scan is inconclusive: it cannot prove primality.
 
-    Under :meth:`AlgebraPresentation.leading_monomials_multiply`, a pair whose
-    leading monomials sum to a normal monomial is nonzero and is not multiplied.
+    When ``P`` states ``pbw``, a pair whose leading monomials sum to a normal
+    monomial is nonzero (see :class:`AlgebraPresentation`) and not multiplied.
     """
     rng = random.Random(seed)
     monomials = P.enumerate_monomials(degree_bound)
-    certify = P.leading_monomials_multiply()
     found = []
     for _ in range(samples):
         if max_terms is None:  # keyed in the sorted order of monomials: the last key leads
@@ -618,7 +617,7 @@ def zero_divisor_scan(P: AlgebraPresentation, degree_bound: int, samples: int,
             b = random_element(P, rng, degree_bound, max_terms=max_terms,
                                monomials=monomials)
             lead_a, lead_b = max(a.coeffs, key=monomial_key), max(b.coeffs, key=monomial_key)
-        if certify and P.is_normal_monomial(tuple(x + y for x, y in zip(lead_a, lead_b))):
+        if P.pbw and P.is_normal_monomial(tuple(x + y for x, y in zip(lead_a, lead_b))):
             continue
         if (a * b).is_zero:
             found.append((a, b))

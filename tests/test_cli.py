@@ -7,10 +7,12 @@ import time
 
 import pytest
 
-from superhopf import parse
+from superhopf import algebra, parse
 from superhopf.catalog import BUILTINS
 from superhopf.cli import main, suite_adjoint
 from superhopf.verify import FAIL
+
+from test_products import gl21, osp12
 
 
 def run(capsys, *argv):
@@ -514,6 +516,33 @@ def test_check_biproduct_reads_the_sub_option(capsys):
                          "--hopf-random", "1", "--samples", "1", "--shift-n", "1")
     assert code == 0 and err == "" and "CHECK normality PASS\n" in out
     assert "CHECK biproduct" not in out
+
+
+def definition_text(g):
+    """``g`` in the definition-file format: generators, then nonzero brackets."""
+    lines = ["[generators]", *(f"{b.name} {b.parity}" for b in g.basis), "[brackets]"]
+    lines += [f"{g.basis[i].name} {g.basis[j].name} = {g.format_vector(g.table[i][j])}"
+              for i in range(g.n) for j in range(i, g.n) if any(g.table[i][j])]
+    return "\n".join(lines) + "\n"
+
+
+def test_no_command_runs_the_overlap_pass(tmp_path, monkeypatch, capsys):
+    commands = [("check", "all", "--algebra", "pl11-bosonized"),
+                ("check", "all", "--algebra", "b-bosonized"),
+                ("growth", "--n-max", "8")]
+    for k, g in enumerate((gl21(), osp12())):
+        path = tmp_path / f"lie{k}.alg"
+        path.write_text(definition_text(g), encoding="utf-8")
+        commands.append(("check", "all", "--algebra", str(path), "--bosonize",
+                         "--max-degree", "2"))
+    unpatched = [run(capsys, *argv) for argv in commands]
+    assert all(code == 0 and out and not err for code, out, err in unpatched)
+
+    def refused(pres):
+        raise AssertionError(f"an overlap pass on {pres.name}")
+
+    monkeypatch.setattr(algebra, "check_overlaps", refused)
+    assert [run(capsys, *argv) for argv in commands] == unpatched
 
 
 def test_definition_file_session(tmp_path, capsys):

@@ -81,30 +81,41 @@ def lie_superalgebra(name):
             "osp(1|2)": osp12}[name]()
 
 
+def leading_monomials_multiply(pres):
+    """The rule scan behind a stated ``pbw`` fact: the top-degree part of every
+    swap rule is one nonzero multiple of the sorted pair and that of every
+    power rule is empty, so LM(a*b) = LM(a) + LM(b) whenever that is normal."""
+    for w, rhs in pres.rules.items():
+        top = [m for m in rhs if sum(m) == len(w)]
+        if top != ([] if w[0] == w[-1] else [tuple(w.count(k) for k in range(pres.n))]):
+            return False
+    return True
+
+
 @pytest.mark.parametrize("bosonized", [False, True])
 @pytest.mark.parametrize("name", ["pl11", "b", "gl(1|1)", "gl(2|1)", "gl(2|2)", "osp(1|2)"])
 def test_the_recorded_confluence_holds_and_skips_the_overlap_pass(monkeypatch, name, bosonized):
     from test_products import cold_copy
+    calls = count_overlap_passes(monkeypatch)
     U = enveloping(lie_superalgebra(name))
     P = bosonize(U).carrier if bosonized else U.carrier
-    calls = count_overlap_passes(monkeypatch)
-    assert P.is_confluent() and calls == []
-    assert check_overlaps(P).confluent
-    cold = cold_copy(P)  # built some other way: no record
-    assert cold.is_confluent() and calls == [cold]
+    assert P.pbw and calls == []  # stated where it is built, with no overlap pass
+    assert check_overlaps(P).confluent and leading_monomials_multiply(P)
+    assert not cold_copy(P).pbw  # built directly: it states nothing
 
 
 def test_the_polynomial_algebra_records_its_confluence(monkeypatch):
-    K = polynomial_presentation(["x", "y"])
     calls = count_overlap_passes(monkeypatch)
+    K = polynomial_presentation(["x", "y"])
     report = growth_series(K, [K.gen("x"), K.gen("y")], 4)
     assert report.dims == [1, 3, 6, 10, 15] and calls == []  # counted, with no overlap pass
-    assert K.is_confluent() and calls == []
-    assert check_overlaps(K).confluent
+    assert K.pbw and check_overlaps(K).confluent and leading_monomials_multiply(K)
 
 
-def test_a_corrupted_table_still_runs_the_overlap_pass(monkeypatch, ubar):
-    corrupted = corrupted_pl11_bosonized(ubar)
+def test_a_corrupted_table_states_nothing_and_runs_no_overlap_pass(monkeypatch, ubar):
     calls = count_overlap_passes(monkeypatch)
-    assert not corrupted.is_confluent() and calls == [corrupted]
-    assert not corrupted.is_confluent() and calls == [corrupted]  # found once
+    corrupted = corrupted_pl11_bosonized(ubar)
+    assert not corrupted.pbw and calls == []
+    # its top-degree parts are those of pl11-bosonized: only the overlap pass
+    # shows that its normal monomials are no basis
+    assert leading_monomials_multiply(corrupted) and not check_overlaps(corrupted).confluent

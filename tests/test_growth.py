@@ -175,10 +175,10 @@ def test_growth_obstruction_cases(ubar, sess_bbar):
     assert rep.parameters["subDegree"] == 1
 
 
-def test_growth_obstruction_checks_the_overlaps_once(monkeypatch, sess_bbar):
+def test_growth_obstruction_on_a_cold_table_runs_no_overlap_pass(monkeypatch, sess_bbar):
     Pb = sess_bbar.pres
     P = AlgebraPresentation(Pb.generators, Pb.rules, mode=Pb.mode,
-                            name=Pb.name)  # no verdict yet
+                            name=Pb.name)  # states nothing: the closure counts
     calls = []
 
     def counted(pres):
@@ -186,10 +186,9 @@ def test_growth_obstruction_checks_the_overlaps_once(monkeypatch, sess_bbar):
         return check_overlaps(pres)
 
     monkeypatch.setattr(algebra, "check_overlaps", counted)
-    assert growth_obstruction(P, [P.gen("y")], 12).status == "fail"
-    assert calls == [P]
-    growth_obstruction(P, [P.gen("u")], 12)
-    assert calls == [P]
+    reports = {g: growth_obstruction(P, [P.gen(g)], 12) for g in ("y", "u")}
+    assert reports == {g: growth_obstruction(Pb, [Pb.gen(g)], 12) for g in ("y", "u")}
+    assert reports["y"].status == "fail" and calls == []
 
 
 def test_growth_obstruction_inconclusive_window(ubar):

@@ -5,11 +5,12 @@ import random
 
 import pytest
 
-from superhopf import bosonize, enveloping, load_session
+from superhopf import bosonize, check_overlaps, enveloping, load_session
 from superhopf.algebra import AlgebraPresentation, Element, Generator, monomial_key
 from superhopf.verify import (FAIL, INCONCLUSIVE, random_dense_element,
                               random_element, zero_divisor_scan)
 
+from test_confluence import leading_monomials_multiply
 from test_products import gl21, osp12
 
 
@@ -31,7 +32,9 @@ CARRIERS = _carriers()
 
 @pytest.mark.parametrize("name", sorted(CARRIERS))
 def test_the_predicate_holds_on_every_carrier(name):
-    assert CARRIERS[name].leading_monomials_multiply()
+    P = CARRIERS[name]
+    assert leading_monomials_multiply(P) and check_overlaps(P).confluent
+    assert P.pbw == (name != "k[t]")  # k[t] is built directly and states nothing
 
 
 def _two_generators(swap, x_squared=None):
@@ -41,16 +44,21 @@ def _two_generators(swap, x_squared=None):
     return AlgebraPresentation(gens, {(1, 0): swap, **power})
 
 
-def test_the_predicate_fails_on_other_degree_two_terms_or_a_flat_power_rule():
-    assert _two_generators({(1, 1): 1}).leading_monomials_multiply()
-    # y*x = x*y + x^2: two terms of degree 2
-    assert not _two_generators({(1, 1): 1, (2, 0): 1}).leading_monomials_multiply()
-    # y*x = x: the swapped pair is missing
-    assert not _two_generators({(1, 0): 1}).leading_monomials_multiply()
-    # x^2 = x*y keeps the degree of x^2
-    flat = _two_generators({(1, 1): 1}, {(1, 1): 1})
-    assert not flat.leading_monomials_multiply()
-    assert _two_generators({(1, 1): 1}, {(0, 1): 1}).leading_monomials_multiply()
+def test_the_predicate_fails_on_other_degree_two_terms_or_a_flat_power_rule(monkeypatch):
+    calls, mul = [], Element.__mul__
+    monkeypatch.setattr(Element, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    for swap, x_squared, holds in [
+            ({(1, 1): 1}, None, True),
+            ({(1, 1): 1, (2, 0): 1}, None, False),  # y*x = x*y + x^2: two terms of degree 2
+            ({(1, 0): 1}, None, False),  # y*x = x: the swapped pair is missing
+            ({(1, 1): 1}, {(1, 1): 1}, False),  # x^2 = x*y keeps the degree of x^2
+            ({(1, 1): 1}, {(0, 1): 1}, True)]:
+        P = _two_generators(swap, x_squared)
+        assert leading_monomials_multiply(P) == holds
+        # built directly, the table states nothing, so the scan multiplies every pair
+        calls.clear()
+        assert not P.pbw and zero_divisor_scan(P, 2, 10, seed=0).parameters["found"] == 0
+        assert len(calls) == 10
 
 
 @pytest.mark.parametrize("name", sorted(CARRIERS))

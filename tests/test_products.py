@@ -318,3 +318,17 @@ def test_a_power_closes_at_its_first_partial_power_with_a_closed_form():
     assert (u + v) ** n == x ** (n // 2) * (u + v) == pres.element(
         {pres.monomial(x=n // 2, u=1): 1, pres.monomial(x=n // 2, v=1): 1})
     assert (3 * y) ** 4 == 81 * y ** 4 and t ** n == t and (t * u) ** n == pres.element({})
+
+
+def test_a_power_stops_at_a_partial_power_that_is_a_term_times_the_base():
+    # (t*u*v)^3 = x^2 * t*u*v, so (t*u*v)^n = x^(n-1) * u*v*t^(n%2), the term
+    # kept on the left; (u*v)^2 = x * u*v; (x*u*t)^2 = 0
+    pres = cold_pl11_bosonized()
+    u, v, x, t = (pres.gen(g) for g in "uvxt")
+    for a in (t * u * v, u * v, x * u * t):
+        power = pres.one()
+        for n in range(10):
+            assert a ** n == power, (a, n)
+            power = power * a
+    assert (t * u * v) ** 99999999999 == pres.element(
+        {pres.monomial(x=99999999998, u=1, v=1, t=1): 1})

@@ -8,9 +8,11 @@ from superhopf import (HopfStructureMaps, bosonize, enveloping, load_session,
                        polynomial_presentation, verify)
 from superhopf.algebra import Element, TensorElement
 from superhopf.errors import PresentationError
+from superhopf.growth import growth_series
 from superhopf.hopf import RuleFacts
 from superhopf.verify import (check_antipode, check_bialgebra, check_coassociativity,
-                              check_counit, hopf_axiom_suite, render_reports)
+                              check_counit, hopf_axiom_suite, render_reports,
+                              zero_divisor_scan)
 
 from test_confluence import (corrupted_pl11_bosonized, count_overlap_passes,
                              lie_superalgebra)
@@ -172,27 +174,47 @@ def count_delta_monomial(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("table", ["non-confluent", "cold copy"])
-def test_the_confluence_gate(monkeypatch, ubar, sess_ubar, table):
-    P = corrupted_pl11_bosonized(ubar) if table == "non-confluent" else cold_copy(ubar)
-    H = transplanted(sess_ubar.hopf, P)
-    passes = count_overlap_passes(monkeypatch)
-    facts = H.rule_facts()
-    assert passes == [P]  # the confluence of a table built directly is found once
-    assert facts.confluent == (table == "cold copy")
-    assert H.rule_facts() is facts
+def axiom_reports(H):
+    """The four axiom checks on the generators and v*u*y, and on their pairs."""
+    P = H.carrier
     test_set = [P.gen(g.name) for g in P.generators] + [P.gen("v") * P.gen("u") * P.gen("y")]
-    calls = count_delta_monomial(monkeypatch)
     reports = [check(H, test_set) for check in (check_coassociativity, check_counit,
                                                 check_antipode)]
-    reports.append(check_bialgebra(H, [(a, b) for a in test_set for b in test_set]))
-    assert passes == [P]
-    if facts.confluent:
-        assert calls == [] and all(r.passed for r in reports)  # no sum was formed
-    else:
-        assert calls  # the sampled sums ran
-        assert facts == RuleFacts(False) and not any(map(facts.proves, AXIOMS))
+    return reports + [check_bialgebra(H, [(a, b) for a in test_set for b in test_set])]
+
+
+@pytest.mark.parametrize("table", ["non-confluent", "cold copy"])
+def test_the_confluence_gate(monkeypatch, ubar, sess_ubar, table):
+    passes = count_overlap_passes(monkeypatch)
+    P = corrupted_pl11_bosonized(ubar) if table == "non-confluent" else cold_copy(ubar)
+    H = transplanted(sess_ubar.hopf, P)
+    facts = H.rule_facts()
+    assert facts == RuleFacts(False) and not any(map(facts.proves, AXIOMS))
+    assert H.rule_facts() is facts
+    calls = count_delta_monomial(monkeypatch)
+    reports = axiom_reports(H)
+    assert calls and passes == []  # a table built directly states nothing: the sums ran
     assert [r.parameters for r in reports] == [{"elements": 6}] * 3 + [{"pairs": 36}]
+    if table == "cold copy":  # the stated carrier proves the same reports
+        assert all(r.passed for r in reports)
+        assert report_fields(reports) == report_fields(axiom_reports(sess_ubar.hopf))
+
+
+@pytest.mark.parametrize("name", ["pl11", "pl11-bosonized", "b-bosonized"])
+def test_a_cold_carrier_gives_the_reports_of_the_stated_one(monkeypatch, name):
+    sess = load_session(name)
+    _, _, degree, max_terms = sess.defaults.zero_divisors
+
+    def reports(H):
+        P = H.carrier
+        return (report_fields(hopf_axiom_suite(H, n_random=5, seed=2)),
+                growth_series(P, [P.gen(g.name) for g in P.generators], 8),
+                report_fields([zero_divisor_scan(P, degree, 10, seed=3, max_terms=max_terms)]))
+
+    passes = count_overlap_passes(monkeypatch)
+    cold = transplanted(sess.hopf, cold_copy(sess.pres))
+    assert not cold.carrier.pbw and sess.pres.pbw
+    assert reports(cold) == reports(sess.hopf) and passes == []
 
 
 @pytest.mark.parametrize("check", [check_coassociativity, check_counit, check_antipode])
