@@ -625,17 +625,25 @@ class Element(Combination):
         return Element(self.alg, {tuple(e * q for e in m): _scalar_power(c, q)})
 
     def __pow__(self, n: int):
-        """``self**n``, one factor at a time until a partial power ``self**k``
-        has a closed ``(self**k)**(n//k)`` (see :meth:`_closed_power`), then
-        that times ``self**(n%k)``; or equals ``self**(k-1)``, as every higher
-        power then does; or is ``z*self`` for a term ``z = c*g^e`` with a
-        closed ``z**q``, q = (n-1)//(k-1), then ``z**q * self**(n-q*(k-1))``:
-        (t*u*v)**3 = x^2*t*u*v.  Only a ``z`` that takes the first and the
-        last term of ``self`` to those of ``self**k`` is tried.  Not by
-        squaring: a dense square costs far more products than it saves."""
+        """``self**n``.  A sum ``z + w`` of a term ``z`` with a closed ``z**(n-1)``
+        (see :meth:`_closed_power`) and a square-zero ``w`` that commutes with
+        it is ``z**(n-1) * (z + n*w)``: (x+u)**n = x**n + n*x**(n-1)*u.  Else
+        one factor at a time until a partial power ``self**k`` has a closed
+        ``(self**k)**(n//k)``, then that times ``self**(n%k)``; or equals
+        ``self**(k-1)``, as every higher power then does; or is ``z*self`` for
+        a term ``z = c*g^e`` with a closed ``z**q``, q = (n-1)//(k-1), then
+        ``z**q * self**(n-q*(k-1))``: (t*u*v)**3 = x^2*t*u*v.  Only a ``z``
+        that takes the first and the last term of ``self`` to those of
+        ``self**k`` is tried.  Not by squaring: a dense square costs far more
+        products than it saves."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
         previous, result, c = None, self.alg.one(), self.coeffs
+        for m in c if n > 1 and len(c) > 1 else ():  # z**(n-1) last: it may pass the digit limit
+            z = Element(self.alg, {m: c[m]})
+            w = self - z
+            if (w * w).is_zero and z * w == w * z and (zq := z._closed_power(n - 1)) is not None:
+                return zq * (z + n * w)
         a = sorted(c, key=monomial_key)  # a[-1] leads, a[0] is the last term
         for k in range(1, n + 1):
             previous, result = result, result * self if k > 1 else self

@@ -18,7 +18,6 @@ from typing import Optional
 
 from . import growth as growth_mod
 from . import verify
-from .algebra import polynomial_presentation
 from .catalog import BUILTINS, DEFAULT_ALGEBRA, Session, load_session
 from .errors import AlgebraError, ParseError
 from .exprs import parse, parse_linear_combination, parse_list
@@ -233,11 +232,11 @@ def cmd_centralizer(sess: Session, args) -> int:
 
 def cmd_eigen(sess: Session, args) -> int:
     g = sess.lie
-    variables = polynomial_presentation([b.name for b in g.basis])
+    names = [b.name for b in g.basis]
 
     def vector(spec):
-        combo = parse_linear_combination(spec, variables)
-        return tuple(combo.get(b.name, 0) for b in g.basis)
+        combo = parse_linear_combination(spec, names)
+        return tuple(combo.get(i, 0) for i in range(g.n))
 
     h = vector(args.h)
     if args.sub:

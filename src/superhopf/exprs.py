@@ -11,7 +11,7 @@ Grammar (whitespace insignificant)::
 Identifiers are generator names of the target presentation.  A leading
 sign is accepted so printed elements parse back exactly.  Linear
 combinations of Lie basis names (definition files, ``eigen``) are parsed
-with the same grammar into a polynomial presentation of the names.
+with the same grammar over the names they use, as commuting variables.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import AlgebraPresentation, Element
+from .algebra import AlgebraPresentation, Element, polynomial_presentation
 from .errors import ParseError, PresentationError
 from .linalg import exact
 
@@ -168,21 +168,19 @@ def parse_list(text: str, alg: AlgebraPresentation):
     return [parse(p, alg) for p in parts]
 
 
-def parse_linear_combination(text: str, pres: AlgebraPresentation):
-    """Parse ``3*a - 1/2*b`` into {name: exact scalar} over the generators of
-    ``pres``, a :func:`polynomial_presentation` of the basis names.
-
-    Used by the algebra definition file format, where bracket right-hand
-    sides are linear in the basis names: the grammar is :func:`parse`'s, and
+def parse_linear_combination(text: str, names):
+    """Parse ``3*a - 1/2*b`` into {basis index: exact scalar} over the basis
+    ``names``, listed in order (definition files, ``eigen``): the grammar is
+    :func:`parse`'s, over the names ``text`` uses as commuting variables, and
     every term of the result must have degree exactly 1.
     """
+    tokens = _tokenize(text)
+    used = list(dict.fromkeys(v for k, v, _ in tokens if k == "name" and v in names))
     try:
-        value = parse(text, pres)
+        value = parse(text, polynomial_presentation(used))
     except PresentationError:  # an unknown name: report it where it stands
-        names = {g.name for g in pres.generators}
-        _, name, pos = next(tok for tok in _tokenize(text)
-                            if tok[0] == "name" and tok[1] not in names)
+        _, name, pos = next(tok for tok in tokens if tok[0] == "name" and tok[1] not in names)
         raise ParseError(f"unknown basis name {name!r}", pos) from None
     if any(sum(m) != 1 for m in value.coeffs):
         raise ParseError(f"{text.strip()!r} is not linear in the basis names", 0)
-    return {pres.gen_name(m.index(1)): exact(c) for m, c in value.items()}
+    return {names.index(used[m.index(1)]): exact(c) for m, c in value.items()}

@@ -24,26 +24,19 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .algebra import Generator, format_terms, polynomial_presentation
+from .algebra import Generator, format_terms
 from .errors import AlgebraError, LineError, ParseError, UnsupportedFieldError
 from .exprs import is_name, parse_linear_combination
 from .linalg import RowSpace, accumulate, exact, kernel_basis
-
-
-def _to_vec(n, coords):
-    vec = [0] * n
-    for k, v in coords.items():
-        vec[k] = exact(v)
-    return tuple(vec)
 
 
 class LieSuperAlgebra:
     """Basis symbols with parities plus a table of brackets.
 
     ``brackets`` maps ``(i, j)`` to the coordinates of ``[b_i, b_j]`` as a
-    mapping ``k -> coefficient``.  When only one orientation of a pair is
-    supplied the other is filled in by super antisymmetry; pairs missing in
-    both orientations default to zero.
+    mapping ``k -> coefficient``.  The table is filled from the stated pairs
+    alone: when only one orientation of a pair is stated the other is filled
+    in by super antisymmetry, and every other entry is one shared zero vector.
     """
 
     def __init__(self, basis: Sequence[Generator], brackets, name: str = ""):
@@ -55,19 +48,13 @@ class LieSuperAlgebra:
         names = [g.name for g in self.basis]
         if len(set(names)) != len(names):
             raise AlgebraError("basis names must be unique")
-        table = [[None] * self.n for _ in range(self.n)]
+        zero = (0,) * self.n
+        table = [[zero] * self.n for _ in range(self.n)]
         for (i, j), coords in brackets.items():
-            table[i][j] = _to_vec(self.n, coords)
-        for i in range(self.n):
-            for j in range(self.n):
-                if table[i][j] is not None:
-                    continue
-                opposite = table[j][i]
-                if opposite is not None and i != j:
-                    sign = -1 if (self.parity(i) * self.parity(j)) % 2 == 0 else 1
-                    table[i][j] = tuple(sign * c for c in opposite)
-                else:
-                    table[i][j] = (0,) * self.n
+            table[i][j] = vec = _dense(coords, self.n)
+            if (j, i) not in brackets:
+                sign = 1 if (self.parity(i) * self.parity(j)) % 2 else -1
+                table[j][i] = tuple(sign * c for c in vec)
         self.table = tuple(tuple(row) for row in table)
 
     # -- queries ---------------------------------------------------------------
@@ -156,9 +143,7 @@ class LieSuperAlgebra:
         return report
 
     def unit(self, i: int):
-        vec = [0] * self.n
-        vec[i] = 1
-        return tuple(vec)
+        return _dense({i: 1}, self.n)
 
 
 @dataclass
@@ -274,7 +259,7 @@ def _sparse(vec):
 def _dense(row, n):
     vec = [0] * n
     for k, v in row.items():
-        vec[k] = v
+        vec[k] = exact(v)
     return tuple(vec)
 
 
@@ -437,14 +422,14 @@ def load_algebra_file(path) -> LieSuperAlgebra:
     each name an identifier of the expression grammar, followed by a
     ``[brackets]`` section with lines ``a b = <expr>`` where the expression
     is in the ``normalize`` grammar (:mod:`exprs`) and of degree exactly 1 in
-    the basis names.  Each ordered pair is stated at most once.  Omitted
-    brackets default to zero (the reversed orientation of a stated bracket is
-    filled in by super antisymmetry).  ``#`` starts a comment.
+    the names listed so far, read as commuting variables.  Each ordered pair
+    is stated at most once.  Omitted brackets default to zero (the reversed
+    orientation of a stated bracket is filled in by super antisymmetry).
+    ``#`` starts a comment.
     """
     basis = {}  # name -> Generator, in file order
     brackets = {}
     section = None
-    variables = None  # the basis names as commuting variables, built once per file
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -477,7 +462,6 @@ def load_algebra_file(path) -> LieSuperAlgebra:
             if name in basis:
                 raise LineError(f"generator {name} is defined twice", lineno)
             basis[name] = Generator(name, int(parity), len(basis), z_degree=z)
-            variables = None
         elif section == "brackets":
             if "=" not in line:
                 raise LineError(f"bracket line needs '=': {line!r}", lineno)
@@ -485,24 +469,20 @@ def load_algebra_file(path) -> LieSuperAlgebra:
             pair = lhs.split()
             if len(pair) != 2:
                 raise LineError(f"bracket left side needs two names: {lhs!r}", lineno)
-            if variables is None:
-                variables = polynomial_presentation(list(basis))
-                index = {name: g.pbw_index for name, g in basis.items()}
             try:
-                i, j = index[pair[0]], index[pair[1]]
+                i, j = basis[pair[0]].pbw_index, basis[pair[1]].pbw_index
             except KeyError as exc:
                 raise LineError(f"unknown basis name {exc.args[0]!r}", lineno)
             if (i, j) in brackets:
                 raise LineError(f"bracket {pair[0]} {pair[1]} is already stated", lineno)
             try:
-                combo = parse_linear_combination(rhs.strip(), variables)
+                brackets[(i, j)] = parse_linear_combination(rhs.strip(), list(basis))
             except ParseError as exc:
                 text = rhs.strip()
                 if len(text) > 60:
                     text = text[:60] + "..."
                 raise ParseError(f"{exc.message} on line {lineno}, in {text!r}",
                                  exc.position) from None
-            brackets[(i, j)] = {index[k]: v for k, v in combo.items()}
         else:
             raise LineError("content before any section header", lineno)
     if not basis:

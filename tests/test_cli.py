@@ -2,17 +2,19 @@
 
 import dataclasses
 import random
+import re
 import sys
 import time
 
 import pytest
 
-from superhopf import algebra, parse
+from superhopf import algebra, exprs, parse, pl11, upper_triangular_subalgebra
 from superhopf.catalog import BUILTINS
 from superhopf.cli import main, suite_adjoint
+from superhopf.liesuper import load_algebra_file
 from superhopf.verify import FAIL
 
-from test_products import gl21, osp12
+from test_products import gl, gl21, osp12
 
 
 def run(capsys, *argv):
@@ -116,7 +118,7 @@ def test_a_result_past_the_digit_limit_is_an_error(capsys):
 @needs_digit_limit
 @pytest.mark.parametrize("power", ["2^99999999999", "(2*y)^99999999999",
                                    "(1/3*y)^99999999999", "(2*t)^99999999999",
-                                   f"(1/10*y)^{DIGIT_LIMIT}"])
+                                   "(2+u)^99999999999", f"(1/10*y)^{DIGIT_LIMIT}"])
 def test_a_power_past_the_digit_limit_is_refused_before_it_is_computed(capsys, power):
     assert run(capsys, "normalize", power) == (
         2, "", f"error: a coefficient has more than {DIGIT_LIMIT} digits, "
@@ -479,12 +481,16 @@ def test_eigen_with_a_large_eigenvalue_is_quick(tmp_path, capsys):
 def test_huge_powers_and_long_nilpotent_words_are_quick(capsys):
     # a power stops at its first scalar partial power (u*u = 0, t*t = 1) or at
     # its first repeat (e*e = e for e = 1/2 + 1/2*t), and y^n passes in closed
-    # form; the nilpotency walk extends no prefix whose product is zero (u*u = 0)
+    # form, as do x+u and 1+u (a central term plus u, u*u = 0); the nilpotency
+    # walk extends no prefix whose product is zero (u*u = 0)
     start = time.perf_counter()
     for expression, normal_form in (("u^99999999999", "0"), ("t^10000001", "t"),
                                     ("(t*u)^1000000000000", "0"),
                                     ("y^99999999999", "y^99999999999"),
-                                    ("(1/2+1/2*t)^99999999999", "1/2*t + 1/2")):
+                                    ("(1/2+1/2*t)^99999999999", "1/2*t + 1/2"),
+                                    ("(x+u)^99999999999",
+                                     "x^99999999999 + 99999999999*x^99999999998*u"),
+                                    ("(1+u)^99999999999", "99999999999*u + 1")):
         code, out, _ = run(capsys, "normalize", expression)
         assert code == 0 and out == normal_form + "\n"
     for power, bound in (("2000", "1"), ("12", "3")):
@@ -543,6 +549,38 @@ def test_no_command_runs_the_overlap_pass(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(algebra, "check_overlaps", refused)
     assert [run(capsys, *argv) for argv in commands] == unpatched
+
+
+@pytest.mark.parametrize("build", [pl11, upper_triangular_subalgebra, gl21, osp12,
+                                   lambda: gl(3, 2)], ids=["pl11", "b", "gl21", "osp12", "gl32"])
+def test_a_definition_file_reads_back_its_algebra(tmp_path, build):
+    # pl11's [u, v] = x and osp(1|2)'s [e, f] = h have basis index 0 alone
+    g = build()
+    path = tmp_path / "lie.alg"
+    path.write_text(definition_text(g), encoding="utf-8")
+    back = load_algebra_file(path)
+    assert [(b.name, b.parity) for b in back.basis] == [(b.name, b.parity) for b in g.basis]
+    assert back.table == g.table
+    assert [type(c) for row in back.table for vec in row for c in vec] == \
+        [type(c) for row in g.table for vec in row for c in vec]
+
+
+def test_a_bracket_is_read_over_the_names_it_states(tmp_path, monkeypatch):
+    text = definition_text(gl(3, 2))
+    path = tmp_path / "gl32.alg"
+    path.write_text(text, encoding="utf-8")
+    built = []
+
+    def recorded(names):
+        built.append(set(names))
+        return algebra.polynomial_presentation(names)
+
+    monkeypatch.setattr(exprs, "polynomial_presentation", recorded)
+    load_algebra_file(path)
+    right_sides = [line.split("=")[1] for line in text.splitlines() if "=" in line]
+    assert len(built) == len(right_sides)
+    for names, rhs in zip(built, right_sides):
+        assert names <= set(re.findall(r"[A-Za-z_]\w*", rhs))
 
 
 def test_definition_file_session(tmp_path, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from superhopf import parse, parse_list, polynomial_presentation
+from superhopf import parse, parse_list
 from superhopf.errors import ParseError, PresentationError
 from superhopf.exprs import parse_linear_combination
 
@@ -62,10 +62,11 @@ def test_round_trip_fractional_coefficients(ubar):
 
 
 def test_linear_combination_parser():
-    names = polynomial_presentation(["x", "y", "u"])
-    assert parse_linear_combination("x", names) == {"x": Fraction(1)}
+    names = ["x", "y", "u"]  # the result is keyed by basis index
+    assert parse_linear_combination("x", names) == {0: Fraction(1)}
     assert parse_linear_combination("2*x - 1/2*y", names) == {
-        "x": Fraction(2), "y": Fraction(-1, 2)}
+        0: Fraction(2), 1: Fraction(-1, 2)}
+    assert parse_linear_combination("u - 3*y", names) == {2: 1, 1: -3}
     assert parse_linear_combination("0", names) == {}
     assert parse_linear_combination("x - x", names) == {}
     with pytest.raises(ParseError):
@@ -75,11 +76,11 @@ def test_linear_combination_parser():
 
 
 def test_linear_combinations_use_the_expression_grammar():
-    names = polynomial_presentation(["x", "y", "u"])
+    names = ["x", "y", "u"]
     combo = parse_linear_combination("2*(x - y) + 1/2*u + 1/2*u", names)
-    assert combo == {"x": 2, "y": -2, "u": 1}
+    assert combo == {0: 2, 1: -2, 2: 1}
     assert all(type(c) is int for c in combo.values())  # 1/2 + 1/2 is the int 1
-    assert parse_linear_combination("x*y - y*x + u", names) == {"u": 1}
+    assert parse_linear_combination("x*y - y*x + u", names) == {2: 1}
     with pytest.raises(ParseError):
         parse_linear_combination("x*y", names)  # degree 2
     with pytest.raises(ParseError):
@@ -87,3 +88,10 @@ def test_linear_combinations_use_the_expression_grammar():
     with pytest.raises(ParseError) as exc:
         parse_linear_combination("x + 2*w", names)
     assert exc.value.position == 6 and "unknown basis name 'w'" in str(exc.value)
+    # the error the parse meets first is the one reported
+    for text, position, message in (("x + + w", 4, "unexpected token '+'"),
+                                    ("w + + x", 0, "unknown basis name 'w'"),
+                                    ("w + $", 4, "unexpected character '$'")):
+        with pytest.raises(ParseError) as exc:
+            parse_linear_combination(text, names)
+        assert exc.value.position == position and message in str(exc.value)

@@ -332,3 +332,19 @@ def test_a_power_stops_at_a_partial_power_that_is_a_term_times_the_base():
             power = power * a
     assert (t * u * v) ** 99999999999 == pres.element(
         {pres.monomial(x=99999999998, u=1, v=1, t=1): 1})
+
+
+def test_a_term_plus_a_commuting_square_zero_element_has_a_closed_power():
+    # (z+w)^n = z^(n-1) * (z + n*w) when w*w = 0 and z*w = w*z: x is central and
+    # u*u = 0; 2+u+x*v, y+u, x+u+v and t+u have no such split and multiply out
+    pres = cold_pl11_bosonized()
+    u, v, x, t, y = (pres.gen(g) for g in "uvxty")
+    one = pres.one()
+    for a in (x + u, one + u, 2 * one + u + x * v, y + u, x + u + v, t + u):
+        power = one
+        for n in range(10):
+            assert a ** n == power, (a, n)
+            power = power * a
+    n = 99999999999
+    assert (x + u) ** n == pres.element({pres.monomial(x=n): 1, pres.monomial(x=n - 1, u=1): n})
+    assert (one + u) ** n == pres.element({pres.monomial(): 1, pres.monomial(u=1): n})
